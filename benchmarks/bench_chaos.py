@@ -27,7 +27,8 @@ import tempfile
 import time
 
 from repro.faults import FaultPlan, preset
-from repro.faults.chaos import CHAOS_ENGINES, run_chaos
+from repro.faults.chaos import run_chaos
+from repro.mvcc import ENGINE_MODELS
 
 from helpers import print_table, write_bench_json
 
@@ -72,7 +73,7 @@ def test_bench_chaos_invariants():
     rows = []
     for profile, intensity, seed in E27_PLANS:
         plan_key = f"{profile}@{intensity}:{seed}"
-        for engine in CHAOS_ENGINES:
+        for engine in ENGINE_MODELS:
             report = _run_cell(engine, profile, intensity, seed)
             grid[f"{plan_key}/{engine}"] = report.to_doc()
             rows.append(

@@ -116,7 +116,7 @@ def test_engine_report():
 
 # ----------------------------------------------------------------------
 # E25 (raw-engine side) — the store's O(log n) read path and the
-# striped-lock read throughput
+# lock-free read throughput
 # ----------------------------------------------------------------------
 
 
@@ -181,47 +181,41 @@ def test_bench_vacuum_single_bisect():
 
 
 def test_bench_threaded_snapshot_reads_report():
-    """Aggregate multi-threaded read throughput, striped (lock-free
-    read path) vs global-lock (every read takes the engine lock)."""
+    """Aggregate multi-threaded read throughput on the lock-free read
+    path."""
     import threading as _threading
     import time as _time
 
-    rows = []
-    for lock_mode in ("striped", "global-lock"):
-        engine = SIEngine(
-            {f"o{i}": 0 for i in range(16)}, lock_mode=lock_mode
-        )
-        for ts in range(1, 65):
-            ctx = engine.begin("seed")
-            engine.write(ctx, f"o{ts % 16}", ts)
+    engine = SIEngine({f"o{i}": 0 for i in range(16)})
+    for ts in range(1, 65):
+        ctx = engine.begin("seed")
+        engine.write(ctx, f"o{ts % 16}", ts)
+        engine.commit(ctx)
+    threads, reads_per_thread = 4, 5_000
+    errors = []
+
+    def reader(index):
+        try:
+            ctx = engine.begin(f"r{index}")
+            for n in range(reads_per_thread):
+                engine.read(ctx, f"o{(index + n) % 16}")
             engine.commit(ctx)
-        threads, reads_per_thread = 4, 5_000
-        errors = []
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
 
-        def reader(index):
-            try:
-                ctx = engine.begin(f"r{index}")
-                for n in range(reads_per_thread):
-                    engine.read(ctx, f"o{(index + n) % 16}")
-                engine.commit(ctx)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        pool = [
-            _threading.Thread(target=reader, args=(i,))
-            for i in range(threads)
-        ]
-        started = _time.perf_counter()
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        elapsed = _time.perf_counter() - started
-        assert not errors, errors
-        total = threads * reads_per_thread
-        rows.append((lock_mode, threads, total, f"{total / elapsed:,.0f}"))
+    pool = [
+        _threading.Thread(target=reader, args=(i,)) for i in range(threads)
+    ]
+    started = _time.perf_counter()
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+    elapsed = _time.perf_counter() - started
+    assert not errors, errors
+    total = threads * reads_per_thread
     print_table(
         "Aggregate snapshot-read throughput, 4 reader threads",
-        ["lock mode", "threads", "reads", "reads/s"],
-        rows,
+        ["threads", "reads", "reads/s"],
+        [(threads, total, f"{total / elapsed:,.0f}")],
     )

@@ -12,7 +12,7 @@ writes the machine-readable ``BENCH_service.json`` record CI tracks.
 import pytest
 
 from repro.monitor import WindowedMonitor
-from repro.mvcc import PSIEngine, SerializableEngine, SIEngine
+from repro.mvcc import build_engine
 from repro.service import LoadGenerator, TransactionService, smallbank_mix
 
 from helpers import print_table, write_bench_json
@@ -20,20 +20,15 @@ from helpers import print_table, write_bench_json
 WORKERS = 8
 TXNS_PER_WORKER = 25
 WINDOW = 64
-
-MODELS = {
-    "SI": (SIEngine, "SI"),
-    "SER": (SerializableEngine, "SER"),
-    "PSI": (lambda initial: PSIEngine(initial, auto_deliver=True), "PSI"),
-}
+ENGINES = ("SI", "SER", "PSI")  # the ENGINE_MODELS keys E23 reports
 
 
 def drive(model_name, workers=WORKERS, txns=TXNS_PER_WORKER, seed=0):
-    engine_factory, monitor_model = MODELS[model_name]
     mix = smallbank_mix(customers=4)
+    engine, monitor_model = build_engine(model_name, dict(mix.initial))
     monitor = WindowedMonitor(WINDOW, monitor_model, dict(mix.initial))
     service = TransactionService(
-        engine_factory(dict(mix.initial)),
+        engine,
         monitor,
         max_retries=2000,
         backoff_base=0.0001,
@@ -48,7 +43,7 @@ def drive(model_name, workers=WORKERS, txns=TXNS_PER_WORKER, seed=0):
     return service, monitor, result
 
 
-@pytest.mark.parametrize("model_name", sorted(MODELS))
+@pytest.mark.parametrize("model_name", sorted(ENGINES))
 def test_bench_service_throughput(benchmark, model_name):
     service, monitor, result = benchmark(drive, model_name)
     # The monitor's model matches the engine's guarantee, so every
@@ -65,7 +60,7 @@ def test_service_report():
     """The per-model summary table and the BENCH_service.json record."""
     rows = []
     results = {}
-    for model_name in ("SI", "SER", "PSI"):
+    for model_name in ENGINES:
         service, monitor, result = drive(model_name)
         assert result.violations == 0, (
             f"false positive under {model_name}: {service.violations}"
@@ -117,15 +112,15 @@ def test_service_report():
 
 
 # ----------------------------------------------------------------------
-# E25 — engine scaling: striped locks + pipelined monitoring
+# E25 — engine scaling: lock-free reads + pipelined monitoring
 # ----------------------------------------------------------------------
 #
 # The fine-grained concurrency work (per-object lock stripes, lock-free
 # O(log n) snapshot reads, monitor observation moved off the commit
 # path) should let throughput grow with worker threads for closed-loop
 # clients (per-transaction think time models the client round trip).
-# The sweep crosses workers x engine x lock mode x monitor mode on
-# read-heavy and write-heavy SmallBank mixes and records
+# The sweep crosses workers x engine x monitor mode on read-heavy and
+# write-heavy SmallBank mixes and records
 # ``BENCH_engine_scaling.json``.  ``E25_MAX_SECONDS`` caps the sweep
 # (CI smoke); the scaling gate — 4-worker read-heavy SI observe-only
 # strictly outrunning 1 worker — always runs.
@@ -144,14 +139,6 @@ E25_MIXES = {
     "read-heavy": SMALLBANK_READ_HEAVY,
     "write-heavy": SMALLBANK_WRITE_HEAVY,
 }
-E25_ENGINES = {
-    "SI": (SIEngine, "SI"),
-    "SER": (SerializableEngine, "SER"),
-    "PSI": (
-        lambda initial, **kw: PSIEngine(initial, auto_deliver=True, **kw),
-        "PSI",
-    ),
-}
 
 
 def _e25_cells():
@@ -159,31 +146,22 @@ def _e25_cells():
     tail, never the head).  The leading cells are the scaling gate."""
     cells = []
     for workers in E25_WORKERS:  # the gate + its scaling curve
-        cells.append(("SI", "striped", "pipelined", "read-heavy", workers))
-    for workers in (1, 4):  # striped vs the old global lock
-        cells.append(
-            ("SI", "global-lock", "pipelined", "read-heavy", workers)
-        )
+        cells.append(("SI", "pipelined", "read-heavy", workers))
     for workers in (1, 4):  # pipelined vs in-commit certification
-        cells.append(("SI", "striped", "sync", "read-heavy", workers))
+        cells.append(("SI", "sync", "read-heavy", workers))
     for workers in (1, 4):  # commit-path stress
-        cells.append(
-            ("SI", "striped", "pipelined", "write-heavy", workers)
-        )
+        cells.append(("SI", "pipelined", "write-heavy", workers))
     for model in ("SER", "PSI"):  # the other engines' curves
         for workers in (1, 4):
-            cells.append(
-                (model, "striped", "pipelined", "read-heavy", workers)
-            )
+            cells.append((model, "pipelined", "read-heavy", workers))
     return cells
 
 
-def _e25_drive(model, lock_mode, monitor_mode, mix_name, workers):
-    factory, monitor_model = E25_ENGINES[model]
+def _e25_drive(model, monitor_mode, mix_name, workers):
     mix = smallbank_mix(
         customers=E25_CUSTOMERS, weights=E25_MIXES[mix_name]
     )
-    engine = factory(dict(mix.initial), lock_mode=lock_mode)
+    engine, monitor_model = build_engine(model, dict(mix.initial))
     service = TransactionService.certified(
         engine,
         model=monitor_model,
@@ -219,10 +197,9 @@ def test_bench_engine_scaling():
             dropped.append(key)
             continue
         service, result = _e25_drive(*cell)
-        model, lock_mode, monitor_mode, mix_name, workers = cell
+        model, monitor_mode, mix_name, workers = cell
         results[key] = {
             "engine": model,
-            "lock_mode": lock_mode,
             "monitor_mode": monitor_mode,
             "mix": mix_name,
             "workers": workers,
@@ -235,7 +212,6 @@ def test_bench_engine_scaling():
         rows.append(
             (
                 model,
-                lock_mode,
                 monitor_mode,
                 mix_name,
                 workers,
@@ -252,15 +228,14 @@ def test_bench_engine_scaling():
         "E25 — engine scaling "
         f"(SmallBank, {E25_TXNS} txns/worker, "
         f"{E25_THINK_TIME * 1000:.0f}ms think time)",
-        ["engine", "locks", "monitor", "mix", "workers", "txn/s",
-         "aborts"],
+        ["engine", "monitor", "mix", "workers", "txn/s", "aborts"],
         rows,
     )
     if dropped:
         print(f"E25: time budget dropped {len(dropped)} cells: {dropped}")
 
     def tps(workers):
-        return results[f"SI/striped/pipelined/read-heavy/{workers}"][
+        return results[f"SI/pipelined/read-heavy/{workers}"][
             "throughput_tps"
         ]
 

@@ -30,37 +30,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..core.errors import StoreError
+from ..mvcc import build_engine
 from ..service import MIXES, LoadGenerator, LoadResult, TransactionService
 from ..service.health import DEGRADED, HEALTHY, HealthPolicy
 from ..wal import WriteAheadLog, audit_log, recover
 from ..wal.log import WalError
 from .failpoints import armed
 from .plan import FaultPlan
-
-CHAOS_ENGINES = ("SI", "SER", "PSI", "2PL")
-"""Engine keys the harness accepts (2PL certifies against SER)."""
-
-
-def _build_engine(key: str, initial: Dict[str, Any], lock_mode: str):
-    from ..mvcc import PSIEngine, SerializableEngine, SIEngine
-    from ..mvcc.locking import TwoPhaseLockingEngine
-
-    if key == "SI":
-        return SIEngine(initial, lock_mode=lock_mode), "SI"
-    if key == "SER":
-        return SerializableEngine(initial, lock_mode=lock_mode), "SER"
-    if key == "PSI":
-        return (
-            PSIEngine(initial, auto_deliver=True, lock_mode=lock_mode),
-            "PSI",
-        )
-    if key == "2PL":
-        return TwoPhaseLockingEngine(initial, lock_mode=lock_mode), "SER"
-    raise StoreError(
-        f"unknown engine {key!r}; expected one of {CHAOS_ENGINES}"
-    )
-
 
 def _load_dict(result: LoadResult) -> Dict[str, Any]:
     return {
@@ -183,7 +159,6 @@ def run_chaos(
     seed: int = 0,
     monitor_mode: str = "sync",
     window: int = 64,
-    lock_mode: str = "striped",
     fsync_policy: str = "group",
     on_wal_failure: str = "fail_stop",
     default_deadline: Optional[float] = None,
@@ -194,7 +169,7 @@ def run_chaos(
     """Run one chaos experiment and check its invariants.
 
     Args:
-        engine_key: one of :data:`CHAOS_ENGINES`.
+        engine_key: a :data:`~repro.mvcc.ENGINE_MODELS` key.
         plan: the fault schedule to arm for the storm phase.
         wal_dir: write-ahead log directory (must not hold a live log;
             recovery and audit run against it after shutdown).
@@ -205,9 +180,9 @@ def run_chaos(
             ``recovery_window`` closes; at least one round always runs).
         seed: seeds the load generator streams (the fault plan carries
             its own seed).
-        monitor_mode / window / lock_mode / fsync_policy /
-        on_wal_failure / default_deadline / max_concurrent: service
-            stack knobs, as for ``serve-bench``.
+        monitor_mode / window / fsync_policy / on_wal_failure /
+        default_deadline / max_concurrent: service stack knobs, as for
+            ``serve-bench``.
         recovery_window: seconds after disarm within which the service
             must reach ``healthy`` (unless the plan poisoned the log).
         health_policy: override the enforcing default
@@ -215,9 +190,7 @@ def run_chaos(
     """
     started = time.perf_counter()
     mix = MIXES[mix_name]()
-    engine, model = _build_engine(
-        engine_key, dict(mix.initial), lock_mode=lock_mode
-    )
+    engine, model = build_engine(engine_key, dict(mix.initial))
     wal = WriteAheadLog(
         wal_dir,
         fsync_policy=fsync_policy,

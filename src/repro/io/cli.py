@@ -51,6 +51,7 @@ from ..anomalies import ALL_CASES, load as load_case
 from ..characterisation.membership import classify_history, decide
 from ..chopping.criticality import Criterion
 from ..chopping.static import analyse_chopping
+from ..mvcc import ENGINE_MODELS, build_engine
 from ..robustness.static import (
     check_robustness_against_si,
     check_robustness_psi_to_si,
@@ -179,30 +180,6 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-SERVE_ENGINES = ("SI", "SER", "PSI", "2PL")
-"""Engine keys accepted by ``serve-bench`` (plus ``all``)."""
-
-
-def _serve_engine(key: str, initial, lock_mode: str = "striped"):
-    from ..mvcc import PSIEngine, SerializableEngine, SIEngine
-    from ..mvcc.locking import TwoPhaseLockingEngine
-
-    if key == "SI":
-        return SIEngine(initial, lock_mode=lock_mode), "SI"
-    if key == "SER":
-        return SerializableEngine(initial, lock_mode=lock_mode), "SER"
-    if key == "PSI":
-        # Eager propagation: each worker session gets its own replica,
-        # so lazy delivery would just starve every remote read.
-        return (
-            PSIEngine(initial, auto_deliver=True, lock_mode=lock_mode),
-            "PSI",
-        )
-    if key == "2PL":
-        return TwoPhaseLockingEngine(initial, lock_mode=lock_mode), "SER"
-    raise KeyError(key)
-
-
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import json as _json
     import os as _os
@@ -210,7 +187,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from ..core.errors import ReproError
     from ..service import MIXES, LoadGenerator, TransactionService
 
-    engines = SERVE_ENGINES if args.engine == "all" else (args.engine,)
+    engines = list(ENGINE_MODELS) if args.engine == "all" else [args.engine]
     # The report's metadata block mirrors every knob that shaped the
     # run, so benchmark JSONs are self-describing across PRs.
     report = {
@@ -220,7 +197,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         "window": args.window,
         "checker": args.checker,
         "monitor_mode": args.monitor_mode,
-        "lock_mode": args.lock_mode,
         "seed": args.seed,
         "think_time": args.think_time,
         "max_retries": args.max_retries,
@@ -236,9 +212,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     total_violations = 0
     for key in engines:
         mix = MIXES[args.mix]()
-        engine, model = _serve_engine(
-            key, dict(mix.initial), lock_mode=args.lock_mode
-        )
+        engine, model = build_engine(key, dict(mix.initial))
         wal = None
         try:
             if args.wal_dir:
@@ -287,7 +261,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         report["engines"][key] = {
             "monitor_model": model,
             "monitor_mode": args.monitor_mode,
-            "lock_mode": args.lock_mode,
             "committed": result.committed,
             "retry_exhausted": result.retry_exhausted,
             "violations": result.violations,
@@ -336,7 +309,7 @@ def _cmd_chaos_bench(args: argparse.Namespace) -> int:
     from ..faults import FaultPlan, preset
     from ..faults.chaos import run_chaos
 
-    engines = SERVE_ENGINES if args.engine == "all" else (args.engine,)
+    engines = list(ENGINE_MODELS) if args.engine == "all" else [args.engine]
     try:
         if args.fault_plan:
             base_plan = FaultPlan.load(args.fault_plan)
@@ -572,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with a windowed online monitor attached",
     )
     p_serve.add_argument(
-        "--engine", choices=list(SERVE_ENGINES) + ["all"], default="SI",
+        "--engine", choices=list(ENGINE_MODELS) + ["all"], default="SI",
         help="engine under load (2PL certifies against SER)",
     )
     p_serve.add_argument(
@@ -616,12 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
              "feed (pipelined — observe-only)",
     )
     p_serve.add_argument(
-        "--lock-mode", choices=["striped", "global-lock"],
-        default="striped",
-        help="engine locking: striped per-object locks with lock-free "
-             "snapshot reads (default) or one global engine lock",
-    )
-    p_serve.add_argument(
         "--think-time", type=float, default=0.0,
         help="per-transaction client think time in seconds",
     )
@@ -649,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
         "assert the end-to-end robustness invariants",
     )
     p_chaos.add_argument(
-        "--engine", choices=list(SERVE_ENGINES) + ["all"], default="SI",
+        "--engine", choices=list(ENGINE_MODELS) + ["all"], default="SI",
         help="engine under chaos (2PL certifies against SER)",
     )
     p_chaos.add_argument(
@@ -716,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_replay.add_argument("wal_dir", help="write-ahead log directory")
     p_replay.add_argument(
-        "--engine", choices=list(SERVE_ENGINES), default=None,
+        "--engine", choices=list(ENGINE_MODELS), default=None,
         help="override the engine class recorded in the log meta",
     )
     p_replay.add_argument(

@@ -5,11 +5,17 @@ Implements the paper's idealised SI concurrency-control algorithm
 (:class:`SerializableEngine`), and a replicated parallel-SI engine
 (:class:`PSIEngine`), all recording enough to reconstruct histories and
 abstract executions for cross-validation against the declarative theory.
+:func:`build_engine` builds any of them by key, paired with the model
+its runs certify under.
 """
 
+from functools import partial
+from typing import Callable, Dict, Mapping, Tuple
+
+from ..core.errors import StoreError
+from ..core.events import Obj, Value
 from .store import INIT_WRITER, MVStore, Version
 from .engine import (
-    LOCK_MODES,
     BaseEngine,
     CommitRecord,
     EngineStats,
@@ -53,7 +59,8 @@ __all__ = [
     "Version",
     "INIT_WRITER",
     # engine
-    "LOCK_MODES",
+    "ENGINE_MODELS",
+    "build_engine",
     "BaseEngine",
     "TxContext",
     "TxStatus",
@@ -91,3 +98,32 @@ __all__ = [
     "contended_counter_workload",
     "disjoint_counter_workload",
 ]
+
+
+ENGINE_MODELS: Dict[str, Tuple[Callable[..., BaseEngine], str]] = {
+    "SI": (SIEngine, "SI"),
+    "SER": (SerializableEngine, "SER"),
+    # Eager propagation: a served session gets its own replica, so lazy
+    # delivery would starve every remote read.
+    "PSI": (partial(PSIEngine, auto_deliver=True), "PSI"),
+    # Strict 2PL produces serialisable executions.
+    "2PL": (TwoPhaseLockingEngine, "SER"),
+}
+"""Engine key → (engine factory, the model its runs certify under).
+The keys are what the CLI accepts and what a log's meta records."""
+
+
+def build_engine(
+    key: str, initial: Mapping[Obj, Value], init_tid: str = "t_init"
+) -> Tuple[BaseEngine, str]:
+    """A fresh engine for ``key`` and the model it certifies under.
+
+    Raises:
+        StoreError: for a key not in :data:`ENGINE_MODELS`.
+    """
+    if key not in ENGINE_MODELS:
+        raise StoreError(
+            f"unknown engine {key!r}; expected one of {tuple(ENGINE_MODELS)}"
+        )
+    factory, model = ENGINE_MODELS[key]
+    return factory(initial, init_tid), model

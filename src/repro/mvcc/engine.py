@@ -13,34 +13,25 @@ The engines are single-process and deterministic under caller-decided
 interleaving (directly or through :mod:`repro.mvcc.runtime`'s
 scheduler), so anomaly runs are replayable.
 
-Thread-safety and lock modes.  Every engine runs in one of two modes:
+Thread-safety.  Snapshot reads take **no engine-wide lock**: a
+snapshot timestamp plus the store's immutable version chains are enough
+(SI never blocks readers, and neither do we).  Commit takes the short
+:attr:`BaseEngine.lock` **commit mutex** covering exactly validate +
+install + timestamp allocation; per-session bookkeeping (open sessions,
+tid allocation, abort counters, vacuum pins) lives under its own small
+:attr:`_session_lock`; per-object chain mutations use the store's
+striped locks.  The lock hierarchy is
+``commit mutex > session lock > store stripes`` — a thread holding a
+lock may only acquire locks strictly to the right, so the engine is
+deadlock-free by construction.  The deterministic replayable scheduler
+is single-threaded, so the locks never contend there.
 
-* ``lock_mode="striped"`` (the default) — the fine-grained fast path.
-  Snapshot reads take **no engine-wide lock**: a snapshot timestamp
-  plus the store's immutable version chains are enough (SI never blocks
-  readers, and neither do we).  Commit takes the short
-  :attr:`BaseEngine.lock` **commit mutex** covering exactly
-  validate + install + timestamp allocation; per-session bookkeeping
-  (open sessions, tid allocation, abort counters, vacuum pins) lives
-  under its own small :attr:`_session_lock`; per-object chain mutations
-  use the store's striped locks.  The lock hierarchy is
-  ``commit mutex > session lock > store stripes`` — a thread holding a
-  lock may only acquire locks strictly to the right, so the engine is
-  deadlock-free by construction.
-* ``lock_mode="global-lock"`` — the compatibility mode: every public
-  operation additionally serialises under :attr:`BaseEngine.lock`, so
-  each operation is one linearizable step exactly as in the original
-  coarse-grained engines.  The deterministic replayable scheduler works
-  identically in both modes (it is single-threaded, so the locks never
-  contend); the mode exists so lock-granularity bugs can be bisected by
-  diffing runs.
-
-In both modes, holding :attr:`BaseEngine.lock` across several calls
-makes the whole group atomic with respect to *commits* (the service
-layer uses this to feed an online monitor in true commit order).  The
-single remaining caller obligation is per-session: a session's
-transactions must be issued sequentially (the engines check this), so
-give each thread its own session.
+Holding :attr:`BaseEngine.lock` across several calls makes the whole
+group atomic with respect to *commits* (the service layer uses this to
+feed an online monitor in true commit order).  The single remaining
+caller obligation is per-session: a session's transactions must be
+issued sequentially (the engines check this), so give each thread its
+own session.
 
 Transactions follow the client discipline of Section 5: an aborted
 transaction raises :class:`TransactionAborted` and is expected to be
@@ -63,20 +54,6 @@ from ..core.executions import AbstractExecution
 from ..core.histories import History
 from ..core.relations import Relation
 from ..core.transactions import Transaction
-
-LOCK_MODES = ("striped", "global-lock")
-"""The engine locking modes (see the module docstring)."""
-
-
-class _NoLock:
-    """A no-op reentrant context manager standing in for a lock."""
-
-    def __enter__(self) -> "_NoLock":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
 
 class TxStatus(enum.Enum):
     """Lifecycle of an engine transaction."""
@@ -154,27 +131,15 @@ class BaseEngine(abc.ABC):
     Args:
         initial: initial object values.
         init_tid: tid of the implied initialisation transaction.
-        lock_mode: ``"striped"`` (fine-grained, the default) or
-            ``"global-lock"`` (every operation under one lock — the
-            original coarse-grained behaviour, kept for bisection).
     """
 
     def __init__(
-        self,
-        initial: Mapping[Obj, Value],
-        init_tid: str = "t_init",
-        lock_mode: str = "striped",
+        self, initial: Mapping[Obj, Value], init_tid: str = "t_init"
     ):
         if not initial:
             raise StoreError("engine needs at least one initial object")
-        if lock_mode not in LOCK_MODES:
-            raise StoreError(
-                f"unknown lock_mode {lock_mode!r}; expected one of "
-                f"{LOCK_MODES}"
-            )
         self.initial: Dict[Obj, Value] = dict(initial)
         self.init_tid = init_tid
-        self.lock_mode = lock_mode
         self.stats = EngineStats()
         self.committed: List[CommitRecord] = []
         self.lock = threading.RLock()
@@ -182,21 +147,11 @@ class BaseEngine(abc.ABC):
         happen under it, so commits are totally ordered.  Callers may
         hold it across several calls to group them into one atomic
         action with respect to commits (e.g. commit + monitor
-        notification).  In ``global-lock`` mode every other operation
-        serialises under it too."""
-        if lock_mode == "global-lock":
-            # One lock for everything: session bookkeeping and reads
-            # alias the commit mutex, restoring operation-level global
-            # serialisation.
-            self._session_lock: threading.RLock = self.lock
-            self._read_guard = self.lock
-        else:
-            self._session_lock = threading.RLock()
-            """Small leaf lock for per-session state: open sessions,
-            tid allocation, abort counters, subclass vacuum pins.
-            Never held while acquiring another lock."""
-            self._read_guard = _NoLock()
-            """Snapshot reads are lock-free in striped mode."""
+        notification)."""
+        self._session_lock = threading.RLock()
+        """Small leaf lock for per-session state: open sessions, tid
+        allocation, abort counters, subclass vacuum pins.  Never held
+        while acquiring another lock."""
         self._next_tid = 1
         self._open_sessions: Set[str] = set()
         # Reconstruction cache: committed[i] converted to a Transaction,
@@ -240,12 +195,11 @@ class BaseEngine(abc.ABC):
 
     def write(self, ctx: TxContext, obj: Obj, value: Value) -> None:
         """Buffer a write of ``value`` to ``obj``."""
-        with self._read_guard:
-            ctx.ensure_active()
-            if obj not in self.initial:
-                raise StoreError(f"unknown object {obj!r}")
-            ctx.write_buffer[obj] = value
-            ctx.events.append(write_op(obj, value))
+        ctx.ensure_active()
+        if obj not in self.initial:
+            raise StoreError(f"unknown object {obj!r}")
+        ctx.write_buffer[obj] = value
+        ctx.events.append(write_op(obj, value))
 
     @abc.abstractmethod
     def commit(self, ctx: TxContext) -> CommitRecord:

@@ -22,7 +22,7 @@ reader's serialisation point.
 Concurrency: the lock table is one shared structure, so it carries its
 own internal mutex (a leaf in the lock hierarchy — taken after the
 commit mutex, never while holding it does the table acquire anything
-else).  Read operations in striped mode touch only the table mutex and
+else).  Read operations touch only the table mutex and
 the store's lock-free ``latest`` — reading the newest version without
 the engine lock is safe precisely because the held S-lock excludes any
 concurrent writer of that object from committing.
@@ -113,12 +113,9 @@ class TwoPhaseLockingEngine(BaseEngine):
     """Strict 2PL with no-wait conflict handling — always serializable."""
 
     def __init__(
-        self,
-        initial: Mapping[Obj, Value],
-        init_tid: str = "t_init",
-        lock_mode: str = "striped",
+        self, initial: Mapping[Obj, Value], init_tid: str = "t_init"
     ):
-        super().__init__(initial, init_tid, lock_mode=lock_mode)
+        super().__init__(initial, init_tid)
         self.store = MVStore(initial, init_writer=init_tid)
         self.locks = LockTable()
         self._clock = 0
@@ -133,22 +130,20 @@ class TwoPhaseLockingEngine(BaseEngine):
         (own buffered writes first).  The S-lock pins the version: no
         writer of ``obj`` can commit while it is held, so the lock-free
         ``latest`` is stable."""
-        with self._read_guard:
-            ctx.ensure_active()
-            if obj in ctx.write_buffer:
-                return self._record_read(ctx, obj, ctx.write_buffer[obj])
-            if not self.locks.acquire(ctx.tid, obj, LockMode.SHARED):
-                raise self._lock_failure(ctx, obj, LockMode.SHARED)
-            version = self.store.latest(obj)
-            return self._record_read(ctx, obj, version.value)
+        ctx.ensure_active()
+        if obj in ctx.write_buffer:
+            return self._record_read(ctx, obj, ctx.write_buffer[obj])
+        if not self.locks.acquire(ctx.tid, obj, LockMode.SHARED):
+            raise self._lock_failure(ctx, obj, LockMode.SHARED)
+        version = self.store.latest(obj)
+        return self._record_read(ctx, obj, version.value)
 
     def write(self, ctx: TxContext, obj: Obj, value: Value) -> None:
         """Acquire an exclusive lock, then buffer the write."""
-        with self._read_guard:
-            ctx.ensure_active()
-            if not self.locks.acquire(ctx.tid, obj, LockMode.EXCLUSIVE):
-                raise self._lock_failure(ctx, obj, LockMode.EXCLUSIVE)
-            super().write(ctx, obj, value)
+        ctx.ensure_active()
+        if not self.locks.acquire(ctx.tid, obj, LockMode.EXCLUSIVE):
+            raise self._lock_failure(ctx, obj, LockMode.EXCLUSIVE)
+        super().write(ctx, obj, value)
 
     def commit(self, ctx: TxContext) -> CommitRecord:
         """Install the writes and release all locks (strictness)."""

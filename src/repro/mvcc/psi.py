@@ -52,7 +52,6 @@ class PSIEngine(BaseEngine):
         init_tid: str = "t_init",
         session_replicas: Optional[Mapping[str, str]] = None,
         auto_deliver: bool = False,
-        lock_mode: str = "striped",
     ):
         """
         Args:
@@ -64,14 +63,13 @@ class PSIEngine(BaseEngine):
             auto_deliver: when True, every commit is propagated to all
                 replicas immediately (useful as an "SI-like" reference
                 configuration in benchmarks).
-            lock_mode: as for :class:`BaseEngine`.  Replica state and
-                the delivery queue always serialise under the commit
-                mutex (snapshot capture must not observe a half-applied
-                commit); in striped mode the *reads* are nevertheless
-                lock-free — they touch only the private snapshot dict
-                captured at begin.
+
+        Replica state and the delivery queue serialise under the commit
+        mutex (snapshot capture must not observe a half-applied commit);
+        the *reads* are nevertheless lock-free — they touch only the
+        private snapshot dict captured at begin.
         """
-        super().__init__(initial, init_tid, lock_mode=lock_mode)
+        super().__init__(initial, init_tid)
         self._session_replicas: Dict[str, str] = dict(session_replicas or {})
         self._replicas: Dict[str, Replica] = {}
         self._commit_index = 0
@@ -124,16 +122,15 @@ class PSIEngine(BaseEngine):
 
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Read from the write buffer, else from the replica snapshot
-        (lock-free in striped mode: the snapshot is a private copy only
-        this session's thread dereferences)."""
-        with self._read_guard:
-            ctx.ensure_active()
-            if obj in ctx.write_buffer:
-                return self._record_read(ctx, obj, ctx.write_buffer[obj])
-            snapshot, _ = self._snapshots[ctx.tid]
-            if obj not in snapshot:
-                raise StoreError(f"unknown object {obj!r}")
-            return self._record_read(ctx, obj, snapshot[obj])
+        (lock-free: the snapshot is a private copy only this session's
+        thread dereferences)."""
+        ctx.ensure_active()
+        if obj in ctx.write_buffer:
+            return self._record_read(ctx, obj, ctx.write_buffer[obj])
+        snapshot, _ = self._snapshots[ctx.tid]
+        if obj not in snapshot:
+            raise StoreError(f"unknown object {obj!r}")
+        return self._record_read(ctx, obj, snapshot[obj])
 
     def commit(self, ctx: TxContext) -> CommitRecord:
         """Global NOCONFLICT validation, local apply, queue propagation."""

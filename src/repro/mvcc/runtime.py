@@ -19,12 +19,6 @@ The :class:`Scheduler` interleaves sessions one operation at a time,
 driven either by an explicit schedule (a list of session names, with the
 special entry ``"deliver"`` performing one causal delivery on PSI engines)
 or by a seeded PRNG — both fully deterministic and replayable.
-
-The scheduler is single-threaded, so it is oblivious to the engine's
-``lock_mode``: runs are byte-identical whether the engine uses the
-fine-grained striped locking (the default) or the ``"global-lock"``
-compatibility mode (``tests/mvcc/test_lock_modes.py`` asserts this on
-the anomaly reproductions).
 """
 
 from __future__ import annotations

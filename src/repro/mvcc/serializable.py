@@ -11,7 +11,7 @@ history level, checked in the tests via Theorem 8's GraphSER condition).
 This is the baseline the paper compares SI against (write skew is aborted
 here, admitted by :class:`~repro.mvcc.si.SIEngine`).
 
-Concurrency: reads stay lock-free in striped mode — the per-transaction
+Concurrency: reads stay lock-free — the per-transaction
 read set is only touched by the session's own thread, so tracking it
 needs no engine lock.  Read-set validation joins SI's write-set
 validation inside the commit mutex.
@@ -31,12 +31,9 @@ class SerializableEngine(SIEngine):
     snapshot reads, commit-time read- and write-set validation."""
 
     def __init__(
-        self,
-        initial: Mapping[Obj, Value],
-        init_tid: str = "t_init",
-        lock_mode: str = "striped",
+        self, initial: Mapping[Obj, Value], init_tid: str = "t_init"
     ):
-        super().__init__(initial, init_tid, lock_mode=lock_mode)
+        super().__init__(initial, init_tid)
         self._read_sets: dict = {}
 
     def _make_context(self, session: str, tid: str) -> TxContext:
@@ -47,10 +44,9 @@ class SerializableEngine(SIEngine):
 
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Snapshot read, additionally tracked for commit validation."""
-        with self._read_guard:
-            value = super().read(ctx, obj)
-            self._read_sets[ctx.tid].add(obj)
-            return value
+        value = super().read(ctx, obj)
+        self._read_sets[ctx.tid].add(obj)
+        return value
 
     def commit(self, ctx: TxContext) -> CommitRecord:
         """Validate the read set, then fall back to SI's commit."""

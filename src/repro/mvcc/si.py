@@ -24,7 +24,7 @@ satisfy the SI axioms — Theorem 10(ii) then guarantees the extracted
 dependency graphs land in GraphSI, which the test-suite checks on every
 recorded run.
 
-Concurrency.  In striped mode reads are entirely lock-free: the start
+Concurrency.  Reads are entirely lock-free: the start
 timestamp plus the store's immutable chains pin the snapshot, so a read
 is one binary search.  The commit critical section (the commit mutex)
 covers only first-committer-wins validation, the install, and the
@@ -49,12 +49,9 @@ class SIEngine(BaseEngine):
     first-committer-wins write-conflict detection."""
 
     def __init__(
-        self,
-        initial: Mapping[Obj, Value],
-        init_tid: str = "t_init",
-        lock_mode: str = "striped",
+        self, initial: Mapping[Obj, Value], init_tid: str = "t_init"
     ):
-        super().__init__(initial, init_tid, lock_mode=lock_mode)
+        super().__init__(initial, init_tid)
         self.store = MVStore(initial, init_writer=init_tid)
         self._clock = 0
         self._active_start_ts: dict = {}
@@ -75,22 +72,18 @@ class SIEngine(BaseEngine):
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Read from the write buffer, else from the start snapshot.
 
-        Lock-free in striped mode (one bisect on the object's immutable
-        chain).  A read that needs a vacuumed version aborts the
-        transaction (snapshot too old); the client retries with a fresh
-        snapshot.
+        Lock-free (one bisect on the object's immutable chain).  A read
+        that needs a vacuumed version aborts the transaction (snapshot
+        too old); the client retries with a fresh snapshot.
         """
-        with self._read_guard:
-            ctx.ensure_active()
-            if obj in ctx.write_buffer:
-                return self._record_read(ctx, obj, ctx.write_buffer[obj])
-            try:
-                version = self.store.read_at(obj, ctx.start_ts)
-            except SnapshotTooOld as exc:
-                raise self._validation_failure(
-                    ctx, f"snapshot too old: {exc}"
-                )
-            return self._record_read(ctx, obj, version.value)
+        ctx.ensure_active()
+        if obj in ctx.write_buffer:
+            return self._record_read(ctx, obj, ctx.write_buffer[obj])
+        try:
+            version = self.store.read_at(obj, ctx.start_ts)
+        except SnapshotTooOld as exc:
+            raise self._validation_failure(ctx, f"snapshot too old: {exc}")
+        return self._record_read(ctx, obj, version.value)
 
     # ------------------------------------------------------------------
     # Garbage collection

@@ -72,7 +72,7 @@ from ..faults import FAULTS
 from ..monitor.online import ConsistencyMonitor, Violation
 from ..mvcc.engine import BaseEngine, CommitRecord, TxContext
 from ..mvcc.runtime import ReadOp, TxProgram, WriteOp
-from .feed import DEFAULT_FEED_CAPACITY, PipelinedMonitorFeed
+from .feed import PipelinedMonitorFeed
 from .health import HealthPolicy, HealthTracker
 from .metrics import ServiceMetrics
 
@@ -136,9 +136,10 @@ class TransactionService:
             monitor runs on a dedicated drain thread behind a bounded
             commit-ordered queue; verdicts land in :attr:`violations`
             asynchronously — call :meth:`drain` to wait for them).
-        feed_capacity: bound of the pipelined feed queue; when the
-            monitor falls this far behind, commits block (backpressure,
-            never drops).  Ignored in sync mode.
+            The feed queue holds
+            :data:`~repro.service.feed.DEFAULT_FEED_CAPACITY` commits;
+            when the monitor falls this far behind, commits block
+            (backpressure, never drops).
         wal: optional :class:`~repro.wal.log.WriteAheadLog` appended to
             on every commit, outside the engine lock.  Its ``start_seq``
             must be one past the engine's last commit timestamp (1 for
@@ -172,7 +173,6 @@ class TransactionService:
         backoff_seed: int = 0,
         metrics: Optional[ServiceMetrics] = None,
         monitor_mode: str = "sync",
-        feed_capacity: int = DEFAULT_FEED_CAPACITY,
         wal=None,
         default_deadline: Optional[float] = None,
         health_policy: Optional[HealthPolicy] = None,
@@ -236,7 +236,7 @@ class TransactionService:
                     + 1
                 )
             self._feed = PipelinedMonitorFeed(
-                self._observe, capacity=feed_capacity, start_seq=start_seq
+                self._observe, start_seq=start_seq
             )
 
     @classmethod

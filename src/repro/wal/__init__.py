@@ -33,7 +33,7 @@ from .log import (
     WalStats,
     WriteAheadLog,
 )
-from .recovery import Damage, LogScan, RecoveryResult, make_engine, recover, scan
+from .recovery import Damage, LogScan, RecoveryResult, recover, scan
 
 __all__ = [
     "AuditResult",
@@ -59,7 +59,6 @@ __all__ = [
     "Damage",
     "LogScan",
     "RecoveryResult",
-    "make_engine",
     "recover",
     "scan",
 ]

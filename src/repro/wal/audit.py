@@ -25,13 +25,9 @@ from typing import List, Optional
 from ..core.errors import StoreError
 from ..monitor.online import ConsistencyMonitor, MonitorError, Violation
 from ..monitor.windowed import WindowedMonitor
+from ..mvcc import ENGINE_MODELS
 from .format import LogMeta
 from .recovery import Damage, scan
-
-
-# 2PL produces serialisable executions; the log stores the engine key,
-# so map it to the model its commits should certify under.
-_ENGINE_DEFAULT_MODEL = {"SI": "SI", "SER": "SER", "PSI": "PSI", "2PL": "SER"}
 
 
 def default_model(meta: Optional[LogMeta]) -> str:
@@ -41,9 +37,8 @@ def default_model(meta: Optional[LogMeta]) -> str:
     if meta is not None:
         if meta.model in ConsistencyMonitor.MODELS:
             return meta.model
-        mapped = _ENGINE_DEFAULT_MODEL.get(meta.engine or "")
-        if mapped:
-            return mapped
+        if meta.engine in ENGINE_MODELS:
+            return ENGINE_MODELS[meta.engine][1]
     return "SI"
 
 

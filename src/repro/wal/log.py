@@ -28,10 +28,10 @@ it, and syncs once — so N concurrent committers share one ``fsync``:
   appenders wait for the batch sync covering their record.  Batch size
   grows naturally under load: while the flusher syncs, every other
   committer deposits.  Before syncing, the flusher additionally waits —
-  up to ``group_window`` seconds — while committers it *knows* are in
-  flight (threads currently inside :meth:`append`) have not deposited
-  yet, so a round of N concurrent committers shares one ``fsync``
-  instead of being split across two;
+  up to :data:`DEFAULT_GROUP_WINDOW` (0.5 ms) — while committers it
+  *knows* are in flight (threads currently inside :meth:`append`) have
+  not deposited yet, so a round of N concurrent committers shares one
+  ``fsync`` instead of being split across two;
 * ``fsync_policy="none"`` — frames are written to the OS (no sync) and
   :meth:`append` returns without waiting; a crash may lose the tail
   beyond the last OS write-back.
@@ -40,7 +40,9 @@ it, and syncs once — so N concurrent committers share one ``fsync``:
 when no appender is pushing the flusher (relevant under ``"none"``,
 where nobody waits): the flusher wakes at least that often.
 
-Failure model.  An I/O error poisons the log: every waiting and
+Failure model.  An I/O error poisons the log: the flusher writes
+nothing more (frames queued behind the failed one are dropped, and
+``durable_ts`` stays below the first failure), and every waiting and
 subsequent ``append``/``flush``/``close`` raises a fresh
 :class:`WalPoisoned` chained to the original cause and carrying the
 first failed sequence number (the in-memory commit stands — the service
@@ -81,8 +83,9 @@ DEFAULT_FLUSH_INTERVAL = 0.05
 """Default bound on how long a writable frame may wait for the flusher."""
 
 DEFAULT_GROUP_WINDOW = 0.0005
-"""Default bound on how long the flusher waits for in-flight committers
-to join a group-commit batch before syncing it."""
+"""Bound on how long the ``"group"`` flusher waits for in-flight
+committers (threads already inside :meth:`WriteAheadLog.append`) to
+join a batch before syncing it."""
 
 
 class WalError(StoreError):
@@ -173,10 +176,6 @@ class WriteAheadLog:
             the oldest after rotation (``None`` = keep everything).
             Recovery from a pruned log yields the surviving suffix.
         flush_interval: the flusher's wake-up bound in seconds.
-        group_window: under ``"group"``, how long the flusher may hold a
-            batch open waiting for committers already inside
-            :meth:`append` to deposit (seconds; ``0`` disables the
-            window and syncs whatever is writable immediately).
         start_seq: first commit sequence number expected (one past the
             engine's last commit at attach time; 1 for a fresh engine).
         meta: log description written into every segment header —
@@ -194,7 +193,6 @@ class WriteAheadLog:
         segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
         retention_segments: Optional[int] = None,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
-        group_window: float = DEFAULT_GROUP_WINDOW,
         start_seq: int = 1,
         meta: Optional[Mapping[str, Any]] = None,
         metrics: Optional[Any] = None,
@@ -217,16 +215,11 @@ class WriteAheadLog:
             raise WalError(
                 f"flush_interval must be positive, got {flush_interval}"
             )
-        if group_window < 0:
-            raise WalError(
-                f"group_window must be non-negative, got {group_window}"
-            )
         self.directory = directory
         self.fsync_policy = fsync_policy
         self.segment_max_bytes = segment_max_bytes
         self.retention_segments = retention_segments
         self.flush_interval = flush_interval
-        self.group_window = group_window
         self.meta: Dict[str, Any] = dict(meta or {})
         self.metrics = metrics
         self.stats = WalStats()
@@ -387,16 +380,12 @@ class WriteAheadLog:
                     self._io_cond.wait(self.flush_interval)
                 if self._closed and not self._writable:
                     return
-                if (
-                    self.fsync_policy == "group"
-                    and self.group_window > 0
-                    and not self._closed
-                ):
+                if self.fsync_policy == "group" and not self._closed:
                     # Group-commit window: committers already inside
                     # append() will deposit momentarily — hold the batch
                     # open for them (bounded) so one fsync covers the
                     # whole concurrent round instead of half of it.
-                    deadline = time.monotonic() + self.group_window
+                    deadline = time.monotonic() + DEFAULT_GROUP_WINDOW
                     while (
                         len(self._writable) < self._appenders
                         and not self._closed
@@ -434,6 +423,10 @@ class WriteAheadLog:
                             first_failed_seq=seq,
                             root=root,
                         )
+                    # Every frame still queued is later than the failed
+                    # one: writing it would leave a hole on disk, and
+                    # `_durable_ts` must stay below the first failure.
+                    self._writable = []
                 else:
                     self._durable_ts = batch[-1][0]
                     self.stats.flushes += 1

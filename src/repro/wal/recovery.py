@@ -29,6 +29,7 @@ from typing import Iterator, List, Optional
 
 from ..core.errors import StoreError
 from ..io.json_format import FormatError
+from ..mvcc import ENGINE_MODELS, build_engine
 from ..mvcc.engine import BaseEngine, CommitRecord
 from .format import (
     SEGMENT_MAGIC,
@@ -151,9 +152,11 @@ class LogScan:
                 self._stop(names, position, name, len(SEGMENT_MAGIC),
                            f"bad meta frame: {exc}")
                 return
-            if self.meta is None:
+            if expected_ts is None:
+                # The first segment fixes where the log starts.
                 self.meta = meta
-            if expected_ts is not None and meta.first_ts != expected_ts:
+                expected_ts = meta.first_ts
+            if meta.first_ts != expected_ts:
                 self._stop(
                     names, position, name, len(SEGMENT_MAGIC),
                     f"segment expects commit #{meta.first_ts} but the "
@@ -169,8 +172,6 @@ class LogScan:
                     self._stop(names, position, name, -1,
                                f"undecodable commit frame: {exc}")
                     return
-                if expected_ts is None:
-                    expected_ts = record.commit_ts
                 if record.commit_ts != expected_ts:
                     self._stop(
                         names, position, name, -1,
@@ -184,10 +185,6 @@ class LogScan:
                 expected_ts += 1
                 self.records_scanned += 1
                 yield record
-            if expected_ts is None:
-                # Segment held only its meta frame; the next segment (if
-                # any) continues from its own declared first_ts.
-                expected_ts = meta.first_ts
             if frame_damage is not None:
                 self._stop(names, position + 1, name, damage_offset,
                            frame_damage)
@@ -220,24 +217,6 @@ def scan(directory: str) -> LogScan:
 # ----------------------------------------------------------------------
 # Replay
 # ----------------------------------------------------------------------
-
-
-def make_engine(
-    key: Optional[str], initial, init_tid: str = "t_init"
-) -> BaseEngine:
-    """A fresh engine for ``key`` (``"SI"``/``"SER"``/``"PSI"``/
-    ``"2PL"``; unknown or ``None`` falls back to SI — replay bypasses
-    validation, so any engine can host any log's history)."""
-    from ..mvcc import PSIEngine, SerializableEngine, SIEngine
-    from ..mvcc.locking import TwoPhaseLockingEngine
-
-    if key == "SER":
-        return SerializableEngine(initial, init_tid=init_tid)
-    if key == "PSI":
-        return PSIEngine(initial, init_tid=init_tid, auto_deliver=True)
-    if key == "2PL":
-        return TwoPhaseLockingEngine(initial, init_tid=init_tid)
-    return SIEngine(initial, init_tid=init_tid)
 
 
 @dataclass
@@ -300,7 +279,9 @@ def recover(
         directory: the log directory.
         engine: replay into this engine instead of building one (its
             initial state must match the log's; it must be fresh).
-        engine_key: override the engine class recorded in the log meta.
+        engine_key: override the engine key recorded in the log meta.
+            An unknown or missing key falls back to SI: replay bypasses
+            validation, so any engine can host any log's history.
 
     Raises:
         StoreError: when no usable segment meta exists (nothing to
@@ -316,8 +297,9 @@ def recover(
                     f" ({log_scan.damage[0]})" if log_scan.damage else ""
                 )
             )
-        engine = make_engine(
-            engine_key or log_scan.meta.engine,
+        key = engine_key or log_scan.meta.engine
+        engine, _ = build_engine(
+            key if key in ENGINE_MODELS else "SI",
             dict(log_scan.meta.init),
             init_tid=log_scan.meta.init_tid,
         )

@@ -4,7 +4,8 @@ benchmark E27)."""
 import pytest
 
 from repro.faults import preset
-from repro.faults.chaos import CHAOS_ENGINES, run_chaos
+from repro.faults.chaos import run_chaos
+from repro.mvcc import ENGINE_MODELS
 from repro.wal import audit_log
 
 CHAOS_KWARGS = dict(
@@ -84,7 +85,7 @@ class TestRunChaos:
         }
         assert "chaos:" in report.describe()
 
-    @pytest.mark.parametrize("engine", CHAOS_ENGINES)
+    @pytest.mark.parametrize("engine", list(ENGINE_MODELS))
     def test_every_engine_survives_a_storm(self, tmp_path, engine):
         report = run_chaos(
             engine,

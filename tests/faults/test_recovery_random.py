@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.errors import ReproError
 from repro.faults import FaultPlan, FaultRule, armed
-from repro.faults.chaos import _build_engine
+from repro.mvcc import build_engine
 from repro.service import MIXES, LoadGenerator, TransactionService
 from repro.service.health import HealthPolicy
 from repro.wal import WriteAheadLog, audit_log, recover
@@ -73,7 +73,7 @@ def random_plan(seed: int) -> FaultPlan:
 def storm_then_crash(tmp_path, engine_key: str, seed: int):
     """Run a storm against a full stack, then abandon it mid-life."""
     mix = MIXES["smallbank"]()
-    engine, model = _build_engine(engine_key, dict(mix.initial), "striped")
+    engine, model = build_engine(engine_key, dict(mix.initial))
     wal = WriteAheadLog(
         str(tmp_path / "wal"),
         fsync_policy="group",

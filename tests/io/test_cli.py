@@ -222,13 +222,11 @@ class TestServeBench:
                 "--txns", "3",
                 "--seed", "7",
                 "--monitor-mode", "pipelined",
-                "--lock-mode", "striped",
                 "--json", str(report_path),
             ]
         ) == 0
         report = json.loads(report_path.read_text())
         assert report["monitor_mode"] == "pipelined"
-        assert report["lock_mode"] == "striped"
         assert report["seed"] == 7
         assert report["max_retries"] >= 0
         assert report["wal"] is None

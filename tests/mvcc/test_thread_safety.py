@@ -19,26 +19,10 @@ import pytest
 
 from repro.core.errors import TransactionAborted
 from repro.monitor import watch_engine
-from repro.mvcc import (
-    PSIEngine,
-    SerializableEngine,
-    SIEngine,
-    TwoPhaseLockingEngine,
-)
+from repro.mvcc import ENGINE_MODELS, PSIEngine, SIEngine, build_engine
 
 THREADS = 8
 TXNS_PER_THREAD = 25
-
-ENGINES = {
-    "SI": SIEngine,
-    "SER-OCC": SerializableEngine,
-    "SER-2PL": TwoPhaseLockingEngine,
-    "PSI": lambda initial, **kw: PSIEngine(
-        initial, auto_deliver=True, **kw
-    ),
-}
-
-LOCK_MODES = ("striped", "global-lock")
 
 
 def _increment_until_committed(engine, session, obj, max_attempts=10_000):
@@ -79,29 +63,26 @@ def _hammer(engine, objects_for):
     assert not errors, errors
 
 
-@pytest.mark.parametrize("lock_mode", LOCK_MODES)
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
-def test_disjoint_hammer_loses_no_updates(engine_name, lock_mode):
+@pytest.mark.parametrize("engine_key", sorted(ENGINE_MODELS))
+def test_disjoint_hammer_loses_no_updates(engine_key):
     initial = {f"c{i}": 0 for i in range(THREADS)}
-    engine = ENGINES[engine_name](initial, lock_mode=lock_mode)
+    engine, _ = build_engine(engine_key, initial)
     _hammer(engine, lambda i, n: f"c{i}")
     assert engine.stats.commits == THREADS * TXNS_PER_THREAD
     final = {obj: _latest_value(engine, obj) for obj in initial}
     assert final == {f"c{i}": TXNS_PER_THREAD for i in range(THREADS)}
 
 
-@pytest.mark.parametrize("lock_mode", LOCK_MODES)
-@pytest.mark.parametrize("engine_name", ["SI", "SER-OCC", "SER-2PL"])
-def test_contended_hammer_loses_no_updates(engine_name, lock_mode):
-    engine = ENGINES[engine_name]({"counter": 0}, lock_mode=lock_mode)
+@pytest.mark.parametrize("engine_key", ["2PL", "SER", "SI"])
+def test_contended_hammer_loses_no_updates(engine_key):
+    engine, _ = build_engine(engine_key, {"counter": 0})
     _hammer(engine, lambda i, n: "counter")
     assert engine.stats.commits == THREADS * TXNS_PER_THREAD
     assert _latest_value(engine, "counter") == THREADS * TXNS_PER_THREAD
 
 
-@pytest.mark.parametrize("lock_mode", LOCK_MODES)
-def test_tids_and_commit_timestamps_unique_under_contention(lock_mode):
-    engine = SIEngine({"counter": 0}, lock_mode=lock_mode)
+def test_tids_and_commit_timestamps_unique_under_contention():
+    engine = SIEngine({"counter": 0})
     _hammer(engine, lambda i, n: "counter")
     tids = [rec.tid for rec in engine.committed]
     assert len(tids) == len(set(tids))

@@ -3,15 +3,18 @@ concurrency, and close semantics."""
 
 import os
 import threading
+import time
 
 import pytest
 
 from repro.mvcc.engine import CommitRecord
 from repro.core.events import write as write_op
+from repro.faults import FaultPlan, FaultRule, armed
 from repro.wal import (
     FSYNC_POLICIES,
     WalClosed,
     WalError,
+    WalPoisoned,
     WriteAheadLog,
     recover,
     scan,
@@ -258,3 +261,32 @@ class TestValidation:
         # The gap at #2 can never be filled: the log stays poisoned.
         with pytest.raises(WalError):
             log.append(make_record(3))
+        # #1 was acknowledged before the poison and has no hole before
+        # it: the flusher still writes it.
+        with pytest.raises(WalPoisoned):
+            log.close()
+        assert log.durable_ts == 1
+        assert [r.commit_ts for r in scan(log.directory)] == [1]
+
+
+class TestPoisoning:
+    def test_poisoned_log_writes_nothing_behind_the_failure(self, tmp_path):
+        # #1's write stalls, then fails; #2 and #3 are deposited behind
+        # it during the stall.  Writing them would leave a hole at #1.
+        plan = FaultPlan(
+            [FaultRule("wal.write", "io_error", limit=1, delay=0.2)]
+        )
+        log = make_log(tmp_path, fsync_policy="none")
+        with armed(plan):
+            log.append(make_record(1))
+            deadline = time.monotonic() + 5
+            while not plan.hit_counts().get("wal.write"):
+                assert time.monotonic() < deadline, "flusher never wrote"
+                time.sleep(0.001)
+            log.append(make_record(2))
+            log.append(make_record(3))
+            with pytest.raises(WalPoisoned) as info:
+                log.close()
+        assert info.value.first_failed_seq == 1
+        assert log.durable_ts == 0
+        assert list(scan(log.directory)) == []

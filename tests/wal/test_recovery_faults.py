@@ -12,11 +12,19 @@ import os
 
 import pytest
 
+from repro.core.events import write as write_op
 from repro.mvcc import SIEngine
+from repro.mvcc.engine import CommitRecord
 from repro.mvcc.runtime import ReadOp, WriteOp
 from repro.service import TransactionService
 from repro.wal import WriteAheadLog, audit_log, recover, scan
-from repro.wal.format import SEGMENT_MAGIC
+from repro.wal.format import (
+    SEGMENT_MAGIC,
+    commit_record_to_payload,
+    encode_frame,
+    meta_to_payload,
+    segment_name,
+)
 
 COMMITS = 40
 
@@ -147,6 +155,31 @@ class TestMissingSegments:
         result = assert_prefix_recovery(directory, engine)
         assert any("missing segment" in d.reason for d in result.damage)
         assert result.segments_dropped >= len(segments) - 3
+
+    def test_first_segment_missing_its_leading_commits(self, tmp_path):
+        # A segment that declares #1 but holds only #2 and #3 must not
+        # scan as a clean log starting at #2.
+        def record(ts):
+            return CommitRecord(
+                tid=f"t{ts}", session="s", start_ts=ts - 1, commit_ts=ts,
+                events=(write_op("x", ts),), writes={"x": ts},
+                visible_tids=frozenset({"t_init"}),
+            )
+
+        directory = tmp_path / "wal"
+        directory.mkdir()
+        meta = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
+                "model": "SI"}
+        (directory / segment_name(1)).write_bytes(
+            SEGMENT_MAGIC
+            + encode_frame(meta_to_payload(meta, 1, first_ts=1))
+            + encode_frame(commit_record_to_payload(record(2)))
+            + encode_frame(commit_record_to_payload(record(3)))
+        )
+        result = recover(str(directory))
+        assert result.records_recovered == 0
+        assert result.truncated
+        assert "got #2, expected #1" in result.damage[0].reason
 
     def test_all_segments_deleted(self, logged_run):
         from repro.core.errors import StoreError
