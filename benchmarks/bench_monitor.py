@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core.events import read, write
-from repro.monitor import ConsistencyMonitor, WindowedMonitor, watch_engine
+from repro.monitor import ConsistencyMonitor, watch_engine
 from repro.mvcc import PSIEngine, Scheduler, SIEngine
 from repro.mvcc.workloads import (
     long_fork_sessions,
@@ -95,7 +95,7 @@ def test_bench_full_vs_windowed_cost(benchmark, variant, length):
         if variant == "full":
             monitor = ConsistencyMonitor("SI", dict(initial))
         else:
-            monitor = WindowedMonitor(32, "SI", dict(initial))
+            monitor = ConsistencyMonitor("SI", dict(initial), window=32)
         return feed(monitor, events)
 
     monitor = benchmark(run)
@@ -108,7 +108,9 @@ def test_bench_full_vs_windowed_cost(benchmark, variant, length):
 def test_windowed_state_stays_flat():
     initial, events = pad_stream(1000)
     full = feed(ConsistencyMonitor("SI", dict(initial)), events)
-    windowed = feed(WindowedMonitor(32, "SI", dict(initial)), events)
+    windowed = feed(
+        ConsistencyMonitor("SI", dict(initial), window=32), events
+    )
     sizes = windowed.state_size()
     print_table(
         "Monitor state after 1000 commits",

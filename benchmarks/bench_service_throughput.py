@@ -11,7 +11,7 @@ writes the machine-readable ``BENCH_service.json`` record CI tracks.
 
 import pytest
 
-from repro.monitor import WindowedMonitor
+from repro.monitor import ConsistencyMonitor
 from repro.mvcc import build_engine
 from repro.service import LoadGenerator, TransactionService, smallbank_mix
 
@@ -26,7 +26,9 @@ ENGINES = ("SI", "SER", "PSI")  # the ENGINE_MODELS keys E23 reports
 def drive(model_name, workers=WORKERS, txns=TXNS_PER_WORKER, seed=0):
     mix = smallbank_mix(customers=4)
     engine, monitor_model = build_engine(model_name, dict(mix.initial))
-    monitor = WindowedMonitor(WINDOW, monitor_model, dict(mix.initial))
+    monitor = ConsistencyMonitor(
+        monitor_model, dict(mix.initial), window=WINDOW
+    )
     service = TransactionService(
         engine,
         monitor,

@@ -9,9 +9,9 @@ knob: the default ``"incremental"`` core
 DAG under a Pearce–Kelly dynamic topological order so the common
 no-violation commit costs amortised near-constant work, while
 ``"rebuild"`` re-derives the full condition each commit and serves as
-the differential-testing oracle.  :class:`WindowedMonitor` adds
-transaction-window garbage collection so memory stays bounded under
-sustained service load.
+the differential-testing oracle.  With ``window=W`` the monitor
+garbage-collects transactions outside a sliding commit window so memory
+stays bounded under sustained service load.
 """
 
 from .incremental import (
@@ -29,7 +29,6 @@ from .online import (
     Violation,
     watch_engine,
 )
-from .windowed import WindowedMonitor
 
 __all__ = [
     "CHECKERS",
@@ -41,7 +40,6 @@ __all__ = [
     "SerIncrementalChecker",
     "SiIncrementalChecker",
     "Violation",
-    "WindowedMonitor",
     "make_checker",
     "watch_engine",
 ]

@@ -36,8 +36,8 @@ Three checkers share the core, one per model condition:
   ``v`` against the RW-edge index (skipped outright while no RW edge
   exists).  No transitive closure is ever materialised.
 
-All three checkers support :meth:`remove_node`, used by
-:class:`~repro.monitor.windowed.WindowedMonitor`'s garbage collection:
+All three checkers support :meth:`remove_node`, used by the windowed
+:class:`~repro.monitor.online.ConsistencyMonitor`'s garbage collection:
 deleting nodes/edges from a DAG never invalidates its topological
 order, so eviction is pure bookkeeping — no re-check, no reorder.
 
@@ -262,19 +262,15 @@ class IncrementalChecker:
     """Base class: one model's graph condition, maintained edge-by-edge.
 
     The monitor feeds each commit's *new* dependency (``SO ∪ WR ∪ WW``)
-    and anti-dependency (``RW``) edges through :meth:`observe`; the
-    checker returns the first witness cycle the deltas close, or
-    ``None``.  A cycle-closing edge is dropped (with all of its already
-    applied composed deltas rolled back) so the maintained structure
-    stays acyclic and certification continues.
+    and anti-dependency (``RW``) edges through :meth:`observe`, each
+    edge once; the checker returns the first witness cycle the deltas
+    close, or ``None``.  A cycle-closing edge is dropped (with all of
+    its already applied composed deltas rolled back) so the maintained
+    structure stays acyclic and certification continues.
     """
 
     #: Human-readable name of the maintained target relation.
     target = "dependency graph"
-
-    def __init__(self) -> None:
-        self._dep_edges: Set[Edge] = set()
-        self._rw_edges: Set[Edge] = set()
 
     def add_node(self, tid: str) -> None:
         raise NotImplementedError
@@ -288,20 +284,12 @@ class IncrementalChecker:
         """Apply one commit's edge deltas; return the first cycle."""
         witness: Optional[List[str]] = None
         for edge in dep_edges:
-            if edge in self._dep_edges:
-                continue
             cycle = self._insert_dep(edge)
-            if cycle is None:
-                self._dep_edges.add(edge)
-            elif witness is None:
+            if witness is None:
                 witness = cycle
         for edge in rw_edges:
-            if edge in self._rw_edges:
-                continue
             cycle = self._insert_rw(edge)
-            if cycle is None:
-                self._rw_edges.add(edge)
-            elif witness is None:
+            if witness is None:
                 witness = cycle
         return witness
 
@@ -319,7 +307,6 @@ class SerIncrementalChecker(IncrementalChecker):
     target = "SO ∪ WR ∪ WW ∪ RW"
 
     def __init__(self) -> None:
-        super().__init__()
         self._dag = DynamicTopoOrder()
 
     def add_node(self, tid: str) -> None:
@@ -327,10 +314,6 @@ class SerIncrementalChecker(IncrementalChecker):
 
     def remove_node(self, tid: str) -> None:
         self._dag.remove_node(tid)
-        self._dep_edges = {
-            e for e in self._dep_edges if tid not in e
-        }
-        self._rw_edges = {e for e in self._rw_edges if tid not in e}
 
     def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
         return self._dag.add_edge(*edge)
@@ -344,13 +327,13 @@ class SiIncrementalChecker(IncrementalChecker):
     The composed relation is maintained in the dynamic DAG; per-node
     dep-predecessor and RW-successor indexes translate each new dep/RW
     edge into its composed-edge deltas.  Composed multiplicities count
-    middle-node witnesses so node eviction can decrement exactly.
+    middle-node witnesses so node eviction can decrement exactly; an
+    edge already in the indexes is skipped so no witness counts twice.
     """
 
     target = "(SO ∪ WR ∪ WW) ; RW?"
 
     def __init__(self) -> None:
-        super().__init__()
         self._dag = DynamicTopoOrder()
         self._dep_pred: Dict[str, Set[str]] = {}
         self._dep_succ: Dict[str, Set[str]] = {}
@@ -385,8 +368,6 @@ class SiIncrementalChecker(IncrementalChecker):
             self._rw_succ[u].discard(tid)
         for w in self._rw_succ.pop(tid):
             self._rw_pred[w].discard(tid)
-        self._dep_edges = {e for e in self._dep_edges if tid not in e}
-        self._rw_edges = {e for e in self._rw_edges if tid not in e}
 
     def _apply(self, deltas: List[Edge]) -> Optional[List[str]]:
         """Insert composed deltas atomically: on a cycle, roll back the
@@ -403,6 +384,8 @@ class SiIncrementalChecker(IncrementalChecker):
 
     def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
         u, v = edge
+        if v in self._dep_succ[u]:
+            return None
         deltas: List[Edge] = [(u, v)]
         deltas.extend((u, w) for w in self._rw_succ[v])
         cycle = self._apply(deltas)
@@ -413,6 +396,8 @@ class SiIncrementalChecker(IncrementalChecker):
 
     def _insert_rw(self, edge: Edge) -> Optional[List[str]]:
         v, w = edge
+        if w in self._rw_succ[v]:
+            return None
         deltas = [(u, w) for u in self._dep_pred[v]]
         cycle = self._apply(deltas)
         if cycle is None:
@@ -434,7 +419,6 @@ class PsiIncrementalChecker(IncrementalChecker):
     target = "(SO ∪ WR ∪ WW)+ ; RW?"
 
     def __init__(self) -> None:
-        super().__init__()
         self._dag = DynamicTopoOrder()
         # rw(c, a) indexed both ways for eviction and loop queries.
         self._rw_out: Dict[str, Set[str]] = {}
@@ -449,8 +433,6 @@ class PsiIncrementalChecker(IncrementalChecker):
             self._rw_in[a].discard(tid)
         for c in self._rw_in.pop(tid, ()):
             self._rw_out[c].discard(tid)
-        self._dep_edges = {e for e in self._dep_edges if tid not in e}
-        self._rw_edges = {e for e in self._rw_edges if tid not in e}
 
     def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
         u, v = edge

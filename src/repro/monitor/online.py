@@ -41,10 +41,26 @@ Two certification back-ends are available via the ``checker`` knob:
   oracle (``tests/monitor/test_parity.py``); once a cycle exists it is
   re-flagged at every subsequent commit.
 
-For sustained production load use
-:class:`~repro.monitor.windowed.WindowedMonitor`, which garbage-collects
-transactions outside a sliding commit window so memory stays bounded
-too (at the price of missing cycles that span more than a window).
+With ``window=W`` the monitor keeps only the last ``W`` committed
+transactions as graph nodes and garbage-collects everything older, so
+memory and per-commit work stay bounded under sustained service load.
+Garbage collection is *sound within the window*: eviction removes only
+nodes older than the window with their incident edges, never an edge
+between two retained transactions, so a violating cycle whose
+transactions all lie within one window is flagged at the same commit
+as without a window (``tests/monitor/test_windowed.py``).  A cycle
+*spanning* more than a window is missed, so the window must exceed the
+anomaly horizon of interest (for the MVCC engines: the maximum number
+of commits overlapping any transaction's lifetime).
+
+Version attribution survives eviction.  The value table keeps each
+object's *current* version attributed even after its writer is evicted
+(a later reader of it gains anti-dependencies to every retained
+overwriter, but no WR edge to the dead node).  A *superseded* version
+stays attributed until the transaction that overwrote it is evicted
+too: a read's staleness is bounded by how long ago its version was
+overwritten, not written.  After that a strict monitor reports a read
+of the version as unattributable rather than misclassifying it.
 """
 
 from __future__ import annotations
@@ -89,7 +105,6 @@ class Violation:
 class _TxnRecord:
     txn: Transaction
     session: str
-    index: int  # commit position
 
 
 class ConsistencyMonitor:
@@ -106,6 +121,11 @@ class ConsistencyMonitor:
         checker: ``"incremental"`` (default — dynamic-topological-order
             certification, amortised per-commit cost) or ``"rebuild"``
             (full per-commit recheck, the differential-testing oracle).
+        window: retain only this many of the most recent commits as
+            graph nodes (at least 2), garbage-collecting older ones;
+            ``None`` (default) keeps the full graph.  With the
+            incremental checker eviction is pure bookkeeping: removing
+            nodes never invalidates the maintained topological order.
     """
 
     MODELS = ("SI", "SER", "PSI")
@@ -118,6 +138,7 @@ class ConsistencyMonitor:
         strict_values: bool = True,
         init_tid: str = "t_init",
         checker: str = "incremental",
+        window: Optional[int] = None,
     ):
         if model not in self.MODELS:
             raise MonitorError(
@@ -128,16 +149,22 @@ class ConsistencyMonitor:
                 f"unknown checker {checker!r}; expected one of "
                 f"{self.CHECKERS}"
             )
+        if window is not None and window < 2:
+            raise MonitorError(
+                f"window must be at least 2 transactions, got {window}"
+            )
         self.model = model
         self.checker = checker
         self.strict_values = strict_values
         self.init_tid = init_tid
+        self.window = window
+        # The graph's nodes, in commit order (oldest first).
         self._records: Dict[str, _TxnRecord] = {}
-        self._commit_order: List[str] = []
         self._sessions: Dict[str, List[str]] = {}
         # Per object: the committed writer sequence and value attribution.
         self._writers: Dict[Obj, List[str]] = {}
         self._value_writer: Dict[Obj, Dict[Value, str]] = {}
+        self._attribution_count = 0
         self._collided: Dict[Obj, Set[Value]] = {}
         # Per object: reader tid → the version (writer tid) it read.
         self._readers: Dict[Obj, Dict[str, str]] = {}
@@ -151,12 +178,20 @@ class ConsistencyMonitor:
         self._core: Optional[IncrementalChecker] = (
             make_checker(model) if checker == "incremental" else None
         )
+        # Windowed mode: tombstones of garbage-collected tids (for the
+        # duplicate check) and, per retained commit, the (obj, value,
+        # writer) versions its writes superseded — their attributions
+        # expire with it.
+        self.evicted_count = 0
+        self._evicted: Set[str] = set()
+        self._superseded_by: Dict[str, List[Tuple[Obj, Value, str]]] = {}
         self.violations: List[Violation] = []
         if initial_values:
             for obj, value in initial_values.items():
                 self._writers[obj] = [init_tid]
                 self._value_writer.setdefault(obj, {})[value] = init_tid
                 self._latest_value[obj] = value
+            self._attribution_count = len(initial_values)
 
     # ------------------------------------------------------------------
     # Observation
@@ -169,29 +204,28 @@ class ConsistencyMonitor:
 
         Returns a :class:`Violation` if the accumulated behaviour is no
         longer allowed by the model, else ``None``.  Monitoring continues
-        after a violation (further commits are still processed).
+        after a violation (further commits are still processed).  In
+        windowed mode the oldest commits are then evicted.
         """
-        if tid in self._records:
+        if tid in self._records or tid in self._evicted:
             raise MonitorError(f"transaction {tid!r} observed twice")
         txn = _make_transaction(tid, events)
-        record = _TxnRecord(txn, session, len(self._commit_order))
-        self._records[tid] = record
-        self._commit_order.append(tid)
+        self._records[tid] = _TxnRecord(txn, session)
         if self._core is not None:
             self._core.add_node(tid)
 
-        new_dep: List[Tuple[str, str]] = []
-        new_rw: List[Tuple[str, str]] = []
+        # This commit's new edges, each once, in discovery order.  Every
+        # edge touches ``tid``, so none can predate this commit.
+        new_dep: Dict[Tuple[str, str], None] = {}
+        new_rw: Dict[Tuple[str, str], None] = {}
 
         def dep_edge(kind: Set[Tuple[str, str]], a: str, b: str) -> None:
-            if (a, b) not in kind:
-                kind.add((a, b))
-                new_dep.append((a, b))
+            kind.add((a, b))
+            new_dep[(a, b)] = None
 
         def rw_edge(a: str, b: str) -> None:
-            if (a, b) not in self._rw:
-                self._rw.add((a, b))
-                new_rw.append((a, b))
+            self._rw.add((a, b))
+            new_rw[(a, b)] = None
 
         # SO: edges from every earlier transaction of the session.
         earlier = self._sessions.setdefault(session, [])
@@ -204,20 +238,31 @@ class ConsistencyMonitor:
             value = txn.external_read(obj)
             writer = self._attribute_read(tid, obj, value)
             self._readers.setdefault(obj, {})[tid] = writer
-            if writer != tid and self._in_graph(writer):
+            if writer != tid and writer in self._records:
                 dep_edge(self._wr, writer, tid)
             # RW out of this reader towards every later overwriter of
-            # that version (writers after `writer` in the object's order).
-            for later in self._overwriters_of(obj, writer):
+            # that version.  A writer missing from the object's writer
+            # sequence was evicted: it preceded every retained writer
+            # (eviction follows commit order), so all of them — but not
+            # the initialisation writer — overwrote its version.
+            seq = self._writers.get(obj, [])
+            if writer in seq:
+                overwriters = seq[seq.index(writer) + 1 :]
+            elif writer != self.init_tid:
+                overwriters = [t for t in seq if t != self.init_tid]
+            else:
+                overwriters = []
+            for later in overwriters:
                 if later != tid:
                     rw_edge(tid, later)
 
         # WW and RW-in for writes: this transaction overwrites the
         # current last version of each object it writes.
+        superseded: List[Tuple[Obj, Value, str]] = []
         for obj in sorted(txn.written_objects):
             seq = self._writers.setdefault(obj, [])
             for prev in seq:
-                if prev != tid and self._in_graph(prev):
+                if prev != tid and prev in self._records:
                     dep_edge(self._ww, prev, tid)
             # Earlier readers of obj gain RW edges to tid (the readers
             # index makes this O(readers-of-obj), not O(total reads)).
@@ -227,33 +272,26 @@ class ConsistencyMonitor:
             seq.append(tid)
             value = txn.final_write(obj)
             table = self._value_writer.setdefault(obj, {})
-            if value in table and table[value] != tid:
+            previous = self._latest_value.get(obj, value)
+            if self.window is not None and previous != value:
+                superseded.append((obj, previous, table[previous]))
+            if value not in table:
+                self._attribution_count += 1
+            elif table[value] != tid:
                 self._collided.setdefault(obj, set()).add(value)
             table[value] = tid
             self._latest_value[obj] = value
 
-        violation = self._check(tid, new_dep, new_rw)
+        violation = self._check(tid, list(new_dep), list(new_rw))
         if violation is not None:
             self.violations.append(violation)
+        if self.window is not None:
+            if superseded:
+                self._superseded_by[tid] = superseded
+            while len(self._records) > self.window:
+                self._evict(next(iter(self._records)))
+            self._prune_evicted_set()
         return violation
-
-    def _known(self, tid: str) -> bool:
-        return tid in self._records
-
-    def _in_graph(self, tid: str) -> bool:
-        """Whether ``tid`` is a node of the maintained graph — edges to
-        or from other transactions are dropped (the implicit
-        initialisation writer is not a node; a windowing subclass also
-        excludes garbage-collected transactions)."""
-        return tid != self.init_tid or self._known(tid)
-
-    def _overwriters_of(self, obj: Obj, writer: str) -> List[str]:
-        """The retained transactions that overwrote ``writer``'s version
-        of ``obj`` (everything after it in the object's writer order)."""
-        seq = self._writers.get(obj, [])
-        if writer in seq:
-            return seq[seq.index(writer) + 1 :]
-        return []
 
     def _attribute_read(self, tid: str, obj: Obj, value: Value) -> str:
         table = self._value_writer.get(obj, {})
@@ -270,6 +308,64 @@ class ConsistencyMonitor:
                 f"{tid}: read of {obj}={value!r} matches no committed write"
             )
         return self.init_tid
+
+    # ------------------------------------------------------------------
+    # Garbage collection (windowed mode)
+    # ------------------------------------------------------------------
+
+    def _evict(self, old: str) -> None:
+        """Remove ``old`` and every incident edge from the graph."""
+        record = self._records.pop(old)
+        self._evicted.add(old)
+        self.evicted_count += 1
+        if self._core is not None:
+            self._core.remove_node(old)
+        session_tids = self._sessions[record.session]
+        session_tids.remove(old)
+        if not session_tids:
+            del self._sessions[record.session]
+        for edges in (self._so, self._wr, self._ww, self._rw):
+            edges.difference_update(
+                [(a, b) for a, b in edges if a == old or b == old]
+            )
+        for obj in record.txn.external_read_objects:
+            readers = self._readers.get(obj)
+            if readers is not None:
+                readers.pop(old, None)
+                if not readers:
+                    del self._readers[obj]
+        for obj in record.txn.written_objects:
+            self._writers[obj].remove(old)
+        # The versions ``old`` overwrote have now been stale for a full
+        # window: no attributable read can still return them.  Drop an
+        # attribution only while it still names the superseded writer —
+        # a later writer of the same value keeps its own.
+        for obj, value, writer in self._superseded_by.pop(old, ()):
+            table = self._value_writer[obj]
+            if table.get(value) == writer:
+                del table[value]
+                self._attribution_count -= 1
+                collided = self._collided.get(obj)
+                if collided is not None:
+                    collided.discard(value)
+                    if not collided:
+                        del self._collided[obj]
+
+    def _prune_evicted_set(self) -> None:
+        """Forget evicted tids nothing references any more, keeping the
+        tombstone set (and so total memory) bounded by the window."""
+        if len(self._evicted) <= self.window + self._attribution_count:
+            return
+        referenced = {
+            version
+            for readers in self._readers.values()
+            for version in readers.values()
+        }
+        for table in self._value_writer.values():
+            # Every retained attribution keeps its writer's tombstone,
+            # so the duplicate check covers every tid still named.
+            referenced.update(table.values())
+        self._evicted &= referenced
 
     # ------------------------------------------------------------------
     # Checking
@@ -339,8 +435,13 @@ class ConsistencyMonitor:
 
     @property
     def commit_count(self) -> int:
-        """Number of commits observed."""
-        return len(self._commit_order)
+        """Number of commits observed (including evicted ones)."""
+        return len(self._records) + self.evicted_count
+
+    @property
+    def retained_count(self) -> int:
+        """Number of transactions currently in the graph."""
+        return len(self._records)
 
     def dependency_edges(self) -> Dict[str, Set[Tuple[str, str]]]:
         """The accumulated dependency edges (over tids), for inspection."""
@@ -349,6 +450,22 @@ class ConsistencyMonitor:
             "WR": set(self._wr),
             "WW": set(self._ww),
             "RW": set(self._rw),
+        }
+
+    def state_size(self) -> Dict[str, int]:
+        """Rough sizes of the GC-bounded structures (for tests/benches)."""
+        return {
+            "records": len(self._records),
+            "edges": sum(
+                len(s) for s in (self._so, self._wr, self._ww, self._rw)
+            ),
+            "read_versions": sum(
+                len(readers) for readers in self._readers.values()
+            ),
+            "value_attributions": sum(
+                len(t) for t in self._value_writer.values()
+            ),
+            "evicted_tombstones": len(self._evicted),
         }
 
 
@@ -398,10 +515,7 @@ def _dep_path(deps: Relation, a: str, c: str) -> Optional[List[str]]:
 
 
 def watch_engine(
-    engine: BaseEngine,
-    model: str = "SI",
-    strict_values: bool = True,
-    checker: str = "incremental",
+    engine: BaseEngine, model: str = "SI"
 ) -> Tuple[ConsistencyMonitor, List[Violation]]:
     """Replay an engine's committed records through a fresh monitor.
 
@@ -411,9 +525,7 @@ def watch_engine(
     monitor = ConsistencyMonitor(
         model=model,
         initial_values=dict(engine.initial),
-        strict_values=strict_values,
         init_tid=engine.init_tid,
-        checker=checker,
     )
     violations: List[Violation] = []
     for record in sorted(engine.committed, key=lambda r: r.commit_ts):

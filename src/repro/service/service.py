@@ -15,8 +15,8 @@ session handles with:
   flight, the rest queueing on a semaphore (queue depth is metered);
 * optional **online monitoring** in one of two modes: with
   ``monitor_mode="sync"`` (certification) an attached
-  :class:`~repro.monitor.online.ConsistencyMonitor` (typically the
-  windowed variant) observes every commit *in true commit order* inside
+  :class:`~repro.monitor.online.ConsistencyMonitor` (typically with a
+  commit ``window``) observes every commit *in true commit order* inside
   the commit critical section — the engine lock is held across
   commit + observation, so the commit's outcome carries the verdict;
   with ``monitor_mode="pipelined"`` (observe-only) commits are handed
@@ -117,8 +117,7 @@ class TransactionService:
         engine: any :class:`BaseEngine`; the service relies on its
             operation-level locking.
         monitor: optional online monitor fed every commit in commit
-            order (use :class:`~repro.monitor.windowed.WindowedMonitor`
-            for sustained load).
+            order (give it a ``window`` for sustained load).
         max_concurrent: admission limit — at most this many
             transactions in flight at once (``None`` = unlimited).
         max_retries: resubmissions allowed per transaction before
@@ -246,7 +245,6 @@ class TransactionService:
         model: str = "SI",
         window: Optional[int] = None,
         checker: str = "incremental",
-        strict_values: bool = True,
         **kwargs,
     ) -> "TransactionService":
         """A service with an attached online monitor built from the
@@ -256,36 +254,22 @@ class TransactionService:
             engine: the engine to front (its ``initial`` seeds the
                 monitor's version attribution).
             model: the consistency model to certify against.
-            window: retain only this many commits as graph nodes
-                (:class:`~repro.monitor.windowed.WindowedMonitor`);
+            window: retain only this many commits as graph nodes;
                 ``None`` keeps the full graph.
             checker: certification back-end — ``"incremental"``
                 (default; dynamic-topological-order core, amortised
                 per-commit cost) or ``"rebuild"`` (full per-commit
                 recheck, the differential-testing oracle).
-            strict_values: as for :class:`ConsistencyMonitor`.
             **kwargs: forwarded to the service constructor
                 (``max_concurrent``, ``max_retries``, ...).
         """
-        from ..monitor.windowed import WindowedMonitor
-
-        if window is None:
-            monitor: ConsistencyMonitor = ConsistencyMonitor(
-                model=model,
-                initial_values=dict(engine.initial),
-                strict_values=strict_values,
-                init_tid=engine.init_tid,
-                checker=checker,
-            )
-        else:
-            monitor = WindowedMonitor(
-                window,
-                model=model,
-                initial_values=dict(engine.initial),
-                strict_values=strict_values,
-                init_tid=engine.init_tid,
-                checker=checker,
-            )
+        monitor = ConsistencyMonitor(
+            model=model,
+            initial_values=dict(engine.initial),
+            init_tid=engine.init_tid,
+            checker=checker,
+            window=window,
+        )
         return cls(engine, monitor, **kwargs)
 
     def session(self, name: Optional[str] = None) -> "ServiceSession":

@@ -5,8 +5,8 @@ dependency-graph characterisations: a persisted commit log is exactly
 the input a black-box checker needs.  :func:`audit_log` streams the
 decodable prefix of a log directory through the same incremental
 SI/SER/PSI certifiers the live service uses
-(:class:`~repro.monitor.online.ConsistencyMonitor`, or its windowed
-variant), one commit record at a time — memory stays bounded by the
+(:class:`~repro.monitor.online.ConsistencyMonitor`, full or windowed),
+one commit record at a time — memory stays bounded by the
 monitor's own state, never by the log size, so a multi-gigabyte log is
 auditable on a laptop.
 
@@ -24,7 +24,6 @@ from typing import List, Optional
 
 from ..core.errors import StoreError
 from ..monitor.online import ConsistencyMonitor, MonitorError, Violation
-from ..monitor.windowed import WindowedMonitor
 from ..mvcc import ENGINE_MODELS
 from .format import LogMeta
 from .recovery import Damage, scan
@@ -109,10 +108,10 @@ def audit_log(
         model: ``"SI"``/``"SER"``/``"PSI"``; defaults to the model the
             log's producer recorded (falling back to the engine's
             natural model, then SI).
-        window: audit with a :class:`WindowedMonitor` of this size
-            instead of the full monitor (bounded memory, may miss
-            cycles spanning more than a window — matches a live service
-            run in windowed mode).
+        window: audit with a monitor windowed to this many commits
+            instead of the full graph (bounded memory, may miss cycles
+            spanning more than a window — matches a live service run
+            in windowed mode).
         checker: ``"incremental"`` (default) or ``"rebuild"``.
         strict_values: as for :class:`ConsistencyMonitor`; a strict
             attribution failure aborts the audit and is reported in
@@ -130,23 +129,14 @@ def audit_log(
         )
     meta = log_scan.meta
     chosen = model or default_model(meta)
-    if window is not None:
-        monitor: ConsistencyMonitor = WindowedMonitor(
-            window=window,
-            model=chosen,
-            initial_values=dict(meta.init),
-            strict_values=strict_values,
-            init_tid=meta.init_tid,
-            checker=checker,
-        )
-    else:
-        monitor = ConsistencyMonitor(
-            model=chosen,
-            initial_values=dict(meta.init),
-            strict_values=strict_values,
-            init_tid=meta.init_tid,
-            checker=checker,
-        )
+    monitor = ConsistencyMonitor(
+        model=chosen,
+        initial_values=dict(meta.init),
+        strict_values=strict_values,
+        init_tid=meta.init_tid,
+        checker=checker,
+        window=window,
+    )
     result = AuditResult(model=chosen, checker=checker, meta=meta)
     for record in log_scan:
         try:

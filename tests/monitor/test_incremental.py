@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.core.events import read, write
-from repro.monitor import ConsistencyMonitor, WindowedMonitor
+from repro.monitor import ConsistencyMonitor
 from repro.monitor.incremental import (
     DynamicTopoOrder,
     PsiIncrementalChecker,
@@ -175,6 +175,19 @@ class TestSiChecker:
         assert checker._dag.edge_count("t1", "t3") == 0
         assert checker.observe([("t3", "t1")], []) is None
 
+    def test_repeated_dep_edge_counts_one_witness(self):
+        # Feeding the same dep edge twice must not double the composed
+        # witness through t2, or evicting t2 would leave (t1, t3).
+        checker = make_checker("SI")
+        for tid in ("t1", "t2", "t3"):
+            checker.add_node(tid)
+        checker.observe([("t1", "t2")], [("t2", "t3")])
+        checker.observe([("t1", "t2")], [])
+        assert checker._dag.edge_count("t1", "t3") == 1
+        checker.remove_node("t2")
+        assert list(checker._dag.edges()) == []
+        assert checker.observe([("t3", "t1")], []) is None
+
     def test_violation_rolls_back_partial_deltas(self):
         checker = make_checker("SI")
         for tid in ("t1", "t2", "t3"):
@@ -188,7 +201,7 @@ class TestSiChecker:
         assert cycle is not None
         assert checker._dag.edge_count("t1", "t2") == 0
         assert checker._dag.edge_count("t1", "t3") == 0
-        assert ("t1", "t2") not in checker._dep_edges
+        assert "t2" not in checker._dep_succ["t1"]
 
 
 class TestPsiChecker:
@@ -307,7 +320,7 @@ class TestMonitorKnob:
     def test_windowed_incremental_certifies_across_evictions(self):
         values = {"acct1": 70, "acct2": 80}
         values.update({f"p{i}": 0 for i in range(5)})
-        monitor = WindowedMonitor(8, "SER", values)
+        monitor = ConsistencyMonitor("SER", values, window=8)
         for i in range(50):
             assert monitor.observe_commit(
                 f"pad{i}", f"s{i % 7}", [write(f"p{i % 5}", i + 1)]

@@ -23,7 +23,7 @@ monitor modes (:class:`TestWalRoundTripParity`).
 import pytest
 
 from repro.anomalies import ALL_CASES, load as load_case
-from repro.monitor import ConsistencyMonitor, WindowedMonitor
+from repro.monitor import ConsistencyMonitor
 from repro.mvcc import (
     PSIEngine,
     Scheduler,
@@ -64,16 +64,12 @@ def assert_parity(stream, model, initial, init_tid="t_init", window=None):
     """Both back-ends produce identical verdicts and commit points."""
 
     def monitor_for(checker):
-        if window is None:
-            return ConsistencyMonitor(
-                model, dict(initial), init_tid=init_tid, checker=checker
-            )
-        return WindowedMonitor(
-            window,
+        return ConsistencyMonitor(
             model,
             dict(initial),
             init_tid=init_tid,
             checker=checker,
+            window=window,
         )
 
     inc_verdicts, inc_violation = run_to_first_violation(

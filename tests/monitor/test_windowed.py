@@ -7,13 +7,14 @@ run by padding traffic, and by cross-checking windowed verdicts against
 the full monitor on random engine runs.
 """
 
+import random
+
 import pytest
 
 from repro.core.events import read, write
 from repro.monitor import (
     ConsistencyMonitor,
     MonitorError,
-    WindowedMonitor,
     watch_engine,
 )
 from repro.mvcc import PSIEngine, Scheduler, SIEngine
@@ -50,7 +51,7 @@ class TestWindowSoundness:
     def test_in_window_violation_detected_after_deep_padding(self):
         """GC must not mask a violation confined to one window."""
         full = ConsistencyMonitor("SER", padded_initial())
-        windowed = WindowedMonitor(8, "SER", padded_initial())
+        windowed = ConsistencyMonitor("SER", padded_initial(), window=8)
         pad_commits(full, 100)
         pad_commits(windowed, 100)
         assert windowed.retained_count == 8
@@ -70,7 +71,7 @@ class TestWindowSoundness:
             ("t2", "s2", [read("acct1", 70), write("acct1", 95)]),
         ]
         full = ConsistencyMonitor("SI", padded_initial())
-        windowed = WindowedMonitor(6, "SI", padded_initial())
+        windowed = ConsistencyMonitor("SI", padded_initial(), window=6)
         pad_commits(full, 60)
         pad_commits(windowed, 60)
         for tid, session, events in stream:
@@ -94,8 +95,11 @@ class TestWindowSoundness:
         engine.deliver(tids["w1"], "r_r1")
         engine.deliver(tids["w2"], "r_r2")
         sched.run_round_robin()
-        monitor = WindowedMonitor(
-            4, "SI", dict(engine.initial), init_tid=engine.init_tid
+        monitor = ConsistencyMonitor(
+            "SI",
+            dict(engine.initial),
+            init_tid=engine.init_tid,
+            window=4,
         )
         violations = []
         for rec in sorted(engine.committed, key=lambda r: r.commit_ts):
@@ -115,8 +119,10 @@ class TestWindowSoundness:
         engine = SIEngine(wl.initial)
         Scheduler(engine, wl.sessions).run_random(seed)
         full, v_full = watch_engine(engine, model="SI")
-        windowed = WindowedMonitor(
-            len(engine.committed) + 1, "SI", dict(engine.initial)
+        windowed = ConsistencyMonitor(
+            "SI",
+            dict(engine.initial),
+            window=len(engine.committed) + 1,
         )
         v_win = []
         for rec in sorted(engine.committed, key=lambda r: r.commit_ts):
@@ -131,7 +137,9 @@ class TestWindowSoundness:
 
 class TestGarbageCollection:
     def test_state_stays_bounded_under_sustained_load(self):
-        monitor = WindowedMonitor(10, "SI", {f"p{i}": 0 for i in range(5)})
+        monitor = ConsistencyMonitor(
+            "SI", {f"p{i}": 0 for i in range(5)}, window=10
+        )
         pad_commits(monitor, 500)
         assert monitor.commit_count == 500
         assert monitor.retained_count == 10
@@ -147,7 +155,9 @@ class TestGarbageCollection:
     def test_read_of_current_version_by_evicted_writer_attributes(self):
         """The frontier: a read may return a value whose writer was
         evicted long ago, as long as it is still the current version."""
-        monitor = WindowedMonitor(3, "SI", {"x": 0, "p0": 0, "p1": 0})
+        monitor = ConsistencyMonitor(
+            "SI", {"x": 0, "p0": 0, "p1": 0}, window=3
+        )
         monitor.observe_commit("w", "s-w", [write("x", 42)])
         for i in range(10):
             monitor.observe_commit(
@@ -162,7 +172,7 @@ class TestGarbageCollection:
     def test_read_of_superseded_old_version_is_unattributable(self):
         """A read whose version was overwritten more than a window ago
         is reported, not misclassified."""
-        monitor = WindowedMonitor(3, "SI", {"x": 0, "p0": 0})
+        monitor = ConsistencyMonitor("SI", {"x": 0, "p0": 0}, window=3)
         monitor.observe_commit("w1", "s1", [write("x", 1)])
         monitor.observe_commit("w2", "s2", [write("x", 2)])
         for i in range(6):
@@ -180,7 +190,9 @@ class TestGarbageCollection:
         version whose writer was evicted long ago is still attributable
         while the transaction that overwrote it is in the window (a
         descheduled worker's snapshot legitimately reads it)."""
-        monitor = WindowedMonitor(4, "SI", {"x": 0, "p0": 0, "p1": 0})
+        monitor = ConsistencyMonitor(
+            "SI", {"x": 0, "p0": 0, "p1": 0}, window=4
+        )
         monitor.observe_commit("w1", "s1", [write("x", 1)])
         for i in range(8):  # w1 leaves the window, x=1 still current
             monitor.observe_commit(
@@ -206,12 +218,70 @@ class TestGarbageCollection:
             monitor.observe_commit("r2", "s-r2", [read("x", 1)])
 
     def test_duplicate_tid_rejected_even_after_eviction(self):
-        monitor = WindowedMonitor(2, "SI", {"p0": 0})
+        monitor = ConsistencyMonitor("SI", {"p0": 0}, window=2)
         for i in range(5):
             monitor.observe_commit(f"t{i}", "s", [write("p0", i + 1)])
         with pytest.raises(MonitorError):
             monitor.observe_commit("t0", "s", [write("p0", 99)])
 
+    def test_expired_attribution_spares_later_writer_of_same_value(self):
+        """Expiring w1's superseded x=1 must not drop w3's live x=1."""
+        monitor = ConsistencyMonitor(
+            "SI", {"x": 0, "p0": 0}, strict_values=False, window=3
+        )
+        monitor.observe_commit("w1", "s1", [write("x", 1)])
+        monitor.observe_commit("w2", "s2", [write("x", 2)])
+        monitor.observe_commit("pad", "s-pad", [write("p0", 1)])
+        monitor.observe_commit("w3", "s3", [write("x", 1)])
+        monitor.observe_commit("w4", "s4", [write("x", 5)])
+        assert "w2" not in monitor._records
+        # w3's version of x=1 is stale but its overwriter w4 is retained.
+        v = monitor.observe_commit("r", "s3", [read("x", 1)])
+        assert v is None
+        assert ("w3", "r") in monitor._wr
+        assert ("r", "w4") in monitor._rw
+        assert monitor.consistent
+
+    def test_value_collision_expires_with_its_attribution(self):
+        """Once every older x=1 has expired, a fresh x=1 is unambiguous."""
+        initial = padded_initial()
+        initial["x"] = 0
+        monitor = ConsistencyMonitor("SI", initial, window=2)
+        monitor.observe_commit("w1", "s1", [write("x", 1)])
+        monitor.observe_commit("w2", "s2", [write("x", 2)])
+        monitor.observe_commit("w3", "s3", [write("x", 1)])
+        monitor.observe_commit("w4", "s4", [write("x", 5)])
+        pad_commits(monitor, 6)
+        monitor.observe_commit("w10", "s10", [write("x", 1)])
+        v = monitor.observe_commit("r", "s-r", [read("x", 1)])
+        assert v is None
+        assert ("w10", "r") in monitor._wr
+
+    @pytest.mark.parametrize("window", [2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attribution_count_matches_value_tables(self, seed, window):
+        """The running attribution count that gates tombstone pruning
+        equals the value tables' actual size after every commit."""
+        rng = random.Random(seed)
+        objects = ["x", "y", "z"]
+        monitor = ConsistencyMonitor(
+            "SI", {"x": 0, "y": 0}, strict_values=False, window=window
+        )
+        for i in range(300):
+            events = [
+                read(obj, rng.randrange(4))
+                for obj in rng.sample(objects, rng.randrange(3))
+            ]
+            events += [
+                write(obj, rng.randrange(4))
+                for obj in rng.sample(objects, rng.randrange(1, 3))
+            ]
+            monitor.observe_commit(f"t{i}", f"s{rng.randrange(4)}", events)
+            assert (
+                monitor._attribution_count
+                == monitor.state_size()["value_attributions"]
+            )
+
     def test_window_must_be_at_least_two(self):
         with pytest.raises(MonitorError):
-            WindowedMonitor(1, "SI", {"x": 0})
+            ConsistencyMonitor("SI", {"x": 0}, window=1)

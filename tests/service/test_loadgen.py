@@ -4,7 +4,7 @@ attached must certify cleanly when the model matches the engine."""
 import pytest
 
 from repro.core.errors import StoreError
-from repro.monitor import WindowedMonitor
+from repro.monitor import ConsistencyMonitor
 from repro.mvcc import PSIEngine, SerializableEngine, SIEngine
 from repro.service import (
     MIXES,
@@ -37,7 +37,7 @@ class TestMixes:
         self, mix_factory
     ):
         mix = mix_factory()
-        monitor = WindowedMonitor(64, "SI", dict(mix.initial))
+        monitor = ConsistencyMonitor("SI", dict(mix.initial), window=64)
         service = TransactionService(
             SIEngine(dict(mix.initial)),
             monitor,
@@ -57,7 +57,7 @@ class TestMixes:
 
     def test_smallbank_under_serializable_engine(self):
         mix = smallbank_mix(customers=2)
-        monitor = WindowedMonitor(64, "SER", dict(mix.initial))
+        monitor = ConsistencyMonitor("SER", dict(mix.initial), window=64)
         service = TransactionService(
             SerializableEngine(dict(mix.initial)),
             monitor,
@@ -72,7 +72,7 @@ class TestMixes:
 
     def test_smallbank_under_psi_auto_deliver(self):
         mix = smallbank_mix(customers=3)
-        monitor = WindowedMonitor(64, "PSI", dict(mix.initial))
+        monitor = ConsistencyMonitor("PSI", dict(mix.initial), window=64)
         service = TransactionService(
             PSIEngine(dict(mix.initial), auto_deliver=True),
             monitor,

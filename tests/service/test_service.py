@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.core.errors import StoreError, TransactionAborted
-from repro.monitor import WindowedMonitor
+from repro.monitor import ConsistencyMonitor
 from repro.mvcc import SIEngine, SerializableEngine
 from repro.mvcc.runtime import ReadOp, WriteOp
 from repro.service import ServiceMetrics, TransactionService
@@ -125,7 +125,7 @@ class TestAdmission:
 
 class TestMonitorIntegration:
     def test_commits_certified_in_commit_order(self):
-        monitor = WindowedMonitor(16, "SI", {"x": 0, "y": 0})
+        monitor = ConsistencyMonitor("SI", {"x": 0, "y": 0}, window=16)
         service = TransactionService(SIEngine({"x": 0, "y": 0}), monitor)
         for obj in ("x", "y", "x"):
             service.run(incr(obj))
@@ -135,7 +135,7 @@ class TestMonitorIntegration:
 
     def test_ser_monitor_flags_si_write_skew(self):
         initial = {"a": 70, "b": 80}
-        monitor = WindowedMonitor(16, "SER", dict(initial))
+        monitor = ConsistencyMonitor("SER", dict(initial), window=16)
         service = TransactionService(SIEngine(dict(initial)), monitor)
         alice, bob = service.session("alice"), service.session("bob")
         alice.begin(), bob.begin()
@@ -155,7 +155,7 @@ class TestMonitorIntegration:
     def test_monitor_error_does_not_leak_the_admission_slot(self):
         # The monitor has no initial value for 'x', so a read of the
         # engine's initial 0 is unattributable in strict mode.
-        monitor = WindowedMonitor(16, "SI", {})
+        monitor = ConsistencyMonitor("SI", {}, window=16)
         service = TransactionService(
             SIEngine({"x": 0}), monitor, max_concurrent=1
         )
