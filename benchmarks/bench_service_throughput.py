@@ -25,9 +25,9 @@ ENGINES = ("SI", "SER", "PSI")  # the ENGINE_MODELS keys E23 reports
 
 def drive(model_name, workers=WORKERS, txns=TXNS_PER_WORKER, seed=0):
     mix = smallbank_mix(customers=4)
-    engine, monitor_model = build_engine(model_name, dict(mix.initial))
+    engine, certified_model = build_engine(model_name, dict(mix.initial))
     monitor = ConsistencyMonitor(
-        monitor_model, dict(mix.initial), window=WINDOW
+        certified_model, dict(mix.initial), window=WINDOW
     )
     service = TransactionService(
         engine,
@@ -114,18 +114,18 @@ def test_service_report():
 
 
 # ----------------------------------------------------------------------
-# E25 — engine scaling: lock-free reads + pipelined monitoring
+# E25 — engine scaling: lock-free reads under in-commit certification
 # ----------------------------------------------------------------------
 #
 # The fine-grained concurrency work (per-object lock stripes, lock-free
-# O(log n) snapshot reads, monitor observation moved off the commit
-# path) should let throughput grow with worker threads for closed-loop
-# clients (per-transaction think time models the client round trip).
-# The sweep crosses workers x engine x monitor mode on read-heavy and
-# write-heavy SmallBank mixes and records
+# O(log n) snapshot reads) should let throughput grow with worker
+# threads for closed-loop clients (per-transaction think time models
+# the client round trip), even though every commit is certified inside
+# the commit critical section.  The sweep crosses workers x engine on
+# read-heavy and write-heavy SmallBank mixes and records
 # ``BENCH_engine_scaling.json``.  ``E25_MAX_SECONDS`` caps the sweep
-# (CI smoke); the scaling gate — 4-worker read-heavy SI observe-only
-# strictly outrunning 1 worker — always runs.
+# (CI smoke); the scaling gate — 4-worker read-heavy SI strictly
+# outrunning 1 worker — always runs.
 
 import os
 import time
@@ -148,29 +148,26 @@ def _e25_cells():
     tail, never the head).  The leading cells are the scaling gate."""
     cells = []
     for workers in E25_WORKERS:  # the gate + its scaling curve
-        cells.append(("SI", "pipelined", "read-heavy", workers))
-    for workers in (1, 4):  # pipelined vs in-commit certification
-        cells.append(("SI", "sync", "read-heavy", workers))
+        cells.append(("SI", "read-heavy", workers))
     for workers in (1, 4):  # commit-path stress
-        cells.append(("SI", "pipelined", "write-heavy", workers))
+        cells.append(("SI", "write-heavy", workers))
     for model in ("SER", "PSI"):  # the other engines' curves
         for workers in (1, 4):
-            cells.append((model, "pipelined", "read-heavy", workers))
+            cells.append((model, "read-heavy", workers))
     return cells
 
 
-def _e25_drive(model, monitor_mode, mix_name, workers):
+def _e25_drive(model, mix_name, workers):
     mix = smallbank_mix(
         customers=E25_CUSTOMERS, weights=E25_MIXES[mix_name]
     )
-    engine, monitor_model = build_engine(model, dict(mix.initial))
+    engine, certified_model = build_engine(model, dict(mix.initial))
     service = TransactionService.certified(
         engine,
-        model=monitor_model,
+        model=certified_model,
         window=E25_WINDOW,
         max_retries=2000,
         backoff_base=0.0001,
-        monitor_mode=monitor_mode,
     )
     result = LoadGenerator(
         service,
@@ -185,8 +182,8 @@ def _e25_drive(model, monitor_mode, mix_name, workers):
 
 
 def test_bench_engine_scaling():
-    """E25: throughput scales with workers once reads are lock-free and
-    the monitor is off the commit path."""
+    """E25: throughput scales with workers once reads are lock-free,
+    with every commit certified in the commit critical section."""
     budget = float(os.environ.get("E25_MAX_SECONDS", "0")) or None
     cells = _e25_cells()
     mandatory = set(cells[:4])  # the gate curve always runs
@@ -199,10 +196,9 @@ def test_bench_engine_scaling():
             dropped.append(key)
             continue
         service, result = _e25_drive(*cell)
-        model, monitor_mode, mix_name, workers = cell
+        model, mix_name, workers = cell
         results[key] = {
             "engine": model,
-            "monitor_mode": monitor_mode,
             "mix": mix_name,
             "workers": workers,
             "committed": result.committed,
@@ -214,7 +210,6 @@ def test_bench_engine_scaling():
         rows.append(
             (
                 model,
-                monitor_mode,
                 mix_name,
                 workers,
                 f"{result.throughput:.0f}",
@@ -230,19 +225,19 @@ def test_bench_engine_scaling():
         "E25 — engine scaling "
         f"(SmallBank, {E25_TXNS} txns/worker, "
         f"{E25_THINK_TIME * 1000:.0f}ms think time)",
-        ["engine", "monitor", "mix", "workers", "txn/s", "aborts"],
+        ["engine", "mix", "workers", "txn/s", "aborts"],
         rows,
     )
     if dropped:
         print(f"E25: time budget dropped {len(dropped)} cells: {dropped}")
 
     def tps(workers):
-        return results[f"SI/pipelined/read-heavy/{workers}"][
+        return results[f"SI/read-heavy/{workers}"][
             "throughput_tps"
         ]
 
     ratio = tps(4) / tps(1)
-    print(f"E25: read-heavy SI observe-only 4w/1w speedup: {ratio:.2f}x")
+    print(f"E25: read-heavy SI 4w/1w speedup: {ratio:.2f}x")
     path = write_bench_json(
         "engine_scaling",
         params={

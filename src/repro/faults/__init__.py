@@ -6,7 +6,7 @@ three layers:
 
 * :mod:`~repro.faults.plan` — :class:`FaultPlan`: seed-reproducible
   schedules of fault events (I/O errors, fsync stalls, lock-stripe
-  pauses, slow consumers, injected aborts, admission spikes) plus the
+  pauses, slow certification, injected aborts, admission spikes) plus the
   named storm profiles the bench sweeps;
 * :mod:`~repro.faults.failpoints` — the process-wide registry of named
   failpoints threaded through ``wal``, ``mvcc``, and ``service``
@@ -22,9 +22,17 @@ See ``docs/FAULTS.md`` for the failpoint catalog and plan format.
 """
 
 from .failpoints import FAULTS, FaultInjector, armed
-from .plan import FAULT_KINDS, PROFILES, FaultPlan, FaultRule, preset
+from .plan import (
+    FAILPOINTS,
+    FAULT_KINDS,
+    PROFILES,
+    FaultPlan,
+    FaultRule,
+    preset,
+)
 
 __all__ = [
+    "FAILPOINTS",
     "FAULTS",
     "FAULT_KINDS",
     "FaultInjector",

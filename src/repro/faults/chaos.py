@@ -157,7 +157,6 @@ def run_chaos(
     txns_per_worker: int = 40,
     calm_txns_per_worker: int = 10,
     seed: int = 0,
-    monitor_mode: str = "sync",
     window: int = 64,
     fsync_policy: str = "group",
     on_wal_failure: str = "fail_stop",
@@ -180,9 +179,8 @@ def run_chaos(
             ``recovery_window`` closes; at least one round always runs).
         seed: seeds the load generator streams (the fault plan carries
             its own seed).
-        monitor_mode / window / fsync_policy / on_wal_failure /
-        default_deadline / max_concurrent: service stack knobs, as for
-            ``serve-bench``.
+        window / fsync_policy / on_wal_failure / default_deadline /
+        max_concurrent: service stack knobs, as for ``serve-bench``.
         recovery_window: seconds after disarm within which the service
             must reach ``healthy`` (unless the plan poisoned the log).
         health_policy: override the enforcing default
@@ -205,7 +203,6 @@ def run_chaos(
         engine,
         model=model,
         window=window,
-        monitor_mode=monitor_mode,
         wal=wal,
         max_concurrent=max_concurrent,
         health_policy=health_policy or HealthPolicy(enforce=True),

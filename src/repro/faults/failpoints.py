@@ -1,28 +1,29 @@
 """The process-wide failpoint registry.
 
 A *failpoint* is a named hook compiled into a hot path; when no plan is
-armed it costs one attribute read.  The stack is instrumented at:
+armed it costs one attribute read.  The stack is instrumented at the
+points of :data:`~repro.faults.plan.FAILPOINTS`:
 
-=================  ====================================================
-``wal.write``      WAL flusher, before writing each frame (an
-                   ``io_error`` here poisons the log like a dead disk).
-``wal.fsync``      WAL flusher, before each ``fsync`` (stalls model a
-                   congested device; latency is visible to committers
-                   waiting for durability).
-``store.install``  :meth:`~repro.mvcc.store.MVStore.install`, per
-                   object, **while holding the stripe lock** (a delay
-                   models a descheduled writer pinning a stripe).
-``store.read``     :meth:`~repro.mvcc.store.MVStore.read_at` (slow
-                   snapshot reads).
-``feed.observe``   the pipelined monitor feed's drain thread, before
-                   each observation (a slow consumer backs the bounded
-                   queue up into committer backpressure).
-``service.admit``  :meth:`TransactionService._admit`, before the
-                   admission semaphore (admission spikes).
-``service.commit`` :meth:`ServiceSession.commit`, before the engine
-                   commit (an ``abort`` feeds the retry discipline
-                   exactly like a validation failure).
-=================  ====================================================
+===================  ==================================================
+``wal.write``        WAL flusher, before writing each frame (an
+                     ``io_error`` here poisons the log like a dead disk).
+``wal.fsync``        WAL flusher, before each ``fsync`` (stalls model a
+                     congested device; latency is visible to committers
+                     waiting for durability).
+``store.install``    :meth:`~repro.mvcc.store.MVStore.install`, per
+                     object, **while holding the stripe lock** (a delay
+                     models a descheduled writer pinning a stripe).
+``store.read``       :meth:`~repro.mvcc.store.MVStore.read_at` (slow
+                     snapshot reads).
+``monitor.observe``  :meth:`TransactionService._observe`, before each
+                     certification, **inside the commit critical
+                     section** (a slow certifier stalls every committer).
+``service.admit``    :meth:`TransactionService._admit`, before the
+                     admission semaphore (admission spikes).
+``service.commit``   :meth:`ServiceSession.commit`, before the engine
+                     commit (an ``abort`` feeds the retry discipline
+                     exactly like a validation failure).
+===================  ==================================================
 
 Arming is global (one process, one plan) because the instrumented
 sites span components that are wired together long before a fault plan

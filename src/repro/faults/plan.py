@@ -46,6 +46,18 @@ from ..core.errors import FaultInjected, StoreError
 FAULT_KINDS = ("delay", "io_error", "abort")
 """The actions a rule may take when it triggers."""
 
+FAILPOINTS = (
+    "wal.write",
+    "wal.fsync",
+    "store.install",
+    "store.read",
+    "monitor.observe",
+    "service.admit",
+    "service.commit",
+)
+"""The failpoints instrumented in the stack (documented in
+:mod:`repro.faults.failpoints`); a rule may target only these."""
+
 
 @dataclass(frozen=True)
 class FaultRule:
@@ -76,6 +88,11 @@ class FaultRule:
     detail: str = ""
 
     def __post_init__(self) -> None:
+        if self.point not in FAILPOINTS:
+            raise StoreError(
+                f"unknown failpoint {self.point!r}; expected one of "
+                f"{FAILPOINTS}"
+            )
         if self.kind not in FAULT_KINDS:
             raise StoreError(
                 f"unknown fault kind {self.kind!r}; expected one of "
@@ -113,8 +130,9 @@ class FaultRule:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "FaultRule":
-        """Rebuild a rule from :meth:`to_doc`'s shape (unknown keys are
-        rejected so typos in a hand-written plan fail loudly)."""
+        """Rebuild a rule from :meth:`to_doc`'s shape (unknown keys and
+        failpoints are rejected so typos in a hand-written plan fail
+        loudly)."""
         known = {
             "point", "kind", "probability", "delay", "start", "stop",
             "limit", "detail",
@@ -314,8 +332,8 @@ def preset(
       flusher (durability latency without data loss);
     * ``contention`` — injected commit-time aborts plus thread pauses
       inside the store's lock stripes (write-conflict storms);
-    * ``overload`` — admission spikes plus a slow monitor consumer
-      backing up the pipelined feed;
+    * ``overload`` — admission spikes plus a slow certifier stalling
+      the commit critical section;
     * ``mixed`` — all of the above at once;
     * ``poison`` — a ``mixed`` storm that additionally kills the log
       with one injected I/O error partway through (exercises the
@@ -367,8 +385,8 @@ def preset(
                 delay=0.001 + 0.004 * p, detail="admission spike",
             ),
             FaultRule(
-                "feed.observe", "delay", probability=min(1.0, 0.5 * p),
-                delay=0.001 + 0.003 * p, detail="slow monitor consumer",
+                "monitor.observe", "delay", probability=min(1.0, 0.5 * p),
+                delay=0.001 + 0.003 * p, detail="slow certifier",
             ),
         ]
 

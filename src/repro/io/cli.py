@@ -196,7 +196,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         "transactions_per_worker": args.txns,
         "window": args.window,
         "checker": args.checker,
-        "monitor_mode": args.monitor_mode,
         "seed": args.seed,
         "think_time": args.think_time,
         "max_retries": args.max_retries,
@@ -240,7 +239,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 checker=args.checker,
                 max_concurrent=args.max_concurrent,
                 max_retries=args.max_retries,
-                monitor_mode=args.monitor_mode,
                 wal=wal,
             )
             result = LoadGenerator(
@@ -259,8 +257,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         total_violations += result.violations
         metrics = service.metrics.snapshot()
         report["engines"][key] = {
-            "monitor_model": model,
-            "monitor_mode": args.monitor_mode,
+            "model": model,
             "committed": result.committed,
             "retry_exhausted": result.retry_exhausted,
             "violations": result.violations,
@@ -582,12 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock cutoff in seconds",
     )
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--monitor-mode", choices=["sync", "pipelined"], default="sync",
-        help="feed the monitor inside the commit critical section "
-             "(sync — certification) or through the bounded async "
-             "feed (pipelined — observe-only)",
-    )
     p_serve.add_argument(
         "--think-time", type=float, default=0.0,
         help="per-transaction client think time in seconds",

@@ -6,14 +6,11 @@ step at a time; here the reproduction serves real concurrent traffic:
 sessions, bounded retry-with-backoff, an admission limit, online
 certification via an attached (typically windowed) monitor, and
 JSON-exportable metrics.  :mod:`~repro.service.loadgen` drives
-SmallBank/TPC-C-style mixes over worker threads.  Monitoring runs
-either synchronously inside the commit critical section (certification)
-or through :class:`~repro.service.feed.PipelinedMonitorFeed` — a
-bounded, commit-sequence-ordered queue drained off the commit path
-(observe-only deployments).
+SmallBank/TPC-C-style mixes over worker threads.  The monitor certifies
+each commit inside the commit critical section, so every commit's
+outcome carries its verdict.
 """
 
-from .feed import DEFAULT_FEED_CAPACITY, FeedClosed, PipelinedMonitorFeed
 from .health import HEALTH_STATES, HealthPolicy, HealthTracker
 from .loadgen import (
     MIXES,
@@ -28,7 +25,6 @@ from .loadgen import (
 )
 from .metrics import LatencyHistogram, ServiceMetrics
 from .service import (
-    MONITOR_MODES,
     WAL_FAILURE_POLICIES,
     ServiceSession,
     TransactionService,
@@ -36,8 +32,6 @@ from .service import (
 )
 
 __all__ = [
-    "DEFAULT_FEED_CAPACITY",
-    "FeedClosed",
     "HEALTH_STATES",
     "HealthPolicy",
     "HealthTracker",
@@ -46,8 +40,6 @@ __all__ = [
     "LoadGenerator",
     "LoadResult",
     "MIXES",
-    "MONITOR_MODES",
-    "PipelinedMonitorFeed",
     "SMALLBANK_READ_HEAVY",
     "SMALLBANK_WRITE_HEAVY",
     "ServiceMetrics",

@@ -443,8 +443,8 @@ class LoadGenerator:
         elapsed = time.perf_counter() - started
         if errors:
             raise errors[0]
-        # With a pipelined monitor, verdicts trail the commits; wait for
-        # the feed so the violation count below is complete.
+        # Flush the write-ahead log so durability failures surface
+        # before the counts below are taken.
         try:
             self.service.drain()
         except WalError:

@@ -13,32 +13,24 @@ session handles with:
   :class:`~repro.core.errors.RetryExhausted` instead of livelocking;
 * an **admission limit**: at most ``max_concurrent`` transactions in
   flight, the rest queueing on a semaphore (queue depth is metered);
-* optional **online monitoring** in one of two modes: with
-  ``monitor_mode="sync"`` (certification) an attached
+* optional **online certification**: an attached
   :class:`~repro.monitor.online.ConsistencyMonitor` (typically with a
   commit ``window``) observes every commit *in true commit order* inside
   the commit critical section — the engine lock is held across
   commit + observation, so the commit's outcome carries the verdict;
-  with ``monitor_mode="pipelined"`` (observe-only) commits are handed
-  to a bounded, commit-sequence-numbered queue drained by a dedicated
-  thread (:class:`~repro.service.feed.PipelinedMonitorFeed`) — the
-  engine lock is *not* held across the observation, commit latency no
-  longer pays for graph maintenance, and the monitor still sees exact
-  commit order because records are sequenced by their engine-assigned
-  commit timestamps.  Call :meth:`TransactionService.drain` before
-  reading :attr:`violations` and :meth:`TransactionService.close` at
-  the end of the service's life;
 * optional **durability**: with ``wal=`` a
   :class:`~repro.wal.log.WriteAheadLog` receives every commit record
   *off the engine lock*, sequenced by the engine's gapless commit
-  timestamps exactly like the pipelined feed — the log's reorder buffer
-  restores true commit order, so the on-disk log is always a prefix of
-  the commit history and a killed service recovers to a
-  prefix-consistent state via :func:`repro.wal.recovery.recover`.
-  Under ``fsync_policy="always"``/``"group"`` the commit call returns
-  only once its record is durable; a WAL failure is surfaced to the
+  timestamps — the log's reorder buffer restores true commit order, so
+  the on-disk log is always a prefix of the commit history and a killed
+  service recovers to a prefix-consistent state via
+  :func:`repro.wal.recovery.recover`.  Under
+  ``fsync_policy="always"``/``"group"`` the commit call returns only
+  once its record is durable; a WAL failure is surfaced to the
   committer *after* the in-memory commit stands (same contract as a
-  monitor error);
+  monitor error).  Call :meth:`TransactionService.drain` to flush the
+  log and :meth:`TransactionService.close` at the end of the service's
+  life;
 * :class:`~repro.service.metrics.ServiceMetrics` counting commits,
   aborts, retries and latency histograms (plus WAL durability counters
   when a log is attached), JSON-exportable.
@@ -72,14 +64,8 @@ from ..faults import FAULTS
 from ..monitor.online import ConsistencyMonitor, Violation
 from ..mvcc.engine import BaseEngine, CommitRecord, TxContext
 from ..mvcc.runtime import ReadOp, TxProgram, WriteOp
-from .feed import PipelinedMonitorFeed
 from .health import HealthPolicy, HealthTracker
 from .metrics import ServiceMetrics
-
-MONITOR_MODES = ("sync", "pipelined")
-"""How an attached monitor is fed: inside the commit critical section
-(``sync`` — certification) or through the bounded asynchronous feed
-(``pipelined`` — observe-only)."""
 
 WAL_FAILURE_POLICIES = ("fail_stop", "read_only")
 """What a write-ahead-log failure does to the service: ``fail_stop``
@@ -117,7 +103,9 @@ class TransactionService:
         engine: any :class:`BaseEngine`; the service relies on its
             operation-level locking.
         monitor: optional online monitor fed every commit in commit
-            order (give it a ``window`` for sustained load).
+            order inside the commit critical section; its verdict is
+            returned on the committing :class:`TxOutcome` (give it a
+            ``window`` for sustained load).
         max_concurrent: admission limit — at most this many
             transactions in flight at once (``None`` = unlimited).
         max_retries: resubmissions allowed per transaction before
@@ -129,16 +117,6 @@ class TransactionService:
         backoff_seed: seed for the jitter streams.
         metrics: share an existing :class:`ServiceMetrics` (one is
             created otherwise).
-        monitor_mode: ``"sync"`` (default — the monitor runs inside the
-            commit critical section and its verdict is returned on the
-            committing :class:`TxOutcome`) or ``"pipelined"`` (the
-            monitor runs on a dedicated drain thread behind a bounded
-            commit-ordered queue; verdicts land in :attr:`violations`
-            asynchronously — call :meth:`drain` to wait for them).
-            The feed queue holds
-            :data:`~repro.service.feed.DEFAULT_FEED_CAPACITY` commits;
-            when the monitor falls this far behind, commits block
-            (backpressure, never drops).
         wal: optional :class:`~repro.wal.log.WriteAheadLog` appended to
             on every commit, outside the engine lock.  Its ``start_seq``
             must be one past the engine's last commit timestamp (1 for
@@ -171,7 +149,6 @@ class TransactionService:
         backoff_cap: float = 0.02,
         backoff_seed: int = 0,
         metrics: Optional[ServiceMetrics] = None,
-        monitor_mode: str = "sync",
         wal=None,
         default_deadline: Optional[float] = None,
         health_policy: Optional[HealthPolicy] = None,
@@ -183,11 +160,6 @@ class TransactionService:
             )
         if max_retries < 0:
             raise StoreError(f"max_retries must be >= 0, got {max_retries}")
-        if monitor_mode not in MONITOR_MODES:
-            raise StoreError(
-                f"unknown monitor_mode {monitor_mode!r}; expected one of "
-                f"{MONITOR_MODES}"
-            )
         if on_wal_failure not in WAL_FAILURE_POLICIES:
             raise StoreError(
                 f"unknown on_wal_failure {on_wal_failure!r}; expected "
@@ -199,7 +171,6 @@ class TransactionService:
             )
         self.engine = engine
         self.monitor = monitor
-        self.monitor_mode = monitor_mode
         self.metrics = metrics or ServiceMetrics()
         self.health = HealthTracker(health_policy)
         self.wal = wal
@@ -224,19 +195,6 @@ class TransactionService:
         )
         self._session_counter = itertools.count(1)
         self._lock = threading.Lock()
-        self._feed: Optional[PipelinedMonitorFeed] = None
-        if monitor is not None and monitor_mode == "pipelined":
-            with engine.lock:
-                start_seq = (
-                    max(
-                        (r.commit_ts for r in engine.committed),
-                        default=0,
-                    )
-                    + 1
-                )
-            self._feed = PipelinedMonitorFeed(
-                self._observe, start_seq=start_seq
-            )
 
     @classmethod
     def certified(
@@ -341,26 +299,15 @@ class TransactionService:
             self._admission.release()
 
     def drain(self) -> None:
-        """Wait until the pipelined feed has observed every submitted
-        commit and the write-ahead log has flushed every in-sequence
-        frame (no-ops for absent components); re-raises a captured
-        observer or I/O error."""
-        if self._feed is not None:
-            self._feed.flush()
+        """Wait until the write-ahead log has flushed every in-sequence
+        frame (no-op without a log); re-raises a captured I/O error."""
         if self.wal is not None and not self.read_only:
             self.wal.flush()
 
     def close(self) -> None:
-        """Shut the service down: drain and stop the pipelined feed and
-        the write-ahead log (re-raising any captured observer or I/O
-        error — the feed's error wins when both fail).  Idempotent;
-        no-op without attached components."""
-        feed_error: Optional[BaseException] = None
-        if self._feed is not None:
-            try:
-                self._feed.close()
-            except BaseException as exc:
-                feed_error = exc
+        """Shut the service down: drain and close the write-ahead log
+        (re-raising any captured I/O error).  Idempotent; no-op without
+        a log."""
         if self.wal is not None:
             try:
                 self.wal.close()
@@ -368,16 +315,14 @@ class TransactionService:
                 # In read-only degraded mode the log's poisoning was
                 # already absorbed and surfaced through the health
                 # state; closing it again must not re-raise.
-                if not self.read_only and feed_error is None:
+                if not self.read_only:
                     raise
-        if feed_error is not None:
-            raise feed_error
 
     def __enter__(self) -> "TransactionService":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Don't mask an in-flight exception with a feed error.
+        # Don't mask an in-flight exception with a log error.
         if exc_type is None:
             self.close()
         else:
@@ -387,11 +332,12 @@ class TransactionService:
                 pass
 
     def _observe(self, record: CommitRecord) -> Optional[Violation]:
-        """Feed a commit to the monitor (in sync mode the caller holds
-        the engine lock; in pipelined mode only the drain thread calls
-        this, already in commit order)."""
+        """Certify a commit (the caller holds the engine lock, so the
+        monitor sees true commit order)."""
         if self.monitor is None:
             return None
+        if FAULTS.armed:
+            FAULTS.fire("monitor.observe", tid=record.tid)
         violation = self.monitor.observe_commit(
             record.tid, record.session, list(record.events)
         )
@@ -514,20 +460,16 @@ class ServiceSession:
         raise ServiceReadOnly(self.name) from self.service.wal_error
 
     def commit(self) -> TxOutcome:
-        """Commit.  In sync mode the attached monitor certifies the
-        commit while the engine lock is still held, so it observes true
-        commit order and the outcome carries the verdict.  In pipelined
-        mode the record is handed to the feed right after the engine
-        releases the commit mutex; verdicts land asynchronously in
-        ``service.violations`` (the outcome's ``violation`` is None).
-        With an attached write-ahead log the record is appended off the
-        engine lock (before the feed hand-off) — under a durable fsync
-        policy the call returns only once the record is on disk."""
+        """Commit.  An attached monitor certifies the commit while the
+        engine lock is still held, so it observes true commit order and
+        the outcome carries the verdict.  With an attached write-ahead
+        log the record is then appended off the engine lock — under a
+        durable fsync policy the call returns only once the record is on
+        disk."""
         ctx = self._open_ctx()
         if self.service.read_only and ctx.write_buffer:
             self._refuse_read_only()
         engine = self.service.engine
-        feed = self.service._feed
         wal = self.service.wal
         violation: Optional[Violation] = None
         monitor_error: Optional[BaseException] = None
@@ -545,21 +487,17 @@ class ServiceSession:
                     ctx.tid, f"injected fault at {exc.point}"
                 ) from exc
         try:
-            if feed is not None:
+            with engine.lock:
                 record = engine.commit(ctx)
-            else:
-                with engine.lock:
-                    record = engine.commit(ctx)
-                    try:
-                        violation = self.service._observe(record)
-                    except Exception as exc:
-                        # Monitor misuse must not leak the admission
-                        # slot; the commit itself stands.
-                        monitor_error = exc
-            # Durability and the monitor feed run off the engine lock:
-            # concurrent committers deposit into the log's reorder
-            # buffer while earlier ones fsync (that is the group-commit
-            # batch), and the feed preserves commit order on its own.
+                try:
+                    violation = self.service._observe(record)
+                except Exception as exc:
+                    # Monitor misuse must not leak the admission slot;
+                    # the commit itself stands.
+                    monitor_error = exc
+            # Durability runs off the engine lock: concurrent committers
+            # deposit into the log's reorder buffer while earlier ones
+            # fsync (that is the group-commit batch).
             if wal is not None and not self.service.read_only:
                 append_started = time.perf_counter()
                 try:
@@ -579,14 +517,6 @@ class ServiceSession:
                         append_latency
                     )
                     self.service.health.note_wal_latency(append_latency)
-            if feed is not None:
-                try:
-                    feed.submit(record)
-                except Exception as exc:
-                    # Feed closed, or a prior observer error resurfacing
-                    # — the commit itself stands.
-                    if monitor_error is None:
-                        monitor_error = exc
         except TransactionAborted:
             self._finish_aborted()
             raise

@@ -7,11 +7,10 @@ CRC32-checksummed frame (:mod:`repro.wal.format`), in **exact commit
 order**, to an append-only segment file that rotates at a size bound.
 
 Ordering.  Committers call :meth:`append` concurrently, right after the
-engine releases its commit mutex — so records arrive scrambled.  Like
-the pipelined monitor feed, the log holds a record back in a reorder
-buffer until every earlier commit sequence number (the engines allocate
-commit timestamps gaplessly) has arrived, and writes frames strictly in
-sequence.  The on-disk log is therefore always a *prefix* of the true
+engine releases its commit mutex — so records arrive scrambled.  The
+log holds a record back in a reorder buffer until every earlier commit
+sequence number (the engines allocate commit timestamps gaplessly) has
+arrived, and writes frames strictly in sequence.  The on-disk log is therefore always a *prefix* of the true
 commit order: recovery after a crash at any point yields a
 prefix-consistent history.
 

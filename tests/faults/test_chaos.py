@@ -3,7 +3,7 @@ benchmark E27)."""
 
 import pytest
 
-from repro.faults import preset
+from repro.faults import PROFILES, preset
 from repro.faults.chaos import run_chaos
 from repro.mvcc import ENGINE_MODELS
 from repro.wal import audit_log
@@ -96,3 +96,15 @@ class TestRunChaos:
         )
         assert report.ok, f"{engine}: {report.invariants}"
         assert report.violations == 0
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_every_preset_point_fires(self, tmp_path, profile):
+        # A preset rule over a failpoint the serving stack never reaches
+        # would make its storm silently weaker than its name says.
+        plan = preset(profile, intensity=0.5, seed=3)
+        report = run_chaos(
+            "SI", plan, str(tmp_path / "wal"), seed=3, **CHAOS_KWARGS
+        )
+        assert report.ok, f"{profile}: {report.invariants}"
+        hits = plan.hit_counts()
+        assert [p for p in plan.points if not hits.get(p)] == []

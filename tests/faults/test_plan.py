@@ -31,7 +31,21 @@ class TestRuleValidation:
 
     def test_unknown_doc_key_rejected(self):
         with pytest.raises(StoreError, match="unknown fault rule key"):
-            FaultRule.from_doc({"point": "x", "kind": "delay", "oops": 1})
+            FaultRule.from_doc(
+                {"point": "wal.write", "kind": "delay", "oops": 1}
+            )
+
+    def test_unknown_point_rejected(self):
+        with pytest.raises(StoreError, match="unknown failpoint"):
+            FaultRule("wal.fsyncc", "delay", delay=0.001)
+
+    def test_unknown_doc_point_rejected(self):
+        with pytest.raises(StoreError, match="unknown failpoint"):
+            FaultRule.from_doc({"point": "wal.fsyncc", "kind": "delay"})
+        with pytest.raises(StoreError, match="unknown failpoint"):
+            FaultPlan.from_doc(
+                {"rules": [{"point": "monitor.observ", "kind": "delay"}]}
+            )
 
 
 class TestFireSemantics:
@@ -54,28 +68,28 @@ class TestFireSemantics:
 
     def test_start_stop_limit_window(self):
         plan = FaultPlan(
-            [FaultRule("p", "abort", start=2, stop=5, limit=2)]
+            [FaultRule("service.commit", "abort", start=2, stop=5, limit=2)]
         )
         fired = []
         for hit in range(8):
             try:
-                plan.fire("p")
+                plan.fire("service.commit")
             except FaultInjected:
                 fired.append(hit)
         # Eligible hits are 2, 3, 4 (0-based), capped at 2 triggers.
         assert fired == [2, 3]
-        assert plan.trigger_counts() == {"p": 2}
-        assert plan.hit_counts() == {"p": 8}
+        assert plan.trigger_counts() == {"service.commit": 2}
+        assert plan.hit_counts() == {"service.commit": 8}
 
     def test_probability_stream_is_seeded(self):
         def run(seed):
             plan = FaultPlan(
-                [FaultRule("p", "abort", probability=0.5)], seed=seed
+                [FaultRule("service.commit", "abort", probability=0.5)], seed=seed
             )
             outcomes = []
             for _ in range(50):
                 try:
-                    plan.fire("p")
+                    plan.fire("service.commit")
                     outcomes.append(False)
                 except FaultInjected:
                     outcomes.append(True)
@@ -129,11 +143,11 @@ class TestInjector:
         FAULTS.fire("wal.write")  # nothing armed: must not raise
 
     def test_armed_context_routes_and_disarms(self):
-        plan = FaultPlan([FaultRule("p", "abort")])
+        plan = FaultPlan([FaultRule("service.commit", "abort")])
         with armed(plan):
             assert FAULTS.armed
             with pytest.raises(FaultInjected):
-                FAULTS.fire("p")
+                FAULTS.fire("service.commit")
         assert not FAULTS.armed
         assert FAULTS.plan is None
 

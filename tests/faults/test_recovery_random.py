@@ -16,21 +16,11 @@ import random
 import pytest
 
 from repro.core.errors import ReproError
-from repro.faults import FaultPlan, FaultRule, armed
+from repro.faults import FAILPOINTS, FaultPlan, FaultRule, armed
 from repro.mvcc import build_engine
 from repro.service import MIXES, LoadGenerator, TransactionService
 from repro.service.health import HealthPolicy
 from repro.wal import WriteAheadLog, audit_log, recover
-
-POINTS = (
-    "wal.write",
-    "wal.fsync",
-    "store.install",
-    "store.read",
-    "feed.observe",
-    "service.admit",
-    "service.commit",
-)
 
 # An io_error is only meaningful (and safe) where a layer defines its
 # failure semantics: the WAL poisons itself, the service translates
@@ -40,7 +30,7 @@ KINDS_BY_POINT = {
     "wal.fsync": ("delay", "io_error"),
     "store.install": ("delay",),
     "store.read": ("delay",),
-    "feed.observe": ("delay",),
+    "monitor.observe": ("delay",),
     "service.admit": ("delay",),
     "service.commit": ("delay", "abort"),
 }
@@ -51,7 +41,7 @@ def random_plan(seed: int) -> FaultPlan:
     rng = random.Random(f"storm:{seed}")
     rules = []
     for _ in range(rng.randint(2, 5)):
-        point = rng.choice(POINTS)
+        point = rng.choice(FAILPOINTS)
         kind = rng.choice(KINDS_BY_POINT[point])
         rules.append(
             FaultRule(

@@ -221,13 +221,12 @@ class TestServeBench:
                 "--workers", "2",
                 "--txns", "3",
                 "--seed", "7",
-                "--monitor-mode", "pipelined",
                 "--json", str(report_path),
             ]
         ) == 0
         report = json.loads(report_path.read_text())
-        assert report["monitor_mode"] == "pipelined"
         assert report["seed"] == 7
+        assert report["engines"]["SI"]["model"] == "SI"
         assert report["max_retries"] >= 0
         assert report["wal"] is None
 

@@ -16,8 +16,8 @@ all of the above shapes.
 A further axis rides on the same harness: histories that made a round
 trip through the write-ahead log must be indistinguishable from live
 ones — ``recover(wal).history() == service.history()`` and the offline
-streaming audit's verdict equals the live monitor's, across engines and
-monitor modes (:class:`TestWalRoundTripParity`).
+streaming audit's verdict equals the live monitor's, across engines
+(:class:`TestWalRoundTripParity`).
 """
 
 import pytest
@@ -210,37 +210,6 @@ class TestAnomalyCatalogStreams:
             assert violation is None, (name, model)
 
 
-class TestPipelinedFeedParity:
-    """The pipelined feed shows the monitor the same stream as sync
-    certification: replaying the engine's commit order through a fresh
-    sync monitor reproduces the pipelined run's verdicts exactly."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_pipelined_verdicts_match_sync_replay(self, seed):
-        mix = MIXES["smallbank"]()
-        engine = SIEngine(dict(mix.initial))
-        service = TransactionService.certified(
-            engine, model="SER", max_retries=100,
-            monitor_mode="pipelined",
-        )
-        LoadGenerator(
-            service, mix, workers=4, transactions_per_worker=10, seed=seed
-        ).run()
-        service.close()
-        pipelined_violations = [v.tid for v in service.violations]
-        assert service.monitor.commit_count == len(engine.committed)
-
-        sync = ConsistencyMonitor(
-            "SER", dict(mix.initial), init_tid=engine.init_tid
-        )
-        replay_violations = []
-        for tid, session, events in committed_stream(engine):
-            violation = sync.observe_commit(tid, session, events)
-            if violation is not None:
-                replay_violations.append(violation.tid)
-        assert pipelined_violations == replay_violations
-        assert sync.commit_count == service.monitor.commit_count
-
 class TestWalRoundTripParity:
     """Round-trip property: for seeded service runs with a WAL attached,
     the recovered history equals the live history and the incremental
@@ -262,24 +231,22 @@ class TestWalRoundTripParity:
         return SIEngine(initial), "SI"
 
     @pytest.mark.parametrize("engine_key", ENGINE_KEYS)
-    @pytest.mark.parametrize("monitor_mode", ["sync", "pipelined"])
     def test_recovered_history_and_audit_verdict_match_live(
-        self, tmp_path, engine_key, monitor_mode
+        self, tmp_path, engine_key
     ):
         from repro.wal import WriteAheadLog, audit_log, recover
 
         mix = MIXES["smallbank"]()
         engine, model = self._engine_for(engine_key, dict(mix.initial))
         wal = WriteAheadLog(
-            str(tmp_path / f"{engine_key}-{monitor_mode}"),
+            str(tmp_path / engine_key),
             fsync_policy="none",
             flush_interval=0.01,
             meta={"engine": engine_key, "init": dict(mix.initial),
                   "init_tid": engine.init_tid, "model": model},
         )
         service = TransactionService.certified(
-            engine, model=model, max_retries=200,
-            monitor_mode=monitor_mode, wal=wal,
+            engine, model=model, max_retries=200, wal=wal,
         )
         LoadGenerator(
             service, mix, workers=3, transactions_per_worker=8, seed=5
@@ -322,32 +289,3 @@ class TestWalRoundTripParity:
         assert [v.tid for v in audit.violations] == [
             v.tid for v in service.violations
         ]
-
-
-class TestPipelinedServicesAgree:
-    @pytest.mark.parametrize("window", [None, 12])
-    def test_pipelined_and_sync_services_agree(self, window):
-        """Two services over identically-seeded runs: identical commit
-        streams imply identical violation sets; the monitors end at the
-        same commit count."""
-        results = {}
-        for mode in ("sync", "pipelined"):
-            mix = MIXES["smallbank"]()
-            engine = SIEngine(dict(mix.initial))
-            service = TransactionService.certified(
-                engine, model="SI", window=window, max_retries=100,
-                monitor_mode=mode,
-            )
-            LoadGenerator(
-                service, mix, workers=1, transactions_per_worker=30,
-                seed=11,
-            ).run()
-            service.close()
-            results[mode] = (
-                committed_stream(engine),
-                [v.tid for v in service.violations],
-                service.monitor.commit_count,
-            )
-        # Single-worker runs are fully deterministic, so the two modes
-        # must agree on everything.
-        assert results["sync"] == results["pipelined"]

@@ -23,14 +23,14 @@ ENGINES = {
 }
 
 
-def run_with_wal(tmp_path, engine_key, monitor_mode="sync", workers=4,
-                 txns=8, seed=0, fsync_policy="none", **wal_kwargs):
+def run_with_wal(tmp_path, engine_key, workers=4, txns=8, seed=0,
+                 fsync_policy="none", **wal_kwargs):
     """Drive a SmallBank load through a WAL-attached certified service."""
     factory, model = ENGINES[engine_key]
     mix = MIXES["smallbank"]()
     engine = factory(dict(mix.initial))
     wal = WriteAheadLog(
-        str(tmp_path / f"wal-{engine_key}-{monitor_mode}-{seed}"),
+        str(tmp_path / f"wal-{engine_key}-{seed}"),
         fsync_policy=fsync_policy,
         flush_interval=0.01,
         meta={"engine": engine_key, "init": dict(mix.initial),
@@ -38,8 +38,7 @@ def run_with_wal(tmp_path, engine_key, monitor_mode="sync", workers=4,
         **wal_kwargs,
     )
     service = TransactionService.certified(
-        engine, model=model, window=64, monitor_mode=monitor_mode,
-        max_retries=200, wal=wal,
+        engine, model=model, window=64, max_retries=200, wal=wal,
     )
     LoadGenerator(
         service, mix, workers=workers, transactions_per_worker=txns,
@@ -52,12 +51,8 @@ def run_with_wal(tmp_path, engine_key, monitor_mode="sync", workers=4,
 
 class TestRoundTrip:
     @pytest.mark.parametrize("engine_key", sorted(ENGINES))
-    @pytest.mark.parametrize("monitor_mode", ["sync", "pipelined"])
-    def test_recovery_is_bit_identical(self, tmp_path, engine_key,
-                                       monitor_mode):
-        engine, wal, _, _ = run_with_wal(
-            tmp_path, engine_key, monitor_mode=monitor_mode
-        )
+    def test_recovery_is_bit_identical(self, tmp_path, engine_key):
+        engine, wal, _, _ = run_with_wal(tmp_path, engine_key)
         result = recover(wal.directory)
         assert not result.truncated
         assert result.records_recovered == len(engine.committed)
