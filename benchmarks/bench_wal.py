@@ -144,10 +144,11 @@ def test_bench_wal_group_commit():
 
     # Structural facts that make the ratio meaningful: "always" syncs
     # once per record, "group" amortises (strictly fewer syncs than
-    # records, more than one record per flush on average).
+    # records; the in-flight window gathers most of a round of
+    # E26_WORKERS committers into each batch).
     assert always["fsyncs"] == E26_RECORDS
     assert group["fsyncs"] < E26_RECORDS
-    assert group["mean_batch_records"] > 1.0
+    assert group["mean_batch_records"] >= 3.0
     # The CI gate (also enforced on BENCH_wal.json): batching wins big.
     assert ratio >= 3.0, (
         f"group commit only {ratio:.2f}x over per-record fsync"

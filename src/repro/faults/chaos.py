@@ -13,7 +13,7 @@ machinery promised all along:
    it cry wolf (a violation under chaos would be a *soundness* bug).
 2. **Durability survives** — after the storm, the log's durable prefix
    recovers contiguously into a fresh engine and the offline audit
-   certifies it, whatever the flusher was doing when faults hit.
+   certifies it, whatever the log was writing when faults hit.
 3. **Bounded recovery** — once faults stop, the health state machine
    returns to ``healthy`` within a bounded window; a plan that poisons
    the log is the one excuse (durability loss is sticky: the floor is

@@ -5,11 +5,11 @@ armed it costs one attribute read.  The stack is instrumented at the
 points of :data:`~repro.faults.plan.FAILPOINTS`:
 
 ===================  ==================================================
-``wal.write``        WAL flusher, before writing each frame (an
+``wal.write``        WAL batch leader, before writing each frame (an
                      ``io_error`` here poisons the log like a dead disk).
-``wal.fsync``        WAL flusher, before each ``fsync`` (stalls model a
-                     congested device; latency is visible to committers
-                     waiting for durability).
+``wal.fsync``        WAL batch leader, before each ``fsync`` (stalls
+                     model a congested device; latency is visible to
+                     committers waiting for durability).
 ``store.install``    :meth:`~repro.mvcc.store.MVStore.install`, per
                      object, **while holding the stripe lock** (a delay
                      models a descheduled writer pinning a stripe).

@@ -9,7 +9,7 @@ stream) and *what* it does:
 
 * ``"delay"`` — sleep at the site (fsync stalls, lock-stripe pauses,
   slow monitor consumers, admission spikes);
-* ``"io_error"`` — raise :class:`OSError` (the WAL's flusher treats it
+* ``"io_error"`` — raise :class:`OSError` (the WAL's writer treats it
   exactly like a real disk failure and poisons the log);
 * ``"abort"`` — raise :class:`~repro.core.errors.FaultInjected`, which
   the service translates into a transaction abort feeding the retry
@@ -328,8 +328,8 @@ def preset(
 
     Profiles:
 
-    * ``disk`` — fsync stalls and slow segment writes in the WAL
-      flusher (durability latency without data loss);
+    * ``disk`` — fsync stalls and slow segment writes in the WAL's
+      batch leader (durability latency without data loss);
     * ``contention`` — injected commit-time aborts plus thread pauses
       inside the store's lock stripes (write-conflict storms);
     * ``overload`` — admission spikes plus a slow certifier stalling

@@ -197,7 +197,7 @@ class ServiceMetrics:
             self.wal_failures += 1
 
     def record_wal_flush(self, batch_size: int, fsyncs: int) -> None:
-        """One flusher batch written (``fsyncs`` syncs issued for it)."""
+        """One group-commit batch written (``fsyncs`` syncs for it)."""
         with self._lock:
             self.wal_flushes += 1
             self.wal_fsyncs += fsyncs

@@ -23,7 +23,6 @@ from .format import (
     segment_name,
 )
 from .log import (
-    DEFAULT_FLUSH_INTERVAL,
     DEFAULT_GROUP_WINDOW,
     DEFAULT_SEGMENT_BYTES,
     FSYNC_POLICIES,
@@ -47,7 +46,6 @@ __all__ = [
     "scan_frames",
     "segment_index",
     "segment_name",
-    "DEFAULT_FLUSH_INTERVAL",
     "DEFAULT_GROUP_WINDOW",
     "DEFAULT_SEGMENT_BYTES",
     "FSYNC_POLICIES",

@@ -14,42 +14,41 @@ arrived, and writes frames strictly in sequence.  The on-disk log is therefore a
 commit order: recovery after a crash at any point yields a
 prefix-consistent history.
 
-Group commit.  A dedicated flusher thread owns the file.  Appenders
-deposit their encoded frame and (depending on the policy) wait for
-durability; the flusher grabs everything writable in one batch, writes
-it, and syncs once — so N concurrent committers share one ``fsync``:
+Group commit.  No thread owns the file: the committer whose deposit
+makes a frame writable while nobody writes becomes the *leader* and
+writes and syncs batches until the writable queue is empty; later
+arrivals join its next batch — so N concurrent committers share one
+``fsync``:
 
-* ``fsync_policy="always"`` — no batching at all: the flusher writes
+* ``fsync_policy="always"`` — no batching at all: the leader writes
   and syncs one frame per cycle (batching concurrent committers *is*
   group commit, so the per-record policy gets none of it).  This is the
   classic durable-commit cost every commit pays individually;
 * ``fsync_policy="group"`` (default) — one ``fsync`` per *batch*;
   appenders wait for the batch sync covering their record.  Batch size
-  grows naturally under load: while the flusher syncs, every other
-  committer deposits.  Before syncing, the flusher additionally waits —
+  grows naturally under load: while the leader syncs, every other
+  committer deposits.  Before syncing, the leader additionally waits —
   up to :data:`DEFAULT_GROUP_WINDOW` (0.5 ms) — while committers it
   *knows* are in flight (threads currently inside :meth:`append`) have
   not deposited yet, so a round of N concurrent committers shares one
   ``fsync`` instead of being split across two;
 * ``fsync_policy="none"`` — frames are written to the OS (no sync) and
-  :meth:`append` returns without waiting; a crash may lose the tail
-  beyond the last OS write-back.
+  :meth:`append` returns once its frame is written or queued for the
+  current leader; a crash may lose the tail beyond the last OS
+  write-back.
 
-``flush_interval`` bounds how long a deposited frame can sit unwritten
-when no appender is pushing the flusher (relevant under ``"none"``,
-where nobody waits): the flusher wakes at least that often.
-
-Failure model.  An I/O error poisons the log: the flusher writes
+Failure model.  An I/O error poisons the log: the leader writes
 nothing more (frames queued behind the failed one are dropped, and
-``durable_ts`` stays below the first failure), and every waiting and
-subsequent ``append``/``flush``/``close`` raises a fresh
+``durable_ts`` stays below the first failure), and the leader that hit
+it, every waiting and every subsequent ``append``/``flush``/``close``
+raises a fresh
 :class:`WalPoisoned` chained to the original cause and carrying the
 first failed sequence number (the in-memory commit stands — the service
 layer surfaces the error without undoing the commit, the same contract
 as a monitor failure; or degrades to read-only, per its
 ``on_wal_failure`` policy).  The ``wal.write`` and ``wal.fsync``
-failpoints (:mod:`repro.faults`) sit in the flusher so fault plans can
-inject exactly these failures deterministically.
+failpoints (:mod:`repro.faults`) sit in the leader's write path so
+fault plans can inject exactly these failures deterministically.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Any
 
 from ..core.errors import StoreError
@@ -78,11 +77,8 @@ FSYNC_POLICIES = ("always", "group", "none")
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 """Default segment rotation bound."""
 
-DEFAULT_FLUSH_INTERVAL = 0.05
-"""Default bound on how long a writable frame may wait for the flusher."""
-
 DEFAULT_GROUP_WINDOW = 0.0005
-"""Bound on how long the ``"group"`` flusher waits for in-flight
+"""Bound on how long the ``"group"`` leader waits for in-flight
 committers (threads already inside :meth:`WriteAheadLog.append`) to
 join a batch before syncing it."""
 
@@ -101,7 +97,7 @@ class WalPoisoned(WalError):
     """The log is poisoned and the original cause travels with every
     raise.
 
-    The first failure (an I/O error from the flusher, an unencodable
+    The first failure (an I/O error in the leader's write, an unencodable
     record) poisons the log; every *subsequent* ``append``/``flush``/
     ``close`` re-raises a fresh :class:`WalPoisoned` chained (via
     ``__cause__``) to the root failure, so a committer that hits the
@@ -131,7 +127,7 @@ class WalPoisoned(WalError):
 
 class _BatchFailure(Exception):
     """Internal: a write/fsync failed at ``seq`` for reason ``root``
-    (lets the flusher poison the log with the exact failed frame)."""
+    (lets the leader poison the log with the exact failed frame)."""
 
     def __init__(self, seq: int, root: BaseException):
         super().__init__(f"batch failure at #{seq}: {root}")
@@ -150,14 +146,14 @@ class WalStats:
     bytes_written: int = 0
     segments_created: int = 0
     segments_deleted: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
+    records_flushed: int = 0
 
     @property
     def mean_batch(self) -> float:
         """Mean group-commit batch size."""
-        if not self.batch_sizes:
+        if not self.flushes:
             return 0.0
-        return sum(self.batch_sizes) / len(self.batch_sizes)
+        return self.records_flushed / self.flushes
 
 
 class WriteAheadLog:
@@ -174,7 +170,6 @@ class WriteAheadLog:
         retention_segments: keep at most this many segments, deleting
             the oldest after rotation (``None`` = keep everything).
             Recovery from a pruned log yields the surviving suffix.
-        flush_interval: the flusher's wake-up bound in seconds.
         start_seq: first commit sequence number expected (one past the
             engine's last commit at attach time; 1 for a fresh engine).
         meta: log description written into every segment header —
@@ -191,7 +186,6 @@ class WriteAheadLog:
         fsync_policy: str = "group",
         segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
         retention_segments: Optional[int] = None,
-        flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         start_seq: int = 1,
         meta: Optional[Mapping[str, Any]] = None,
         metrics: Optional[Any] = None,
@@ -210,26 +204,22 @@ class WriteAheadLog:
                 f"retention_segments must be positive, got "
                 f"{retention_segments}"
             )
-        if flush_interval <= 0:
-            raise WalError(
-                f"flush_interval must be positive, got {flush_interval}"
-            )
         self.directory = directory
         self.fsync_policy = fsync_policy
         self.segment_max_bytes = segment_max_bytes
         self.retention_segments = retention_segments
-        self.flush_interval = flush_interval
         self.meta: Dict[str, Any] = dict(meta or {})
         self.metrics = metrics
         self.stats = WalStats()
 
-        # One lock, two wait-sets: the flusher sleeps on `_io_cond`
-        # (woken per writable deposit), `flush()`/`close()` sleep on
-        # `_durable_cond` (woken once per completed flush).  Committers
-        # waiting for durability use `_durable_event` instead — an
-        # eventcount the flusher rotates per flush — so a completed
-        # batch wakes its whole round without funnelling every waiter
-        # back through the lock one by one.
+        # One lock, two wait-sets: the leader's group window sleeps on
+        # `_io_cond` (woken per writable deposit), `flush()`/`close()`
+        # sleep on `_durable_cond` (woken per completed batch and when
+        # the leader steps down).  Followers waiting for durability use
+        # `_durable_event` instead — an eventcount rotated on every
+        # state change they wait for — so a completed batch wakes its
+        # whole round without funnelling every waiter back through the
+        # lock one by one.
         self._lock = threading.Lock()
         self._io_cond = threading.Condition(self._lock)
         self._durable_cond = threading.Condition(self._lock)
@@ -239,6 +229,7 @@ class WriteAheadLog:
         self._next_seq = start_seq             # next ts eligible to write
         self._durable_ts = start_seq - 1       # last ts flushed per policy
         self._appenders = 0                    # threads inside append()
+        self._leading = False                  # a committer is writing
         self._error: Optional[BaseException] = None
         self._closed = False
 
@@ -254,11 +245,6 @@ class WriteAheadLog:
         self._segment_records = 0
         self._open_segment(first_ts=start_seq)
 
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="wal-flusher", daemon=True
-        )
-        self._flusher.start()
-
     # ------------------------------------------------------------------
     # Producer side (committers)
     # ------------------------------------------------------------------
@@ -270,7 +256,7 @@ class WriteAheadLog:
         held until every earlier commit sequence number has arrived.
         Under ``"always"``/``"group"`` the call returns once the record
         is durable per the policy; under ``"none"`` it returns as soon
-        as the frame is deposited.
+        as the frame is deposited, or written if this call led.
 
         Raises:
             WalClosed: after :meth:`close`.
@@ -292,9 +278,7 @@ class WriteAheadLog:
                             first_failed_seq=record.commit_ts,
                             root=exc,
                         )
-                    self._io_cond.notify()
-                    self._durable_event.set()
-                    self._durable_cond.notify_all()
+                    self._wake_locked()
                     self._reraise_error()
             ts = record.commit_ts
             with self._lock:
@@ -310,25 +294,32 @@ class WriteAheadLog:
                 if self.metrics is not None:
                     self.metrics.record_wal_append(len(frame))
                 if self._promote_locked():
-                    self._io_cond.notify()  # wake/feed the flusher
-                if self.fsync_policy == "none":
-                    return
-            # Durability wait, outside the lock: grab the current epoch
-            # event, re-check, sleep.  The flusher publishes
-            # `_durable_ts` and sets the epoch's event under the lock,
-            # so a wakeup can never be lost — and N acked committers
-            # wake concurrently instead of re-queueing on the lock.
-            while self._durable_ts < ts:
-                if self._error is not None:
+                    self._io_cond.notify()  # feed the leader's window
+                lead = bool(self._writable) and not self._leading
+                self._leading |= lead
+            if lead:
+                self._lead()
+            if self.fsync_policy == "none":
+                if lead and self._error is not None:
                     self._reraise_error()
-                if self._closed:
-                    raise WalClosed(
-                        f"log closed before commit #{ts} became durable"
-                    )
+                return
+            # Durability wait, outside the lock: grab the current epoch
+            # event, then check everything it is rotated for, then
+            # sleep.  Every such change is published under the lock
+            # before the epoch's event is set, so a wakeup can never be
+            # lost — and N acked committers wake concurrently instead
+            # of re-queueing on the lock.
+            while True:
                 event = self._durable_event
                 if self._durable_ts >= ts:
                     break
-                event.wait(self.flush_interval)
+                if self._error is not None:
+                    self._reraise_error()
+                if self._closed and ts >= self._next_seq:
+                    raise WalClosed(
+                        f"log closed before commit #{ts} became durable"
+                    )
+                event.wait()
             if self._error is not None:
                 self._reraise_error()
         finally:
@@ -369,78 +360,88 @@ class WriteAheadLog:
         raise error
 
     # ------------------------------------------------------------------
-    # Flusher thread
+    # The leader (whichever committer found nobody writing)
     # ------------------------------------------------------------------
 
-    def _flush_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._writable and not self._closed:
-                    self._io_cond.wait(self.flush_interval)
-                if self._closed and not self._writable:
-                    return
-                if self.fsync_policy == "group" and not self._closed:
-                    # Group-commit window: committers already inside
-                    # append() will deposit momentarily — hold the batch
-                    # open for them (bounded) so one fsync covers the
-                    # whole concurrent round instead of half of it.
-                    deadline = time.monotonic() + DEFAULT_GROUP_WINDOW
-                    while (
-                        len(self._writable) < self._appenders
-                        and not self._closed
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._io_cond.wait(remaining)
-                if self.fsync_policy == "always":
-                    # Per-record durability: one frame per cycle, its
-                    # own write + fsync.  The rest stays writable and
-                    # the loop comes straight back for it.
-                    batch = [self._writable.pop(0)]
-                else:
-                    batch = self._writable
-                    self._writable = []
-            # I/O outside the lock: committers keep depositing while we
-            # write and sync — that's what grows the group-commit batch.
-            error: Optional[BaseException] = None
-            fsyncs = 0
-            try:
+    def _wake_locked(self) -> None:
+        """Wake every durability waiter: rotate the eventcount and
+        notify ``flush()``/``close()``."""
+        epoch = self._durable_event
+        self._durable_event = threading.Event()
+        epoch.set()
+        self._durable_cond.notify_all()
+
+    def _lead(self) -> None:
+        """Write and sync batches until the writable queue is empty.
+        Called by the thread that claimed the lead, outside the lock."""
+        try:
+            while True:
+                with self._lock:
+                    if not self._writable:
+                        # Step down in the same lock hold that sees the
+                        # queue empty: the next deposit finds no leader
+                        # and leads itself, so no frame is stranded.
+                        self._leading = False
+                        self._durable_cond.notify_all()
+                        return
+                    if self.fsync_policy == "group" and not self._closed:
+                        # Group-commit window: committers already inside
+                        # append() will deposit momentarily — hold the
+                        # batch open for them (bounded) so one fsync
+                        # covers the whole concurrent round.
+                        deadline = time.monotonic() + DEFAULT_GROUP_WINDOW
+                        while (
+                            len(self._writable) < self._appenders
+                            and not self._closed
+                        ):
+                            remaining = deadline - time.monotonic()
+                            if remaining <= 0:
+                                break
+                            self._io_cond.wait(remaining)
+                    if self.fsync_policy == "always":
+                        # Per-record durability: one frame per cycle,
+                        # its own write + fsync.
+                        batch = [self._writable.pop(0)]
+                    else:
+                        batch = self._writable
+                        self._writable = []
+                # I/O outside the lock: committers keep depositing while
+                # we write and sync — that's what grows the next batch.
                 fsyncs = self._write_batch(batch)
-            except BaseException as exc:
-                error = exc
-            with self._lock:
-                if error is not None:
-                    if self._error is None:
-                        if isinstance(error, _BatchFailure):
-                            seq, root = error.seq, error.root
-                        else:
-                            seq, root = batch[0][0], error
-                        self._error = WalPoisoned(
-                            f"write-ahead log I/O failure at commit "
-                            f"#{seq}: {root}",
-                            first_failed_seq=seq,
-                            root=root,
-                        )
-                    # Every frame still queued is later than the failed
-                    # one: writing it would leave a hole on disk, and
-                    # `_durable_ts` must stay below the first failure.
-                    self._writable = []
-                else:
+                with self._lock:
                     self._durable_ts = batch[-1][0]
                     self.stats.flushes += 1
                     self.stats.fsyncs += fsyncs
-                    self.stats.batch_sizes.append(len(batch))
+                    self.stats.records_flushed += len(batch)
                     if self.metrics is not None:
                         self.metrics.record_wal_flush(len(batch), fsyncs)
-                epoch = self._durable_event
-                self._durable_event = threading.Event()
-                epoch.set()  # wake this batch's committers
-                self._durable_cond.notify_all()
+                    self._wake_locked()
+        except BaseException as exc:
+            # An I/O failure, or a signal delivered to the leading
+            # thread (which may lose a popped batch): poison the log.
+            with self._lock:
+                failure = exc if isinstance(exc, _BatchFailure) else (
+                    _BatchFailure(self._durable_ts + 1, exc)
+                )
+                if self._error is None:
+                    self._error = WalPoisoned(
+                        f"write-ahead log I/O failure at commit "
+                        f"#{failure.seq}: {failure.root}",
+                        first_failed_seq=failure.seq,
+                        root=failure.root,
+                    )
+                # Every frame still queued is later than the failed
+                # one: writing it would leave a hole on disk, and
+                # `_durable_ts` must stay below the first failure.
+                self._writable = []
+                self._leading = False
+                self._wake_locked()
+            if not isinstance(failure.root, Exception):
+                raise failure.root  # KeyboardInterrupt, SystemExit
 
     def _write_batch(self, batch: List[Tuple[int, bytes]]) -> int:
         """Write ``batch`` (rotating as needed) and sync per policy.
-        Returns the number of fsyncs performed.  Flusher thread only."""
+        Returns the number of fsyncs performed.  Leader only."""
         fsyncs = 0
         for ts, frame in batch:
             try:
@@ -478,7 +479,7 @@ class WriteAheadLog:
         return fsyncs
 
     def _fsync(self) -> None:
-        """Flush and sync the current segment (flusher thread only).
+        """Flush and sync the current segment (leader only).
         The ``wal.fsync`` failpoint sits in front so fault plans can
         model a congested device — the stall is visible to every
         committer waiting on this batch's durability."""
@@ -488,7 +489,7 @@ class WriteAheadLog:
         os.fsync(self._file.fileno())
 
     def _rotate(self, next_ts: int) -> None:
-        """Close the current segment and open the next (flusher only)."""
+        """Close the current segment and open the next (leader only)."""
         self._file.flush()
         if self.fsync_policy != "none":
             os.fsync(self._file.fileno())
@@ -571,24 +572,24 @@ class WriteAheadLog:
                 )
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Flush everything in sequence, stop the flusher, close the
-        file.  Idempotent.  Raises :class:`WalError` if frames remain
-        stuck behind a sequence gap (a committer never arrived) or an
-        I/O error was captured."""
+        """Flush everything in sequence, wait for the leader to step
+        down, close the file.  Idempotent.  Raises :class:`WalError` if
+        frames remain stuck behind a sequence gap (a committer never
+        arrived) or an I/O error was captured."""
         with self._lock:
             already = self._closed
             self._closed = True
-            self._io_cond.notify()
-            self._durable_event.set()
-            self._durable_cond.notify_all()
+            self._io_cond.notify()  # cut the leader's group window
+            self._wake_locked()     # followers stuck behind a gap
         if already:
             if self._error is not None:
                 self._reraise_error()
             return
-        self._flusher.join(timeout)
-        if self._flusher.is_alive():
-            raise WalError("write-ahead log flusher failed to stop")
         with self._lock:
+            if not self._durable_cond.wait_for(
+                lambda: not self._leading, timeout=timeout
+            ):
+                raise WalError("write-ahead log writer failed to stop")
             if self._file is not None:
                 try:
                     self._file.flush()

@@ -249,7 +249,6 @@ class TestWalFailurePolicies:
         engine = SIEngine({"x": 0})
         wal = WriteAheadLog(
             str(tmp_path / "wal"), fsync_policy="group", meta=META,
-            flush_interval=0.01,
         )
         service = TransactionService(
             engine, wal=wal, on_wal_failure=policy, backoff_base=0

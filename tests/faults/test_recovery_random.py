@@ -7,7 +7,7 @@ The plans are generated from a seeded RNG over the full failpoint
 catalog and fault-kind space, so each seed is a different storm, and a
 failure reproduces from the seed alone.  The "crash" is deliberate
 slovenliness: the service is *abandoned* (never drained or closed), so
-recovery sees whatever the flusher happened to have written — the same
+recovery sees whatever the log happened to have written — the same
 contract the SIGKILL CI job checks on the real binary.
 """
 
@@ -67,7 +67,6 @@ def storm_then_crash(tmp_path, engine_key: str, seed: int):
     wal = WriteAheadLog(
         str(tmp_path / "wal"),
         fsync_policy="group",
-        flush_interval=0.01,
         meta={
             "engine": engine_key,
             "init": dict(mix.initial),
@@ -92,8 +91,8 @@ def storm_then_crash(tmp_path, engine_key: str, seed: int):
             transactions_per_worker=8,
             seed=seed,
         ).run()
-    # Crash: no drain, no close.  Give the flusher one beat to write
-    # what it already owns, then freeze the file by dropping the log.
+    # Crash: no drain, no close.  Give a leader still writing one beat
+    # to finish its batch, then freeze the file by dropping the log.
     try:
         wal.flush(timeout=2.0)
     except ReproError:

@@ -241,7 +241,6 @@ class TestWalRoundTripParity:
         wal = WriteAheadLog(
             str(tmp_path / engine_key),
             fsync_policy="none",
-            flush_interval=0.01,
             meta={"engine": engine_key, "init": dict(mix.initial),
                   "init_tid": engine.init_tid, "model": model},
         )
@@ -273,7 +272,6 @@ class TestWalRoundTripParity:
         engine = SIEngine(dict(mix.initial))
         wal = WriteAheadLog(
             str(tmp_path / f"w{seed}"), fsync_policy="none",
-            flush_interval=0.01,
             meta={"engine": "SI", "init": dict(mix.initial),
                   "init_tid": engine.init_tid, "model": "SI"},
         )

@@ -34,7 +34,6 @@ def make_record(ts):
 
 def make_log(tmp_path, **kwargs):
     kwargs.setdefault("meta", META)
-    kwargs.setdefault("flush_interval", 0.01)
     return WriteAheadLog(str(tmp_path / "wal"), **kwargs)
 
 
@@ -104,9 +103,9 @@ class TestPolicies:
         for t in threads:
             t.join()
         log.close()
-        # One fsync per flusher batch, never per record.
+        # One fsync per leader batch, never per record.
         assert log.stats.fsyncs == log.stats.flushes <= 8
-        assert sum(log.stats.batch_sizes) == 8
+        assert log.stats.records_flushed == 8
 
     def test_none_never_syncs_and_returns_immediately(self, tmp_path):
         with make_log(tmp_path, fsync_policy="none") as log:
@@ -115,6 +114,31 @@ class TestPolicies:
             log.flush()
         assert log.stats.fsyncs == 0
         assert [r.commit_ts for r in scan(log.directory)] == [1, 2, 3, 4, 5]
+
+    def test_none_frame_deposited_under_a_leader_is_written_by_it(
+        self, tmp_path
+    ):
+        # #1's write is held, so its committer leads while #2 and #3
+        # are deposited.  The leader drains them before returning: no
+        # flush(), no close(), no timer.
+        plan = FaultPlan([FaultRule("wal.write", "delay", limit=1,
+                                    delay=0.2)])
+        log = make_log(tmp_path, fsync_policy="none")
+        with armed(plan):
+            leader = threading.Thread(
+                target=log.append, args=(make_record(1),)
+            )
+            leader.start()
+            deadline = time.monotonic() + 5
+            while not plan.hit_counts().get("wal.write"):
+                assert time.monotonic() < deadline, "leader never wrote"
+                time.sleep(0.001)
+            log.append(make_record(2))
+            log.append(make_record(3))
+            leader.join()
+        assert log.durable_ts == 3
+        assert [r.commit_ts for r in scan(log.directory)] == [1, 2, 3]
+        log.close()
 
 
 class TestRotationAndRetention:
@@ -169,7 +193,7 @@ class TestRotationAndRetention:
             log.flush()
         before = {p: os.path.getsize(p) for p in log.segments()}
         with WriteAheadLog(log.directory, fsync_policy="none", meta=META,
-                           start_seq=4, flush_interval=0.01) as log2:
+                           start_seq=4) as log2:
             log2.append(make_record(4))
             log2.flush()
         for path, size in before.items():
@@ -228,10 +252,10 @@ class TestCloseSemantics:
         assert [r.commit_ts for r in scan(log.directory)] == [1]
 
     def test_close_flushes_writable_tail(self, tmp_path):
-        log = make_log(tmp_path, fsync_policy="none", flush_interval=5.0)
+        log = make_log(tmp_path, fsync_policy="none")
         for ts in range(1, 6):
             log.append(make_record(ts))
-        log.close()  # must not wait for the 5s interval
+        log.close()
         assert [r.commit_ts for r in scan(log.directory)] == [1, 2, 3, 4, 5]
 
 
@@ -245,8 +269,6 @@ class TestValidation:
             make_log(tmp_path, segment_max_bytes=0)
         with pytest.raises(WalError):
             make_log(tmp_path, retention_segments=0)
-        with pytest.raises(WalError):
-            make_log(tmp_path, flush_interval=0)
 
     def test_unencodable_record_poisons_log(self, tmp_path):
         log = make_log(tmp_path, fsync_policy="none")
@@ -262,7 +284,7 @@ class TestValidation:
         with pytest.raises(WalError):
             log.append(make_record(3))
         # #1 was acknowledged before the poison and has no hole before
-        # it: the flusher still writes it.
+        # it: its own append wrote it.
         with pytest.raises(WalPoisoned):
             log.close()
         assert log.durable_ts == 1
@@ -277,16 +299,38 @@ class TestPoisoning:
             [FaultRule("wal.write", "io_error", limit=1, delay=0.2)]
         )
         log = make_log(tmp_path, fsync_policy="none")
+        leader_errors = []
+
+        def lead_first():
+            try:
+                log.append(make_record(1))
+            except WalPoisoned as exc:
+                leader_errors.append(exc)
+
         with armed(plan):
-            log.append(make_record(1))
+            leader = threading.Thread(target=lead_first)
+            leader.start()
             deadline = time.monotonic() + 5
             while not plan.hit_counts().get("wal.write"):
-                assert time.monotonic() < deadline, "flusher never wrote"
+                assert time.monotonic() < deadline, "leader never wrote"
                 time.sleep(0.001)
             log.append(make_record(2))
             log.append(make_record(3))
             with pytest.raises(WalPoisoned) as info:
                 log.close()
+            leader.join()
+        assert [e.first_failed_seq for e in leader_errors] == [1]
         assert info.value.first_failed_seq == 1
         assert log.durable_ts == 0
         assert list(scan(log.directory)) == []
+
+    def test_none_append_whose_write_fails_raises(self, tmp_path):
+        plan = FaultPlan([FaultRule("wal.write", "io_error", limit=1)])
+        log = make_log(tmp_path, fsync_policy="none")
+        with armed(plan):
+            with pytest.raises(WalPoisoned) as info:
+                log.append(make_record(1))
+        assert info.value.first_failed_seq == 1
+        assert log.durable_ts == 0
+        with pytest.raises(WalPoisoned):
+            log.close()

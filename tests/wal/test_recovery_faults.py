@@ -41,7 +41,6 @@ def logged_run(tmp_path):
         directory,
         fsync_policy="none",
         segment_max_bytes=1200,
-        flush_interval=0.01,
         meta={"engine": "SI", "init": dict(engine.initial),
               "init_tid": engine.init_tid, "model": "SI"},
     )

@@ -7,13 +7,15 @@ level (not just tid equality), recovered engines that keep serving, and
 live-vs-offline verdict parity.
 """
 
+import threading
+
 import pytest
 
 from repro.mvcc import PSIEngine, SerializableEngine, SIEngine
 from repro.mvcc.locking import TwoPhaseLockingEngine
 from repro.mvcc.runtime import ReadOp, WriteOp
 from repro.service import MIXES, LoadGenerator, TransactionService
-from repro.wal import WriteAheadLog, audit_log, recover
+from repro.wal import FSYNC_POLICIES, WriteAheadLog, audit_log, recover
 
 ENGINES = {
     "SI": (SIEngine, "SI"),
@@ -32,7 +34,6 @@ def run_with_wal(tmp_path, engine_key, workers=4, txns=8, seed=0,
     wal = WriteAheadLog(
         str(tmp_path / f"wal-{engine_key}-{seed}"),
         fsync_policy=fsync_policy,
-        flush_interval=0.01,
         meta={"engine": engine_key, "init": dict(mix.initial),
               "init_tid": engine.init_tid, "model": model},
         **wal_kwargs,
@@ -143,3 +144,25 @@ class TestDurabilityMetrics:
             tmp_path, "SI", workers=2, txns=5, fsync_policy="always"
         )
         assert wal.stats.fsyncs >= len(engine.committed)
+
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
+    def test_service_with_wal_starts_no_thread(self, tmp_path, policy):
+        before = set(threading.enumerate())
+        engine = SIEngine({"x": 0})
+        wal = WriteAheadLog(
+            str(tmp_path / "wal"), fsync_policy=policy,
+            meta={"engine": "SI", "init": {"x": 0},
+                  "init_tid": engine.init_tid, "model": "SI"},
+        )
+        service = TransactionService.certified(engine, model="SI", wal=wal)
+
+        def bump():
+            x = yield ReadOp("x")
+            yield WriteOp("x", x + 1)
+
+        session = service.session()
+        for _ in range(3):
+            session.run(bump)
+        assert set(threading.enumerate()) - before == set()
+        service.close()
+        assert recover(wal.directory).records_recovered == 3
