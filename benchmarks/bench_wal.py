@@ -41,7 +41,7 @@ def _record(ts):
         tid=f"t{ts}", session=f"client-{ts % E26_WORKERS}",
         start_ts=ts - 1, commit_ts=ts,
         events=(write_op("x", ts),), writes={"x": ts},
-        visible_tids=frozenset({"t_init"}),
+        snapshot=ts - 1,
     )
 
 

@@ -42,6 +42,7 @@ automatically).
 from __future__ import annotations
 
 import abc
+import bisect
 import enum
 import re
 import threading
@@ -94,7 +95,17 @@ class TxContext:
 
 @dataclass(frozen=True)
 class CommitRecord:
-    """What the engine remembers about a committed transaction."""
+    """What the engine remembers about a committed transaction.
+
+    The snapshot is recorded as a constant-size *descriptor*, not as
+    the set of transactions it includes: the commit sees every commit
+    with ``commit_ts <= snapshot`` (a prefix of the commit order, as
+    the PREFIX axiom has it) plus the commits named in ``extra``, which
+    all committed above that frontier.  SI, SER and 2PL snapshots are
+    prefixes, so their ``extra`` is empty; only a PSI replica that has
+    applied commits out of commit order fills it.  The initialisation
+    transaction is implicitly in every snapshot.
+    """
 
     tid: str
     session: str
@@ -102,8 +113,10 @@ class CommitRecord:
     commit_ts: int
     events: Tuple[Op, ...]
     writes: Mapping[Obj, Value]
-    visible_tids: frozenset
-    """The committed transactions included in this one's snapshot."""
+    snapshot: int
+    """The snapshot frontier: every commit at or below it is visible."""
+    extra: frozenset = frozenset()
+    """Tids of the commits above the frontier that are also visible."""
 
 
 @dataclass
@@ -354,26 +367,31 @@ class BaseEngine(abc.ABC):
     def abstract_execution(self) -> AbstractExecution:
         """The abstract execution realised by this run.
 
-        VIS edges are the recorded snapshot inclusions (plus the
-        initialisation transaction, visible to everyone); CO follows the
-        engine's commit timestamps.  Built from one consistent
-        commit-log snapshot, with all Relation construction outside the
-        engine lock.
+        VIS edges are the recorded snapshots (plus the initialisation
+        transaction, visible to everyone); CO follows the engine's
+        commit timestamps.  This is the one place a snapshot descriptor
+        is expanded into a set: a record sees the commit-ordered prefix
+        up to its frontier plus its ``extra`` tids.  Built from one
+        consistent commit-log snapshot, with all Relation construction
+        outside the engine lock.
         """
         committed = self._committed_snapshot()
         h = self._history_from(committed)
         records = sorted(committed, key=lambda r: r.commit_ts)
         by_tid = {t.tid: t for t in h.transactions}
         init = by_tid[self.init_tid]
+        stamps = [r.commit_ts for r in records]
+        ordered = [by_tid[r.tid] for r in records]
         vis: Set[Tuple[Transaction, Transaction]] = set()
-        co_sequence = [init] + [by_tid[r.tid] for r in records]
-        for rec in records:
-            s = by_tid[rec.tid]
+        for i, rec in enumerate(records):
+            s = ordered[i]
             vis.add((init, s))
-            for tid in rec.visible_tids:
-                if tid in by_tid and tid != rec.tid:
+            prefix = bisect.bisect_right(stamps, rec.snapshot, 0, i)
+            vis.update((t, s) for t in ordered[:prefix])
+            for tid in rec.extra:
+                if tid in by_tid:
                     vis.add((by_tid[tid], s))
-        co = Relation.total_order(co_sequence)
+        co = Relation.total_order([init] + ordered)
         return AbstractExecution(h, Relation(vis, h.transactions), co)
 
 

@@ -162,7 +162,7 @@ class TwoPhaseLockingEngine(BaseEngine):
                 writes=dict(ctx.write_buffer),
                 # Under strict 2PL a committed transaction logically
                 # observed everything that committed before it.
-                visible_tids=frozenset(rec.tid for rec in self.committed),
+                snapshot=commit_ts - 1,
             )
             self.locks.release_all(ctx.tid)
             self._finish_commit(ctx, record)

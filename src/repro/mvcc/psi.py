@@ -34,12 +34,31 @@ from .engine import BaseEngine, CommitRecord, TxContext
 
 @dataclass
 class Replica:
-    """One replica: its current object state and the set of transactions
-    applied to it (the initialisation writes are implicit)."""
+    """One replica: its current object state and which commits it has
+    applied (the initialisation writes are implicit).
+
+    Applied commits are kept as a snapshot descriptor (see
+    :class:`~repro.mvcc.engine.CommitRecord`): every commit with
+    ``commit_ts <= frontier`` is applied, and ``ahead`` maps the commit
+    timestamp of each commit applied above the frontier to its tid.
+    The frontier advances as the gaps below those commits fill.
+    """
 
     name: str
     state: Dict[Obj, Value]
-    applied: Set[str] = field(default_factory=set)
+    frontier: int = 0
+    ahead: Dict[int, str] = field(default_factory=dict)
+
+    def mark_applied(self, commit_ts: int, tid: str) -> None:
+        """Record that the commit ``tid`` at ``commit_ts`` is applied."""
+        self.ahead[commit_ts] = tid
+        while self.frontier + 1 in self.ahead:
+            self.frontier += 1
+            del self.ahead[self.frontier]
+
+    def has_applied(self, commit_ts: int) -> bool:
+        """Whether the commit at ``commit_ts`` is applied here."""
+        return commit_ts <= self.frontier or commit_ts in self.ahead
 
 
 class PSIEngine(BaseEngine):
@@ -73,8 +92,10 @@ class PSIEngine(BaseEngine):
         self._session_replicas: Dict[str, str] = dict(session_replicas or {})
         self._replicas: Dict[str, Replica] = {}
         self._commit_index = 0
-        self._snapshots: Dict[str, Tuple[Dict[Obj, Value], frozenset]] = {}
-        self._writers_per_obj: Dict[Obj, List[str]] = {}
+        self._snapshots: Dict[
+            str, Tuple[Dict[Obj, Value], int, frozenset]
+        ] = {}
+        self._writers_per_obj: Dict[Obj, List[CommitRecord]] = {}
         self._records_by_tid: Dict[str, CommitRecord] = {}
         self._pending: Set[Tuple[str, str]] = set()  # (tid, replica name)
         self.auto_deliver = auto_deliver
@@ -116,7 +137,8 @@ class PSIEngine(BaseEngine):
             ctx = TxContext(tid=tid, session=session, start_ts=-1)
             self._snapshots[ctx.tid] = (
                 dict(replica.state),
-                frozenset(replica.applied),
+                replica.frontier,
+                frozenset(replica.ahead.values()),
             )
             return ctx
 
@@ -127,7 +149,7 @@ class PSIEngine(BaseEngine):
         ctx.ensure_active()
         if obj in ctx.write_buffer:
             return self._record_read(ctx, obj, ctx.write_buffer[obj])
-        snapshot, _ = self._snapshots[ctx.tid]
+        snapshot = self._snapshots[ctx.tid][0]
         if obj not in snapshot:
             raise StoreError(f"unknown object {obj!r}")
         return self._record_read(ctx, obj, snapshot[obj])
@@ -139,14 +161,19 @@ class PSIEngine(BaseEngine):
 
     def _commit_locked(self, ctx: TxContext) -> CommitRecord:
         ctx.ensure_active()
-        _, visible = self._snapshots[ctx.tid]
+        _, frontier, extra = self._snapshots[ctx.tid]
         for obj in sorted(ctx.write_buffer):
-            for writer in self._writers_per_obj.get(obj, ()):
-                if writer not in visible:
+            # Writers are in commit order: those at or below the
+            # frontier are all in the snapshot, so only the newer tail
+            # needs checking against ``extra``.
+            for writer in reversed(self._writers_per_obj.get(obj, ())):
+                if writer.commit_ts <= frontier:
+                    break
+                if writer.tid not in extra:
                     raise self._validation_failure(
                         ctx,
                         f"write-write conflict on {obj!r}: concurrent "
-                        f"committed writer {writer}",
+                        f"committed writer {writer.tid}",
                     )
         self._commit_index += 1
         record = CommitRecord(
@@ -156,11 +183,12 @@ class PSIEngine(BaseEngine):
             commit_ts=self._commit_index,
             events=tuple(ctx.events),
             writes=dict(ctx.write_buffer),
-            visible_tids=visible,
+            snapshot=frontier,
+            extra=extra,
         )
         self._records_by_tid[ctx.tid] = record
         for obj in ctx.write_buffer:
-            self._writers_per_obj.setdefault(obj, []).append(ctx.tid)
+            self._writers_per_obj.setdefault(obj, []).append(record)
         # Apply locally, queue remote deliveries.
         local = self.replica_of(ctx.session)
         self._apply(record, local)
@@ -191,7 +219,7 @@ class PSIEngine(BaseEngine):
         self._commit_index = record.commit_ts
         self._records_by_tid[record.tid] = record
         for obj in record.writes:
-            self._writers_per_obj.setdefault(obj, []).append(record.tid)
+            self._writers_per_obj.setdefault(obj, []).append(record)
         for replica in self._replicas.values():
             self._apply(record, replica)
 
@@ -201,16 +229,22 @@ class PSIEngine(BaseEngine):
 
     def _apply(self, record: CommitRecord, replica: Replica) -> None:
         replica.state.update(record.writes)
-        replica.applied.add(record.tid)
+        replica.mark_applied(record.commit_ts, record.tid)
 
     def deliverable(self, tid: str, replica_name: str) -> bool:
         """Whether ``tid`` can be applied at the replica now — everything
-        it observed must already be applied there (causal delivery)."""
+        it observed must already be applied there (causal delivery):
+        its frontier is at or below the replica's, and each of its
+        ``extra`` commits is applied there."""
         if (tid, replica_name) not in self._pending:
             return False
-        record = self._records_by_tid[tid]
+        known = self._records_by_tid
+        record = known[tid]
         replica = self._replicas[replica_name]
-        return record.visible_tids <= replica.applied
+        return record.snapshot <= replica.frontier and all(
+            seen in known and replica.has_applied(known[seen].commit_ts)
+            for seen in record.extra
+        )
 
     def deliver(self, tid: str, replica_name: str) -> None:
         """Apply a committed transaction at a remote replica.
@@ -248,14 +282,22 @@ class PSIEngine(BaseEngine):
 
     def deliver_all(self) -> int:
         """Drain the delivery queue (respecting causality); returns the
-        number of deliveries performed."""
+        number of deliveries performed.
+
+        One pass in commit-timestamp order reaches the fixpoint: a
+        commit only observed commits with smaller timestamps, and each
+        of those is already applied at the replica or pending there,
+        hence delivered earlier in the pass whenever it can be.
+        """
         with self.lock:
             count = 0
-            progressed = True
-            while progressed:
-                progressed = False
-                for tid, name in self.deliverable_deliveries():
-                    self.deliver(tid, name)
+            for tid, name in sorted(
+                self._pending,
+                key=lambda d: (self._records_by_tid[d[0]].commit_ts, d[1]),
+            ):
+                if self.deliverable(tid, name):
+                    self._apply(self._records_by_tid[tid],
+                                self._replicas[name])
+                    self._pending.discard((tid, name))
                     count += 1
-                    progressed = True
             return count

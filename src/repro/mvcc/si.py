@@ -144,7 +144,7 @@ class SIEngine(BaseEngine):
                 commit_ts=commit_ts,
                 events=tuple(ctx.events),
                 writes=dict(ctx.write_buffer),
-                visible_tids=self._visible_tids(ctx.start_ts),
+                snapshot=ctx.start_ts,
             )
             with self._session_lock:
                 self._active_start_ts.pop(ctx.tid, None)
@@ -163,14 +163,3 @@ class SIEngine(BaseEngine):
         if record.writes:
             self.store.install(record.writes, record.commit_ts, record.tid)
         self._clock = record.commit_ts
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _visible_tids(self, start_ts: int) -> frozenset:
-        """The committed transactions included in a snapshot at
-        ``start_ts`` (all those that committed no later)."""
-        return frozenset(
-            rec.tid for rec in self.committed if rec.commit_ts <= start_ts
-        )

@@ -39,6 +39,7 @@ from .format import (
     payload_to_doc,
     scan_frames,
     segment_index,
+    segment_magic_damage,
 )
 
 
@@ -135,8 +136,9 @@ class LogScan:
                 return
             self.segments_scanned += 1
             self.bytes_scanned += len(data)
-            if not data.startswith(SEGMENT_MAGIC):
-                self._stop(names, position, name, 0, "bad segment magic")
+            bad_magic = segment_magic_damage(data)
+            if bad_magic is not None:
+                self._stop(names, position, name, 0, bad_magic)
                 return
             payloads, frame_damage, damage_offset = scan_frames(
                 data, len(SEGMENT_MAGIC)

@@ -6,7 +6,7 @@ from repro.core.errors import ScheduleError, TransactionAborted
 from repro.core.models import PSI, SI
 from repro.graphs.classify import in_graph_psi, in_graph_si
 from repro.graphs.extraction import graph_of
-from repro.mvcc.psi import PSIEngine
+from repro.mvcc.psi import PSIEngine, Replica
 
 
 @pytest.fixture
@@ -95,6 +95,66 @@ class TestCausalDelivery:
     def test_unknown_delivery_rejected(self, engine):
         with pytest.raises(ScheduleError):
             engine.deliver("t99", "r_s1")
+
+
+class TestSnapshotDescriptor:
+    def test_frontier_advances_as_gaps_fill(self):
+        replica = Replica("r", {})
+        replica.mark_applied(2, "t2")
+        replica.mark_applied(4, "t4")
+        assert (replica.frontier, replica.ahead) == (0, {2: "t2", 4: "t4"})
+        assert replica.has_applied(2) and not replica.has_applied(1)
+        replica.mark_applied(1, "t1")
+        assert (replica.frontier, replica.ahead) == (2, {4: "t4"})
+        replica.mark_applied(3, "t3")
+        assert (replica.frontier, replica.ahead) == (4, {})
+
+    def test_out_of_order_arrival_is_recorded_in_extra(self):
+        # Two concurrent commits from one shared replica reach a third
+        # replica in the opposite order: a per-origin prefix would
+        # claim the first is visible; the descriptor names only the
+        # second.
+        engine = PSIEngine(
+            {"x": 0, "y": 0, "z": 0},
+            session_replicas={"a": "dc", "b": "dc"},
+        )
+        engine.replica_of("c")
+        ta, tb = engine.begin("a"), engine.begin("b")
+        engine.write(ta, "x", 1)
+        engine.write(tb, "y", 1)
+        rec_a, rec_b = engine.commit(ta), engine.commit(tb)
+        assert rec_a.snapshot == rec_b.snapshot == 0
+        engine.deliver(rec_b.tid, "r_c")
+        t = engine.begin("c")
+        assert engine.read(t, "x") == 0 and engine.read(t, "y") == 1
+        engine.write(t, "y", 2)  # its writer is visible via extra
+        rec_c = engine.commit(t)
+        assert (rec_c.snapshot, rec_c.extra) == (0, frozenset({rec_b.tid}))
+        vis = engine.abstract_execution().vis
+        seen = {a.tid for a, b in vis if b.tid == rec_c.tid}
+        assert seen == {"t_init", rec_b.tid}
+        t = engine.begin("c")
+        engine.write(t, "x", 2)  # rec_a is above the frontier, unseen
+        with pytest.raises(TransactionAborted):
+            engine.commit(t)
+
+    def test_late_join_delivers_in_one_pass(self):
+        engine = PSIEngine({"x": 0}, auto_deliver=True)
+        for i in range(1000):
+            commit_write(engine, "s1", "x", i)
+        checks = []
+        deliverable = engine.deliverable
+
+        def counting(tid, name):
+            checks.append(tid)
+            return deliverable(tid, name)
+
+        engine.deliverable = counting
+        t = engine.begin("late")
+        assert engine.read(t, "x") == 999
+        engine.commit(t)
+        assert engine.pending_deliveries() == []
+        assert len(checks) <= 2 * 1000
 
 
 class TestConflictDetection:

@@ -28,7 +28,7 @@ def make_record(ts):
     return CommitRecord(
         tid=f"t{ts}", session=f"client-{ts % 3}", start_ts=ts - 1,
         commit_ts=ts, events=(write_op("x", ts),), writes={"x": ts},
-        visible_tids=frozenset({"t_init"}),
+        snapshot=ts - 1,
     )
 
 
@@ -276,7 +276,7 @@ class TestValidation:
         bad = CommitRecord(
             tid="t2", session="s", start_ts=1, commit_ts=2,
             events=(write_op("x", object()),), writes={"x": object()},
-            visible_tids=frozenset(),
+            snapshot=1,
         )
         with pytest.raises(WalError, match="cannot encode"):
             log.append(bad)

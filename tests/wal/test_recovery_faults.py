@@ -128,6 +128,43 @@ class TestCorruption:
         result = assert_prefix_recovery(directory, engine)
         assert any("magic" in d.reason for d in result.damage)
 
+    def test_previous_format_version_is_damage(self, logged_run):
+        # A segment written by the SIWAL001 format (whose frames carry a
+        # list of every visible tid) must be refused by name, never
+        # misdecoded.
+        engine, directory, segments = logged_run
+        with open(segments[-1], "r+b") as f:
+            f.write(b"SIWAL001")
+        result = assert_prefix_recovery(directory, engine)
+        reason = result.damage[0].reason
+        assert "SIWAL001" in reason and "SIWAL002" in reason
+        assert "magic" in reason
+
+    def test_bad_snapshot_descriptor_is_damage(self, tmp_path):
+        directory = tmp_path / "wal"
+        directory.mkdir()
+        meta = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
+                "model": "SI"}
+        good = CommitRecord(
+            tid="t1", session="s", start_ts=0, commit_ts=1,
+            events=(write_op("x", 1),), writes={"x": 1}, snapshot=0,
+        )
+        bad = commit_record_to_payload(good).replace(
+            b'"snapshot":0', b'"snapshot":2'
+        ).replace(b'"commit_ts":1', b'"commit_ts":2').replace(
+            b'"tid":"t1"', b'"tid":"t2"'
+        )
+        (directory / segment_name(1)).write_bytes(
+            SEGMENT_MAGIC
+            + encode_frame(meta_to_payload(meta, 1, first_ts=1))
+            + encode_frame(commit_record_to_payload(good))
+            + encode_frame(bad)
+        )
+        result = recover(str(directory))
+        assert result.records_recovered == 1
+        assert result.truncated
+        assert "snapshot 2" in result.damage[0].reason
+
     def test_corrupted_meta_frame(self, logged_run):
         engine, directory, segments = logged_run
         with open(segments[-1], "r+b") as f:
@@ -162,7 +199,7 @@ class TestMissingSegments:
             return CommitRecord(
                 tid=f"t{ts}", session="s", start_ts=ts - 1, commit_ts=ts,
                 events=(write_op("x", ts),), writes={"x": ts},
-                visible_tids=frozenset({"t_init"}),
+                snapshot=ts - 1,
             )
 
         directory = tmp_path / "wal"
