@@ -1,20 +1,29 @@
-"""E28 — history growth: commit frames and producer rate must stay flat.
+"""E28 — history growth: frames, producer rate and certification stay flat.
 
 Every commit records its snapshot as a constant-size descriptor (a
 frontier plus the tids visible above it), so neither the WAL frame of a
 commit nor the cost of producing it may grow with the number of earlier
-commits.  This bench builds the producer stack of perfbench's
-``audit-replay`` workload (certified SI service, 100-customer SmallBank
-mix, ``fsync_policy="none"``) and drives it with perfbench's
+commits.  The full-history monitor certifies the transitive reduction of
+the dependency graph, so neither may the edges it holds per commit or
+its certification rate.
+
+This bench builds the producer stack of perfbench's ``audit-replay``
+workload (certified SI service, 100-customer SmallBank mix,
+``fsync_policy="none"``) and drives it with perfbench's
 ``InterleavedDriver`` (16 sessions stepped round-robin) for
 ``E28_RUNS`` runs of ``E28_RATE_WINDOW`` transactions on the same
 service, then re-encodes the logged records to measure each commit's
-frame.
+frame.  It then audits the log with ``audit_log()`` and feeds the same
+records through a full (unwindowed) SI monitor, timing each run's
+worth of commits.
 
 It writes ``BENCH_history_growth.json`` with the mean frame bytes of
-the first and last 100 commits and the commit rate of the first and
-last run.  The CI gate (asserted here and re-asserted on the JSON):
-last-100 / first-100 mean frame bytes <= 1.5.
+the first and last 100 commits, the commit rate of the first and last
+run, the full monitor's retained edges per commit (a deterministic
+count) and its certification rate over the first and last 1,000
+commits.  The CI gates (asserted here and re-asserted on the JSON):
+last-100 / first-100 mean frame bytes <= 1.5, and at most 8 monitor
+edges per commit.
 
 ``perfbench`` is imported from the checkout root, so run the bench from
 there with ``python -m pytest benchmarks/bench_history_growth.py``.
@@ -23,10 +32,12 @@ there with ``python -m pytest benchmarks/bench_history_growth.py``.
 import os
 import shutil
 import tempfile
+import time
 
 from perfbench.driver import InterleavedDriver
 from perfbench.workloads import WORKLOADS, build_stack
-from repro.wal import scan
+from repro.monitor import ConsistencyMonitor
+from repro.wal import audit_log, scan
 from repro.wal.format import commit_record_to_payload, encode_frame
 
 from helpers import print_table, write_bench_json
@@ -38,6 +49,7 @@ E28_RUNS = 4
 E28_COMMITS = E28_RUNS * E28_RATE_WINDOW
 E28_WINDOW = 100  # commits per frame-size sample
 E28_MAX_FRAME_RATIO = 1.5
+E28_MAX_EDGES_PER_COMMIT = 8
 
 
 def _produce(directory):
@@ -56,6 +68,27 @@ def _produce(directory):
     return rates
 
 
+def _certify(log_scan):
+    """Feed the scanned records through a full SI monitor; returns the
+    monitor and the certification rate of each ``E28_RATE_WINDOW``
+    commits."""
+    meta = log_scan.meta
+    monitor = ConsistencyMonitor(
+        "SI", dict(meta.init), init_tid=meta.init_tid
+    )
+    records = list(log_scan)
+    rates = []
+    for start in range(0, len(records), E28_RATE_WINDOW):
+        chunk = records[start : start + E28_RATE_WINDOW]
+        started = time.perf_counter()
+        for record in chunk:
+            assert monitor.observe_commit(
+                record.tid, record.session, list(record.events)
+            ) is None
+        rates.append(len(chunk) / (time.perf_counter() - started))
+    return monitor, rates
+
+
 def _mean(values):
     return sum(values) / len(values)
 
@@ -69,9 +102,14 @@ def test_bench_history_growth():
             len(encode_frame(commit_record_to_payload(r)))
             for r in scan(directory)
         ]
+        audit = audit_log(directory)
+        monitor, cert_rates = _certify(scan(directory))
     finally:
         shutil.rmtree(work)
     assert len(frames) == E28_COMMITS
+    assert audit.consistent and audit.commits_observed == E28_COMMITS
+    assert monitor.commit_count == E28_COMMITS
+    edges_per_commit = monitor.state_size()["edges"] / E28_COMMITS
     first_bytes = _mean(frames[:E28_WINDOW])
     last_bytes = _mean(frames[-E28_WINDOW:])
     first_rate, last_rate = rates[0], rates[-1]
@@ -80,16 +118,22 @@ def test_bench_history_growth():
         f"E28 — history growth over {E28_COMMITS} commits (SI, "
         f"{E28_WORKLOAD.customers} customers, {E28_SESSIONS} round-robin "
         f"sessions)",
-        ["window", "mean frame B", "commits/s"],
+        ["window", "mean frame B", "commits/s", "certified/s"],
         [
             (f"first {E28_WINDOW} / first {E28_RATE_WINDOW}",
-             f"{first_bytes:.0f}", f"{first_rate:.0f}"),
+             f"{first_bytes:.0f}", f"{first_rate:.0f}",
+             f"{cert_rates[0]:.0f}"),
             (f"last {E28_WINDOW} / last {E28_RATE_WINDOW}",
-             f"{last_bytes:.0f}", f"{last_rate:.0f}"),
+             f"{last_bytes:.0f}", f"{last_rate:.0f}",
+             f"{cert_rates[-1]:.0f}"),
             ("last / first", f"{frame_ratio:.2f}",
-             f"{last_rate / first_rate:.2f}"),
+             f"{last_rate / first_rate:.2f}",
+             f"{cert_rates[-1] / cert_rates[0]:.2f}"),
         ],
     )
+    print(f"full monitor edges after {E28_COMMITS} commits: "
+          f"{monitor.state_size()['edges']} "
+          f"({edges_per_commit:.2f} per commit)")
     write_bench_json(
         "history_growth",
         {"commits": E28_COMMITS, "customers": E28_WORKLOAD.customers,
@@ -100,9 +144,18 @@ def test_bench_history_growth():
             "commit_rate": {"first_1000": first_rate,
                             "last_1000": last_rate,
                             "last_over_first": last_rate / first_rate},
+            "monitor_edges": {"total": monitor.state_size()["edges"],
+                              "per_commit": edges_per_commit},
+            "certify_rate": {"first_1000": cert_rates[0],
+                             "last_1000": cert_rates[-1],
+                             "last_over_first":
+                                 cert_rates[-1] / cert_rates[0]},
         },
     )
     assert frame_ratio <= E28_MAX_FRAME_RATIO, (
         f"frames grew {frame_ratio:.2f}x from the first to the last "
         f"{E28_WINDOW} commits"
+    )
+    assert edges_per_commit <= E28_MAX_EDGES_PER_COMMIT, (
+        f"the full monitor holds {edges_per_commit:.1f} edges per commit"
     )

@@ -1,8 +1,10 @@
 """Online consistency monitoring (the §7 run-time-monitoring application).
 
 :class:`ConsistencyMonitor` watches a stream of committed transactions,
-maintains the dependency graph incrementally, and flags the first commit
-whose accumulated behaviour leaves GraphSI / GraphSER / GraphPSI.
+maintains the transitive reduction of the dependency graph
+incrementally (each commit adds edges for its own reads and writes),
+and flags the first commit whose accumulated behaviour leaves GraphSI /
+GraphSER / GraphPSI.
 Certification runs on one of two back-ends selected by the ``checker``
 knob: the default ``"incremental"`` core
 (:mod:`repro.monitor.incremental`) maintains the composed relation as a

@@ -14,16 +14,28 @@ commit order, incrementally maintains the dependency graph —
   value; ambiguous duplicate values are rejected in strict mode);
 * **WW** as the observed commit order restricted to each object's writers
   (Definition 5 with CO = real commit order);
-* **RW** derived incrementally: when ``T`` overwrites a version, every
-  earlier reader of that object (found through a per-object readers
-  index) gains an anti-dependency to ``T``; when ``T`` reads a version
-  that was already overwritten, ``T`` gains anti-dependencies to the
-  overwriters —
+* **RW** derived incrementally: when ``T`` overwrites an object, the
+  readers of that object observed since its previous write gain an
+  anti-dependency to ``T``; when ``T`` reads a version that was already
+  overwritten, ``T`` gains anti-dependencies to the overwriters —
 
 and after every commit re-checks the model's graph condition
 (Theorem 9 for SI, Theorem 8 for SER, Theorem 21 for PSI).  On a
-violation it reports the offending cycle, and the monitor keeps the full
-graph so post-mortem extraction is possible.
+violation it reports the offending cycle.
+
+The graph it certifies is the dependency graph's *transitive
+reduction* along the total orders: SO and WW edges only from the
+session's and the object's previous transaction, and an RW edge into a
+writer only from the readers since the object's previous write.  Every
+omitted edge is a path of retained edges (an earlier reader's
+anti-dependency to a later overwriter is its anti-dependency to the
+first overwriter followed by WW), and a path of this shape never has
+more anti-dependencies in a row than the edge it replaces, so each
+model's condition has the same cycles on both graphs
+(``docs/ALGORITHMS.md``).  Each commit therefore adds edges for its own
+reads and writes, not for the whole history.  :meth:`dependency_edges`
+derives the full SO/WR/WW/RW relations on demand from the per-session,
+per-object writer and per-object reader indexes.
 
 Two certification back-ends are available via the ``checker`` knob:
 
@@ -46,9 +58,12 @@ transactions as graph nodes and garbage-collects everything older, so
 memory and per-commit work stay bounded under sustained service load.
 Garbage collection is *sound within the window*: eviction removes only
 nodes older than the window with their incident edges, never an edge
-between two retained transactions, so a violating cycle whose
-transactions all lie within one window is flagged at the same commit
-as without a window (``tests/monitor/test_windowed.py``).  A cycle
+between two retained transactions.  The path that stands in for an
+omitted edge runs through transactions that committed after the edge's
+source, and eviction is oldest first, so the path is retained whenever
+both ends are.  A violating cycle whose transactions all lie within one
+window is therefore flagged at the same commit as without a window
+(``tests/monitor/test_windowed.py``).  A cycle
 *spanning* more than a window is missed, so the window must exceed the
 anomaly horizon of interest (for the MVCC engines: the maximum number
 of commits overlapping any transaction's lifetime).
@@ -105,6 +120,9 @@ class Violation:
 class _TxnRecord:
     txn: Transaction
     session: str
+    # Reduced-graph edges whose older endpoint this transaction is;
+    # they leave the graph with it (eviction is oldest first).
+    edges: int = 0
 
 
 class ConsistencyMonitor:
@@ -168,13 +186,14 @@ class ConsistencyMonitor:
         self._collided: Dict[Obj, Set[Value]] = {}
         # Per object: reader tid → the version (writer tid) it read.
         self._readers: Dict[Obj, Dict[str, str]] = {}
+        # Per object: the readers observed since its newest write, the
+        # only ones whose anti-dependency into the next writer is not
+        # implied by an edge already in the graph.
+        self._fresh_readers: Dict[Obj, Dict[str, None]] = {}
         # Per object: the value of the newest committed version.
         self._latest_value: Dict[Obj, Value] = {}
-        # Dependency edges over tids.
-        self._so: Set[Tuple[str, str]] = set()
-        self._wr: Set[Tuple[str, str]] = set()
-        self._ww: Set[Tuple[str, str]] = set()
-        self._rw: Set[Tuple[str, str]] = set()
+        # Edges fed to the certifier and not yet evicted.
+        self._edge_count = 0
         self._core: Optional[IncrementalChecker] = (
             make_checker(model) if checker == "incremental" else None
         )
@@ -214,61 +233,46 @@ class ConsistencyMonitor:
         if self._core is not None:
             self._core.add_node(tid)
 
-        # This commit's new edges, each once, in discovery order.  Every
-        # edge touches ``tid``, so none can predate this commit.
+        # This commit's new edges of the transitive reduction, each
+        # once, in discovery order.  Every edge touches ``tid``, so none
+        # can predate this commit.
         new_dep: Dict[Tuple[str, str], None] = {}
         new_rw: Dict[Tuple[str, str], None] = {}
 
-        def dep_edge(kind: Set[Tuple[str, str]], a: str, b: str) -> None:
-            kind.add((a, b))
-            new_dep[(a, b)] = None
-
-        def rw_edge(a: str, b: str) -> None:
-            self._rw.add((a, b))
-            new_rw[(a, b)] = None
-
-        # SO: edges from every earlier transaction of the session.
-        earlier = self._sessions.setdefault(session, [])
-        for prev in earlier:
-            dep_edge(self._so, prev, tid)
-        earlier.append(tid)
+        # SO: an edge from the session's previous retained transaction;
+        # the earlier ones reach ``tid`` through it.
+        session_tids = self._sessions.setdefault(session, [])
+        if session_tids:
+            new_dep[(session_tids[-1], tid)] = None
+        session_tids.append(tid)
 
         # WR and RW-out: attribute external reads to writers.
         for obj in sorted(txn.external_read_objects):
             value = txn.external_read(obj)
             writer = self._attribute_read(tid, obj, value)
             self._readers.setdefault(obj, {})[tid] = writer
+            self._fresh_readers.setdefault(obj, {})[tid] = None
             if writer != tid and writer in self._records:
-                dep_edge(self._wr, writer, tid)
-            # RW out of this reader towards every later overwriter of
-            # that version.  A writer missing from the object's writer
-            # sequence was evicted: it preceded every retained writer
-            # (eviction follows commit order), so all of them — but not
-            # the initialisation writer — overwrote its version.
-            seq = self._writers.get(obj, [])
-            if writer in seq:
-                overwriters = seq[seq.index(writer) + 1 :]
-            elif writer != self.init_tid:
-                overwriters = [t for t in seq if t != self.init_tid]
-            else:
-                overwriters = []
-            for later in overwriters:
+                new_dep[(writer, tid)] = None
+            # A stale read: RW to every overwriter already committed.
+            # Later overwriters are reached through the fresh-readers
+            # list and WW.
+            for later in self._overwriters(obj, writer):
                 if later != tid:
-                    rw_edge(tid, later)
+                    new_rw[(tid, later)] = None
 
         # WW and RW-in for writes: this transaction overwrites the
-        # current last version of each object it writes.
+        # current last version of each object it writes.  Readers from
+        # before the previous write already reach that writer, and WW
+        # carries them on to ``tid``.
         superseded: List[Tuple[Obj, Value, str]] = []
         for obj in sorted(txn.written_objects):
             seq = self._writers.setdefault(obj, [])
-            for prev in seq:
-                if prev != tid and prev in self._records:
-                    dep_edge(self._ww, prev, tid)
-            # Earlier readers of obj gain RW edges to tid (the readers
-            # index makes this O(readers-of-obj), not O(total reads)).
-            for reader in self._readers.get(obj, ()):
+            if seq and seq[-1] in self._records:
+                new_dep[(seq[-1], tid)] = None
+            for reader in self._fresh_readers.pop(obj, ()):
                 if reader != tid:
-                    rw_edge(reader, tid)
+                    new_rw[(reader, tid)] = None
             seq.append(tid)
             value = txn.final_write(obj)
             table = self._value_writer.setdefault(obj, {})
@@ -282,6 +286,13 @@ class ConsistencyMonitor:
             table[value] = tid
             self._latest_value[obj] = value
 
+        # Charge each edge to its older endpoint, the one that is not
+        # ``tid``.
+        for edges in (new_dep, new_rw):
+            for a, b in edges:
+                self._records[b if a == tid else a].edges += 1
+        self._edge_count += len(new_dep) + len(new_rw)
+
         violation = self._check(tid, list(new_dep), list(new_rw))
         if violation is not None:
             self.violations.append(violation)
@@ -292,6 +303,23 @@ class ConsistencyMonitor:
                 self._evict(next(iter(self._records)))
             self._prune_evicted_set()
         return violation
+
+    def _overwriters(self, obj: Obj, version: str) -> List[str]:
+        """The retained writers of ``obj`` that overwrote ``version``.
+
+        A version missing from the object's writer sequence was evicted,
+        or is an initial version the object never had (a non-strict
+        read of an unknown value): it precedes every retained writer
+        (eviction follows commit order), so all of them — but not the
+        initialisation writer — overwrote it.
+        """
+        seq = self._writers.get(obj)
+        if not seq or seq[-1] == version:
+            return []
+        for i in range(len(seq) - 2, -1, -1):
+            if seq[i] == version:
+                return seq[i + 1 :]
+        return [t for t in seq if t != self.init_tid]
 
     def _attribute_read(self, tid: str, obj: Obj, value: Value) -> str:
         table = self._value_writer.get(obj, {})
@@ -324,16 +352,14 @@ class ConsistencyMonitor:
         session_tids.remove(old)
         if not session_tids:
             del self._sessions[record.session]
-        for edges in (self._so, self._wr, self._ww, self._rw):
-            edges.difference_update(
-                [(a, b) for a, b in edges if a == old or b == old]
-            )
+        self._edge_count -= record.edges
         for obj in record.txn.external_read_objects:
-            readers = self._readers.get(obj)
-            if readers is not None:
-                readers.pop(old, None)
-                if not readers:
-                    del self._readers[obj]
+            for index in (self._readers, self._fresh_readers):
+                readers = index.get(obj)
+                if readers is not None:
+                    readers.pop(old, None)
+                    if not readers:
+                        del index[obj]
         for obj in record.txn.written_objects:
             self._writers[obj].remove(old)
         # The versions ``old`` overwrote have now been stale for a full
@@ -395,18 +421,15 @@ class ConsistencyMonitor:
             ),
         )
 
-    def _dependency_relations(self):
-        universe = set(self._records)
-        universe.add(self.init_tid)
-        so = Relation(self._so, universe)
-        wr = Relation(self._wr, universe)
-        ww = Relation(self._ww, universe)
-        rw = Relation(self._rw, universe)
-        return so, wr, ww, rw
-
     def _check_rebuild(self, tid: str) -> Optional[Violation]:
         """Full re-derivation of the model's graph condition (oracle)."""
-        so, wr, ww, rw = self._dependency_relations()
+        universe = set(self._records)
+        universe.add(self.init_tid)
+        edges = self.dependency_edges()
+        so, wr, ww, rw = (
+            Relation(edges[kind], universe)
+            for kind in ("SO", "WR", "WW", "RW")
+        )
         deps = so.union(wr, ww)
         if self.model == "SER":
             target = deps.union(rw)
@@ -444,29 +467,62 @@ class ConsistencyMonitor:
         return len(self._records)
 
     def dependency_edges(self) -> Dict[str, Set[Tuple[str, str]]]:
-        """The accumulated dependency edges (over tids), for inspection."""
-        return {
-            "SO": set(self._so),
-            "WR": set(self._wr),
-            "WW": set(self._ww),
-            "RW": set(self._rw),
-        }
+        """The full SO/WR/WW/RW relations over the retained tids.
+
+        Derived on demand from the session, writer and reader indexes,
+        so they are the paper's relations, not the transitive reduction
+        the incremental checker certifies.
+        """
+        records = self._records
+        so: Set[Tuple[str, str]] = set()
+        for tids in self._sessions.values():
+            so.update(_chain_pairs(tids))
+        ww: Set[Tuple[str, str]] = set()
+        wr: Set[Tuple[str, str]] = set()
+        rw: Set[Tuple[str, str]] = set()
+        for obj in self._writers.keys() | self._readers.keys():
+            writers = [t for t in self._writers.get(obj, ()) if t in records]
+            ww.update(_chain_pairs(writers))
+            for reader, version in self._readers.get(obj, {}).items():
+                if version in records:
+                    wr.add((version, reader))
+                    later = writers[writers.index(version) + 1 :]
+                else:
+                    # The initial version, or one whose writer was
+                    # evicted: every retained writer overwrote it.
+                    later = writers
+                rw.update((reader, w) for w in later if w != reader)
+        return {"SO": so, "WR": wr, "WW": ww, "RW": rw}
 
     def state_size(self) -> Dict[str, int]:
-        """Rough sizes of the GC-bounded structures (for tests/benches)."""
+        """Rough sizes of the GC-bounded structures (for tests/benches).
+
+        ``edges`` counts the transitive-reduction edges fed to the
+        certifier that are still in the graph.
+        """
         return {
             "records": len(self._records),
-            "edges": sum(
-                len(s) for s in (self._so, self._wr, self._ww, self._rw)
-            ),
+            "edges": self._edge_count,
             "read_versions": sum(
                 len(readers) for readers in self._readers.values()
+            ),
+            "fresh_readers": sum(
+                len(readers) for readers in self._fresh_readers.values()
             ),
             "value_attributions": sum(
                 len(t) for t in self._value_writer.values()
             ),
             "evicted_tombstones": len(self._evicted),
         }
+
+
+def _chain_pairs(chain: Sequence[str]) -> List[Tuple[str, str]]:
+    """Every ordered pair ``(earlier, later)`` of a total order."""
+    return [
+        (earlier, later)
+        for i, earlier in enumerate(chain)
+        for later in chain[i + 1 :]
+    ]
 
 
 def _psi_witness(

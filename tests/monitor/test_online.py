@@ -90,6 +90,20 @@ class TestBasicObservation:
         assert ("t1", "t2") in edges["WR"]
 
 
+class TestReducedGraph:
+    def test_single_session_single_object_edges_stay_linear(self):
+        """Each commit adds edges for its own reads and writes only: a
+        session that rewrites one object holds O(1) edges per commit,
+        not the SO and WW closures (about 2 * 10^6 pairs each here)."""
+        commits = 2000
+        monitor = ConsistencyMonitor("SI", {"x": 0})
+        for i in range(commits):
+            assert monitor.observe_commit(
+                f"t{i}", "s", [read("x", i), write("x", i + 1)]
+            ) is None
+        assert monitor.state_size()["edges"] <= 4 * commits
+
+
 class TestAnomalyDetection:
     def test_write_skew_flagged_under_ser_only(self):
         engine = run_write_skew_engine()

@@ -152,6 +152,26 @@ class TestGarbageCollection:
         assert sizes["evicted_tombstones"] <= 10 + 5 + 5
         assert monitor.consistent
 
+    def test_reads_of_never_written_objects_stay_bounded(self):
+        """Eviction also drops a reader from the readers-since-last-
+        write lists: objects that are read but never written would
+        otherwise keep every reader they ever had."""
+        window, commits, keys = 8, 10_000, 500
+        monitor = ConsistencyMonitor(
+            "SI", {f"k{i}": 0 for i in range(keys)}, window=window
+        )
+        for i in range(commits):
+            monitor.observe_commit(
+                f"t{i}", f"s{i % 16}",
+                [read(f"k{i % keys}", 0), read(f"k{(7 * i + 3) % keys}", 0)],
+            )
+        sizes = monitor.state_size()
+        assert sizes["records"] == window
+        assert sizes["read_versions"] <= 2 * window
+        assert sizes["fresh_readers"] <= 2 * window
+        assert sizes["edges"] <= 4 * window
+        assert monitor.consistent
+
     def test_read_of_current_version_by_evicted_writer_attributes(self):
         """The frontier: a read may return a value whose writer was
         evicted long ago, as long as it is still the current version."""
@@ -205,8 +225,9 @@ class TestGarbageCollection:
         # than a WR edge to the dead node.
         v = monitor.observe_commit("r", "s-r", [read("x", 1)])
         assert v is None
-        assert ("r", "w2") in monitor._rw
-        assert all(edge[0] != "w1" for edge in monitor._wr)
+        edges = monitor.dependency_edges()
+        assert ("r", "w2") in edges["RW"]
+        assert all(edge[0] != "w1" for edge in edges["WR"])
         assert monitor.consistent
         # Once w2 ages out, the attribution goes with it.
         for i in range(8):
@@ -238,8 +259,9 @@ class TestGarbageCollection:
         # w3's version of x=1 is stale but its overwriter w4 is retained.
         v = monitor.observe_commit("r", "s3", [read("x", 1)])
         assert v is None
-        assert ("w3", "r") in monitor._wr
-        assert ("r", "w4") in monitor._rw
+        edges = monitor.dependency_edges()
+        assert ("w3", "r") in edges["WR"]
+        assert ("r", "w4") in edges["RW"]
         assert monitor.consistent
 
     def test_value_collision_expires_with_its_attribution(self):
@@ -255,7 +277,7 @@ class TestGarbageCollection:
         monitor.observe_commit("w10", "s10", [write("x", 1)])
         v = monitor.observe_commit("r", "s-r", [read("x", 1)])
         assert v is None
-        assert ("w10", "r") in monitor._wr
+        assert ("w10", "r") in monitor.dependency_edges()["WR"]
 
     @pytest.mark.parametrize("window", [2, 5])
     @pytest.mark.parametrize("seed", range(3))
