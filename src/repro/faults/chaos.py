@@ -188,13 +188,13 @@ def run_chaos(
     """
     started = time.perf_counter()
     mix = MIXES[mix_name]()
-    engine, model = build_engine(engine_key, dict(mix.initial))
+    engine, model = build_engine(engine_key, mix.initial)
     wal = WriteAheadLog(
         wal_dir,
         fsync_policy=fsync_policy,
         meta={
             "engine": engine_key,
-            "init": dict(mix.initial),
+            "init": engine.initial,
             "init_tid": engine.init_tid,
             "model": model,
         },

@@ -211,7 +211,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     total_violations = 0
     for key in engines:
         mix = MIXES[args.mix]()
-        engine, model = build_engine(key, dict(mix.initial))
+        engine, model = build_engine(key, mix.initial)
         wal = None
         try:
             if args.wal_dir:
@@ -227,7 +227,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     fsync_policy=args.fsync_policy,
                     meta={
                         "engine": key,
-                        "init": dict(mix.initial),
+                        "init": engine.initial,
                         "init_tid": engine.init_tid,
                         "model": model,
                     },

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ReproError
 from ..core.events import Obj, Op, Value
@@ -131,7 +131,11 @@ class ConsistencyMonitor:
     Args:
         model: ``"SI"`` (default), ``"SER"`` or ``"PSI"``.
         initial_values: object → initial value; an implicit initialisation
-            transaction owns these versions.
+            transaction owns these versions.  The mapping is shared,
+            not copied, and must not change afterwards: an object's
+            writer and value tables are built from it when a commit
+            first writes the object, so construction costs nothing per
+            object.
         strict_values: reject runs in which a read value cannot be
             attributed to a unique writer (the default); with ``False``
             the most recent writer of the value wins.
@@ -152,7 +156,7 @@ class ConsistencyMonitor:
     def __init__(
         self,
         model: str = "SI",
-        initial_values: Optional[Dict[Obj, Value]] = None,
+        initial_values: Optional[Mapping[Obj, Value]] = None,
         strict_values: bool = True,
         init_tid: str = "t_init",
         checker: str = "incremental",
@@ -179,10 +183,17 @@ class ConsistencyMonitor:
         # The graph's nodes, in commit order (oldest first).
         self._records: Dict[str, _TxnRecord] = {}
         self._sessions: Dict[str, List[str]] = {}
+        # The implicit initialisation transaction's writes.  The per-
+        # object tables below are built from them on an object's first
+        # write; until then the object has only its initial version.
+        self._initial: Mapping[Obj, Value] = initial_values or {}
         # Per object: the committed writer sequence and value attribution.
         self._writers: Dict[Obj, List[str]] = {}
         self._value_writer: Dict[Obj, Dict[Value, str]] = {}
-        self._attribution_count = 0
+        # Initial attributions count from the start, built or not.
+        self._attribution_count = len(self._initial)
+        # How many objects of ``_initial`` have their tables built.
+        self._built_initial = 0
         self._collided: Dict[Obj, Set[Value]] = {}
         # Per object: reader tid → the version (writer tid) it read.
         self._readers: Dict[Obj, Dict[str, str]] = {}
@@ -205,12 +216,6 @@ class ConsistencyMonitor:
         self._evicted: Set[str] = set()
         self._superseded_by: Dict[str, List[Tuple[Obj, Value, str]]] = {}
         self.violations: List[Violation] = []
-        if initial_values:
-            for obj, value in initial_values.items():
-                self._writers[obj] = [init_tid]
-                self._value_writer.setdefault(obj, {})[value] = init_tid
-                self._latest_value[obj] = value
-            self._attribution_count = len(initial_values)
 
     # ------------------------------------------------------------------
     # Observation
@@ -267,7 +272,9 @@ class ConsistencyMonitor:
         # carries them on to ``tid``.
         superseded: List[Tuple[Obj, Value, str]] = []
         for obj in sorted(txn.written_objects):
-            seq = self._writers.setdefault(obj, [])
+            seq = self._writers.get(obj)
+            if seq is None:
+                seq = self._build_tables(obj)
             if seq and seq[-1] in self._records:
                 new_dep[(seq[-1], tid)] = None
             for reader in self._fresh_readers.pop(obj, ()):
@@ -275,7 +282,7 @@ class ConsistencyMonitor:
                     new_rw[(reader, tid)] = None
             seq.append(tid)
             value = txn.final_write(obj)
-            table = self._value_writer.setdefault(obj, {})
+            table = self._value_writer[obj]
             previous = self._latest_value.get(obj, value)
             if self.window is not None and previous != value:
                 superseded.append((obj, previous, table[previous]))
@@ -304,6 +311,22 @@ class ConsistencyMonitor:
             self._prune_evicted_set()
         return violation
 
+    def _build_tables(self, obj: Obj) -> List[str]:
+        """Build ``obj``'s writer sequence and value table on its first
+        write, holding its initial version if it has one; returns the
+        writer sequence."""
+        seq: List[str] = []
+        table: Dict[Value, str] = {}
+        if obj in self._initial:
+            value = self._initial[obj]
+            seq.append(self.init_tid)
+            table[value] = self.init_tid
+            self._latest_value[obj] = value
+            self._built_initial += 1
+        self._writers[obj] = seq
+        self._value_writer[obj] = table
+        return seq
+
     def _overwriters(self, obj: Obj, version: str) -> List[str]:
         """The retained writers of ``obj`` that overwrote ``version``.
 
@@ -322,7 +345,14 @@ class ConsistencyMonitor:
         return [t for t in seq if t != self.init_tid]
 
     def _attribute_read(self, tid: str, obj: Obj, value: Value) -> str:
-        table = self._value_writer.get(obj, {})
+        table = self._value_writer.get(obj)
+        if table is None:
+            # Never written: only the initial version, if any, exists.
+            if obj in self._initial:
+                initial = self._initial[obj]
+                if value is initial or value == initial:
+                    return self.init_tid
+            table = {}
         if self.strict_values and value in self._collided.get(obj, set()):
             raise MonitorError(
                 f"{tid}: read of {obj}={value!r} is ambiguous — several "
@@ -498,7 +528,9 @@ class ConsistencyMonitor:
         """Rough sizes of the GC-bounded structures (for tests/benches).
 
         ``edges`` counts the transitive-reduction edges fed to the
-        certifier that are still in the graph.
+        certifier that are still in the graph; ``written_objects`` the
+        objects whose writer and value tables have been built (those
+        written at least once).
         """
         return {
             "records": len(self._records),
@@ -509,10 +541,13 @@ class ConsistencyMonitor:
             "fresh_readers": sum(
                 len(readers) for readers in self._fresh_readers.values()
             ),
+            # Initial attributions whose table is not built yet count
+            # too: they exist implicitly.
             "value_attributions": sum(
                 len(t) for t in self._value_writer.values()
-            ),
+            ) + len(self._initial) - self._built_initial,
             "evicted_tombstones": len(self._evicted),
+            "written_objects": len(self._writers),
         }
 
 
@@ -580,7 +615,7 @@ def watch_engine(
     """
     monitor = ConsistencyMonitor(
         model=model,
-        initial_values=dict(engine.initial),
+        initial_values=engine.initial,
         init_tid=engine.init_tid,
     )
     violations: List[Violation] = []

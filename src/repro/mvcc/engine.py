@@ -55,6 +55,7 @@ from ..core.executions import AbstractExecution
 from ..core.histories import History
 from ..core.relations import Relation
 from ..core.transactions import Transaction
+from .store import shared_initial
 
 class TxStatus(enum.Enum):
     """Lifecycle of an engine transaction."""
@@ -142,7 +143,9 @@ class BaseEngine(abc.ABC):
     transactions sequentially (the engines check this).
 
     Args:
-        initial: initial object values.
+        initial: initial object values (shared, not copied, when
+            already a read-only view — see
+            :func:`~repro.mvcc.store.shared_initial`).
         init_tid: tid of the implied initialisation transaction.
     """
 
@@ -151,7 +154,9 @@ class BaseEngine(abc.ABC):
     ):
         if not initial:
             raise StoreError("engine needs at least one initial object")
-        self.initial: Dict[Obj, Value] = dict(initial)
+        self.initial: Mapping[Obj, Value] = shared_initial(initial)
+        """The initial values, read-only; the engine's store, monitor
+        and log share this one mapping."""
         self.init_tid = init_tid
         self.stats = EngineStats()
         self.committed: List[CommitRecord] = []

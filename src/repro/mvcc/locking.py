@@ -116,7 +116,7 @@ class TwoPhaseLockingEngine(BaseEngine):
         self, initial: Mapping[Obj, Value], init_tid: str = "t_init"
     ):
         super().__init__(initial, init_tid)
-        self.store = MVStore(initial, init_writer=init_tid)
+        self.store = MVStore(self.initial, init_writer=init_tid)
         self.locks = LockTable()
         self._clock = 0
 

@@ -25,17 +25,24 @@ propagation), so long forks are reproducible deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from ..core.errors import ScheduleError, StoreError, TransactionAborted
+from ..core.errors import ScheduleError
 from ..core.events import Obj, Value
 from .engine import BaseEngine, CommitRecord, TxContext
+from .store import MVStore
 
 
 @dataclass
 class Replica:
-    """One replica: its current object state and which commits it has
+    """One replica: its object versions and which commits it has
     applied (the initialisation writes are implicit).
+
+    The replica's state is a multi-version :attr:`store` over the
+    engine's shared initial values, versioned by the replica's own
+    apply counter :attr:`clock`: the ``n``-th commit applied here is
+    installed at timestamp ``n``.  A snapshot is therefore just a
+    clock value, and taking one copies nothing.
 
     Applied commits are kept as a snapshot descriptor (see
     :class:`~repro.mvcc.engine.CommitRecord`): every commit with
@@ -45,9 +52,25 @@ class Replica:
     """
 
     name: str
-    state: Dict[Obj, Value]
+    store: MVStore
+    """The replica's versions, stamped with :attr:`clock`."""
     frontier: int = 0
     ahead: Dict[int, str] = field(default_factory=dict)
+    clock: int = 0
+    """How many commits this replica has applied."""
+
+    @property
+    def state(self) -> Dict[Obj, Value]:
+        """The replica's current object state (a copy; O(keyspace))."""
+        return self.store.snapshot_at(self.clock)
+
+    def apply(self, record: CommitRecord) -> None:
+        """Install ``record``'s writes as this replica's next version
+        and mark it applied."""
+        self.clock += 1
+        if record.writes:
+            self.store.install(record.writes, self.clock, record.tid)
+        self.mark_applied(record.commit_ts, record.tid)
 
     def mark_applied(self, commit_ts: int, tid: str) -> None:
         """Record that the commit ``tid`` at ``commit_ts`` is applied."""
@@ -85,15 +108,17 @@ class PSIEngine(BaseEngine):
 
         Replica state and the delivery queue serialise under the commit
         mutex (snapshot capture must not observe a half-applied commit);
-        the *reads* are nevertheless lock-free — they touch only the
-        private snapshot dict captured at begin.
+        the *reads* are nevertheless lock-free — a snapshot is the
+        replica's store and its apply counter at begin, and applies
+        only ever add versions above that counter.
         """
         super().__init__(initial, init_tid)
         self._session_replicas: Dict[str, str] = dict(session_replicas or {})
         self._replicas: Dict[str, Replica] = {}
         self._commit_index = 0
+        # tid -> (replica, its clock, frontier, extra) at begin.
         self._snapshots: Dict[
-            str, Tuple[Dict[Obj, Value], int, frozenset]
+            str, Tuple[Replica, int, int, frozenset]
         ] = {}
         self._writers_per_obj: Dict[Obj, List[CommitRecord]] = {}
         self._records_by_tid: Dict[str, CommitRecord] = {}
@@ -110,7 +135,9 @@ class PSIEngine(BaseEngine):
             name = self._session_replicas.get(session, f"r_{session}")
             self._session_replicas[session] = name
             if name not in self._replicas:
-                self._replicas[name] = Replica(name, dict(self.initial))
+                self._replicas[name] = Replica(
+                    name, MVStore(self.initial, init_writer=self.init_tid)
+                )
                 # A replica created after some commits must still receive
                 # them: backfill its delivery queue.
                 for tid in self._records_by_tid:
@@ -136,7 +163,8 @@ class PSIEngine(BaseEngine):
             replica = self.replica_of(session)
             ctx = TxContext(tid=tid, session=session, start_ts=-1)
             self._snapshots[ctx.tid] = (
-                dict(replica.state),
+                replica,
+                replica.clock,
                 replica.frontier,
                 frozenset(replica.ahead.values()),
             )
@@ -144,15 +172,14 @@ class PSIEngine(BaseEngine):
 
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Read from the write buffer, else from the replica snapshot
-        (lock-free: the snapshot is a private copy only this session's
-        thread dereferences)."""
+        (lock-free: one bisect at the replica clock taken at begin)."""
         ctx.ensure_active()
         if obj in ctx.write_buffer:
             return self._record_read(ctx, obj, ctx.write_buffer[obj])
-        snapshot = self._snapshots[ctx.tid][0]
-        if obj not in snapshot:
-            raise StoreError(f"unknown object {obj!r}")
-        return self._record_read(ctx, obj, snapshot[obj])
+        replica, clock = self._snapshots[ctx.tid][:2]
+        return self._record_read(
+            ctx, obj, replica.store.value_at(obj, clock)
+        )
 
     def commit(self, ctx: TxContext) -> CommitRecord:
         """Global NOCONFLICT validation, local apply, queue propagation."""
@@ -161,7 +188,7 @@ class PSIEngine(BaseEngine):
 
     def _commit_locked(self, ctx: TxContext) -> CommitRecord:
         ctx.ensure_active()
-        _, frontier, extra = self._snapshots[ctx.tid]
+        _, _, frontier, extra = self._snapshots[ctx.tid]
         for obj in sorted(ctx.write_buffer):
             # Writers are in commit order: those at or below the
             # frontier are all in the snapshot, so only the newer tail
@@ -191,7 +218,7 @@ class PSIEngine(BaseEngine):
             self._writers_per_obj.setdefault(obj, []).append(record)
         # Apply locally, queue remote deliveries.
         local = self.replica_of(ctx.session)
-        self._apply(record, local)
+        local.apply(record)
         for name in self._replicas:
             if name != local.name:
                 self._pending.add((ctx.tid, name))
@@ -207,6 +234,29 @@ class PSIEngine(BaseEngine):
             super().abort(ctx, reason)
             self._snapshots.pop(ctx.tid, None)
 
+    def vacuum(self) -> int:
+        """Discard superseded versions at every replica; returns how
+        many were dropped.
+
+        A replica's horizon is the oldest clock an active transaction
+        on it snapshotted, else its current clock, so no running
+        transaction loses a version it may still read.  The horizons
+        are taken under the commit mutex; the trimming runs outside it
+        (the store swaps trimmed chains in atomically).
+        """
+        with self.lock:
+            horizons = {
+                name: replica.clock
+                for name, replica in self._replicas.items()
+            }
+            for replica, clock, _, _ in self._snapshots.values():
+                horizons[replica.name] = min(horizons[replica.name], clock)
+            replicas = list(self._replicas.values())
+        return sum(
+            replica.store.vacuum(horizons[replica.name])
+            for replica in replicas
+        )
+
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
@@ -221,15 +271,11 @@ class PSIEngine(BaseEngine):
         for obj in record.writes:
             self._writers_per_obj.setdefault(obj, []).append(record)
         for replica in self._replicas.values():
-            self._apply(record, replica)
+            replica.apply(record)
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
-
-    def _apply(self, record: CommitRecord, replica: Replica) -> None:
-        replica.state.update(record.writes)
-        replica.mark_applied(record.commit_ts, record.tid)
 
     def deliverable(self, tid: str, replica_name: str) -> bool:
         """Whether ``tid`` can be applied at the replica now — everything
@@ -262,9 +308,7 @@ class PSIEngine(BaseEngine):
                 raise ScheduleError(
                     f"delivery of {tid} to {replica_name} violates causality"
                 )
-            self._apply(
-                self._records_by_tid[tid], self._replicas[replica_name]
-            )
+            self._replicas[replica_name].apply(self._records_by_tid[tid])
             self._pending.discard((tid, replica_name))
 
     def pending_deliveries(self) -> List[Tuple[str, str]]:
@@ -296,8 +340,7 @@ class PSIEngine(BaseEngine):
                 key=lambda d: (self._records_by_tid[d[0]].commit_ts, d[1]),
             ):
                 if self.deliverable(tid, name):
-                    self._apply(self._records_by_tid[tid],
-                                self._replicas[name])
+                    self._replicas[name].apply(self._records_by_tid[tid])
                     self._pending.discard((tid, name))
                     count += 1
             return count

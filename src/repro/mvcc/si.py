@@ -52,7 +52,7 @@ class SIEngine(BaseEngine):
         self, initial: Mapping[Obj, Value], init_tid: str = "t_init"
     ):
         super().__init__(initial, init_tid)
-        self.store = MVStore(initial, init_writer=init_tid)
+        self.store = MVStore(self.initial, init_writer=init_tid)
         self._clock = 0
         self._active_start_ts: dict = {}
 
@@ -80,10 +80,10 @@ class SIEngine(BaseEngine):
         if obj in ctx.write_buffer:
             return self._record_read(ctx, obj, ctx.write_buffer[obj])
         try:
-            version = self.store.read_at(obj, ctx.start_ts)
+            value = self.store.value_at(obj, ctx.start_ts)
         except SnapshotTooOld as exc:
             raise self._validation_failure(ctx, f"snapshot too old: {exc}")
-        return self._record_read(ctx, obj, version.value)
+        return self._record_read(ctx, obj, value)
 
     # ------------------------------------------------------------------
     # Garbage collection

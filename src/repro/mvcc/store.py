@@ -6,22 +6,32 @@ at a snapshot timestamp return the latest version no newer than the
 snapshot — exactly the "reads from a snapshot taken at start" behaviour of
 the idealised SI algorithm sketched in the paper's introduction.
 
-Initial versions are installed at timestamp 0 by a designated
+Initial versions sit at timestamp 0 and belong to a designated
 initialisation writer (default tid ``t_init``), mirroring the paper's
-special transaction writing initial values of all objects.
+special transaction writing initial values of all objects.  That
+transaction is *implicit*: the store keeps one shared, read-only
+mapping of the initial values and builds an object's version chain only
+when the object is first written, so construction costs nothing per
+object and the store's size follows the objects written, not the
+keyspace.  A read that finds no chain returns the initial value.
 
 Concurrency model.  Version chains are append-only: a committed version
 is immutable and chains only ever grow at the tail (vacuum swaps in a
 fresh chain object rather than mutating one in place).  Snapshot reads
-(:meth:`MVStore.read_at`, :meth:`MVStore.latest`,
-:meth:`MVStore.modified_since`) therefore take **no lock at all**: they
-grab the chain reference once and binary-search an immutable prefix.
-Mutations (:meth:`install`, :meth:`vacuum`) synchronise per object
-through a small array of striped locks (``hash(obj) → stripe``), so
-writers of disjoint objects never contend.  Callers must still serialise
-*timestamp allocation* (the engines do, inside their commit critical
-section): versions of one object are installed in strictly increasing
-timestamp order.
+(:meth:`MVStore.read_at`, :meth:`MVStore.value_at`,
+:meth:`MVStore.latest`, :meth:`MVStore.modified_since`) therefore take
+**no lock at all**: they grab the chain reference once and
+binary-search an immutable prefix.  Mutations (:meth:`install`,
+:meth:`vacuum`) synchronise per object through a small array of
+striped locks (``hash(obj) → stripe``), so writers of disjoint objects
+never contend.  A commit inserts an object's chain (holding the initial
+version) under the stripe lock, before it appends its version and
+before the engine publishes its timestamp, so any snapshot that can
+see the new version also finds its chain; a snapshot older than the
+commit reads the initial value whether or not it finds the chain.
+Callers must still serialise *timestamp allocation* (the engines do,
+inside their commit critical section): versions of one object are
+installed in strictly increasing timestamp order.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping
 
 from ..core.errors import SnapshotTooOld, StoreError
 from ..core.events import Obj, Value
@@ -40,6 +51,20 @@ INIT_WRITER = "t_init"
 
 DEFAULT_STRIPES = 16
 """Default number of lock stripes guarding chain mutations."""
+
+
+def shared_initial(initial: Mapping[Obj, Value]) -> Mapping[Obj, Value]:
+    """The read-only initial-value mapping an engine, its store, its
+    monitor and its log share.
+
+    A :class:`types.MappingProxyType` is taken as already shared and
+    returned as is; any other mapping is copied once behind one.  So a
+    stack built from one engine (or one decoded log) holds a single
+    copy of the initial state, however many layers read it.
+    """
+    if isinstance(initial, MappingProxyType):
+        return initial
+    return MappingProxyType(dict(initial))
 
 
 @dataclass(frozen=True)
@@ -83,7 +108,16 @@ class MVStore:
 
     Versions per object are kept sorted by commit timestamp; timestamps
     are assigned by the engines (strictly increasing), so at most one
-    version per object per timestamp exists.
+    version per object per timestamp exists.  Only written objects have
+    a version chain; every other object of ``initial`` still has just
+    its initial version.
+
+    Args:
+        initial: the initial object values — the object universe.  It
+            is shared, not copied, when it is a read-only view (see
+            :func:`shared_initial`).
+        init_writer: tid of the initialisation writer.
+        stripes: number of lock stripes guarding chain mutations.
     """
 
     def __init__(
@@ -96,16 +130,14 @@ class MVStore:
             raise StoreError("store needs at least one initial object")
         if stripes < 1:
             raise StoreError(f"need at least one lock stripe, got {stripes}")
-        # The object universe is fixed at construction, so the dict
-        # itself is never resized — lock-free readers may look chains up
-        # without synchronisation.
-        self._chains: Dict[Obj, _VersionChain] = {
-            obj: _VersionChain([Version(value, 0, init_writer)])
-            for obj, value in initial.items()
-        }
-        self._stripes = [threading.Lock() for _ in range(stripes)]
+        self.initial: Mapping[Obj, Value] = shared_initial(initial)
         self.init_writer = init_writer
-        self.initial: Dict[Obj, Value] = dict(initial)
+        # Chains of the objects written so far.  A commit inserts one
+        # under the object's stripe lock before it publishes its
+        # timestamp; lock-free readers look chains up without
+        # synchronisation (one dict lookup is atomic).
+        self._chains: Dict[Obj, _VersionChain] = {}
+        self._stripes = [threading.Lock() for _ in range(stripes)]
 
     # ------------------------------------------------------------------
     # Internal accessors
@@ -114,17 +146,38 @@ class MVStore:
     def _stripe(self, obj: Obj) -> threading.Lock:
         return self._stripes[hash(obj) % len(self._stripes)]
 
-    def _chain(self, obj: Obj) -> _VersionChain:
-        """The live chain of ``obj`` — the no-copy internal read path.
-
-        The returned chain is append-only and safe to read without a
-        lock (indices below ``len(chain.ts)`` are immutable); it must
-        never be mutated by callers.
-        """
+    def _initial_value(self, obj: Obj) -> Value:
         try:
-            return self._chains[obj]
+            return self.initial[obj]
         except KeyError:
             raise StoreError(f"unknown object {obj!r}") from None
+
+    def _initial_version(self, obj: Obj) -> Version:
+        return Version(self._initial_value(obj), 0, self.init_writer)
+
+    def _chain(self, obj: Obj) -> _VersionChain:
+        """The live chain of ``obj``, not a copy.
+
+        Builds the chain (holding the initial version) if ``obj`` has
+        none yet, so repeated calls return the same chain.  The
+        returned chain is append-only and safe to read without a lock
+        (indices below ``len(chain.ts)`` are immutable); it must never
+        be mutated by callers.
+        """
+        chain = self._chains.get(obj)
+        if chain is None:
+            with self._stripe(obj):
+                chain = self._chain_locked(obj)
+        return chain
+
+    def _chain_locked(self, obj: Obj) -> _VersionChain:
+        """The chain of ``obj``, inserted if missing (caller holds the
+        object's stripe lock)."""
+        chain = self._chains.get(obj)
+        if chain is None:
+            chain = _VersionChain([self._initial_version(obj)])
+            self._chains[obj] = chain
+        return chain
 
     # ------------------------------------------------------------------
     # Reads (lock-free)
@@ -133,12 +186,19 @@ class MVStore:
     @property
     def objects(self) -> List[Obj]:
         """All objects the store knows about (sorted)."""
-        return sorted(self._chains)
+        return sorted(self.initial)
+
+    @property
+    def chain_count(self) -> int:
+        """How many objects have a version chain (those written so far)."""
+        return len(self._chains)
 
     def versions(self, obj: Obj) -> List[Version]:
         """All committed versions of ``obj``, oldest first (a copy —
         the public, mutation-safe contract)."""
-        chain = self._chain(obj)
+        chain = self._chains.get(obj)
+        if chain is None:
+            return [self._initial_version(obj)]
         return chain.versions[: len(chain.ts)]
 
     def read_at(self, obj: Obj, snapshot_ts: int) -> Version:
@@ -151,28 +211,38 @@ class MVStore:
             SnapshotTooOld: when garbage collection discarded every
                 version old enough for the snapshot (newer versions
                 exist, so the object is known but its history is gone).
+            StoreError: for an object outside the store's universe.
         """
         if FAULTS.armed:
             FAULTS.fire("store.read", obj=obj, snapshot_ts=snapshot_ts)
-        chain = self._chain(obj)
-        ts = chain.ts
-        index = bisect_right(ts, snapshot_ts, 0, len(ts))
-        if index == 0:
-            raise SnapshotTooOld(
-                f"no version of {obj!r} at or before timestamp "
-                f"{snapshot_ts}: vacuumed (oldest retained is "
-                f"{ts[0]})"
-            )
-        return chain.versions[index - 1]
+        chain = self._chains.get(obj)
+        if chain is None:
+            return self._initial_version(obj)
+        return _version_at(chain, obj, snapshot_ts)
+
+    def value_at(self, obj: Obj, snapshot_ts: int) -> Value:
+        """The value of :meth:`read_at` — the engines' snapshot read.
+        A never-written object's read builds no :class:`Version`."""
+        if FAULTS.armed:
+            FAULTS.fire("store.read", obj=obj, snapshot_ts=snapshot_ts)
+        chain = self._chains.get(obj)
+        if chain is None:
+            return self._initial_value(obj)
+        return _version_at(chain, obj, snapshot_ts).value
 
     def latest(self, obj: Obj) -> Version:
         """The newest committed version of ``obj``."""
-        chain = self._chain(obj)
+        chain = self._chains.get(obj)
+        if chain is None:
+            return self._initial_version(obj)
         return chain.versions[len(chain.ts) - 1]
 
     def latest_commit_ts(self, obj: Obj) -> int:
         """The commit timestamp of the newest version of ``obj``."""
-        chain = self._chain(obj)
+        chain = self._chains.get(obj)
+        if chain is None:
+            self._initial_value(obj)  # unknown objects raise
+            return 0
         return chain.ts[len(chain.ts) - 1]
 
     def modified_since(self, obj: Obj, ts: int) -> bool:
@@ -185,11 +255,12 @@ class MVStore:
         return self.latest_commit_ts(obj) > ts
 
     def snapshot_at(self, snapshot_ts: int) -> Dict[Obj, Value]:
-        """The full object state visible at ``snapshot_ts`` (diagnostics)."""
-        return {
-            obj: self.read_at(obj, snapshot_ts).value
-            for obj in self._chains
-        }
+        """The full object state visible at ``snapshot_ts`` (diagnostics;
+        O(keyspace))."""
+        state = dict(self.initial)
+        for obj, chain in list(self._chains.items()):
+            state[obj] = _version_at(chain, obj, snapshot_ts).value
+        return state
 
     # ------------------------------------------------------------------
     # Mutations (striped locking)
@@ -202,13 +273,16 @@ class MVStore:
 
         Installs at distinct timestamps must be externally serialised
         (the engines call this inside their commit critical section);
-        the striped locks only order each append against a concurrent
-        :meth:`vacuum` of the same object.
+        the striped locks order each append, and the insertion of an
+        object's first chain, against a concurrent :meth:`vacuum` of
+        the same object.
         """
+        chains = self._chains
         for obj in writes:
-            if obj not in self._chains:
-                raise StoreError(f"unknown object {obj!r}")
-            if self.latest_commit_ts(obj) >= commit_ts:
+            chain = chains.get(obj)
+            if chain is None:
+                self._initial_value(obj)  # unknown objects raise
+            elif chain.ts[-1] >= commit_ts:
                 raise StoreError(
                     f"commit timestamp {commit_ts} not newer than latest "
                     f"version of {obj!r}"
@@ -220,25 +294,30 @@ class MVStore:
                     # models a descheduled writer pinning the stripe
                     # against concurrent vacuums and installs.
                     FAULTS.fire("store.install", obj=obj, writer=writer)
-                self._chains[obj].append(Version(value, commit_ts, writer))
+                chain = chains.get(obj)
+                if chain is None:
+                    chain = self._chain_locked(obj)
+                chain.append(Version(value, commit_ts, writer))
 
     def vacuum(self, horizon_ts: int) -> int:
         """Discard versions superseded at or before ``horizon_ts``.
 
-        For each object, the newest version with
+        For each written object, the newest version with
         ``commit_ts <= horizon_ts`` is retained (it is still the visible
         version for snapshots at the horizon), along with everything
         newer; older versions are discarded.  Returns the number of
-        versions dropped.
+        versions dropped.  Objects never written have nothing to drop.
 
         Safe to run concurrently with lock-free readers: the trimmed
         chain is built aside and swapped in as a whole, so a reader
         holds either the complete old chain or the complete new one —
         a racing read of a dropped version yields at worst
-        :class:`SnapshotTooOld`, never a wrong value.
+        :class:`SnapshotTooOld`, never a wrong value.  Chains that
+        concurrent commits insert meanwhile are left for the next
+        vacuum.
         """
         dropped = 0
-        for obj in self._chains:
+        for obj in list(self._chains):
             with self._stripe(obj):
                 chain = self._chains[obj]
                 published = len(chain.ts)
@@ -249,3 +328,17 @@ class MVStore:
                     )
                     dropped += cut
         return dropped
+
+
+def _version_at(chain: _VersionChain, obj: Obj, snapshot_ts: int) -> Version:
+    """The version of ``chain`` visible at ``snapshot_ts`` (one bisect
+    over its published prefix)."""
+    ts = chain.ts
+    index = bisect_right(ts, snapshot_ts, 0, len(ts))
+    if index == 0:
+        raise SnapshotTooOld(
+            f"no version of {obj!r} at or before timestamp "
+            f"{snapshot_ts}: vacuumed (oldest retained is "
+            f"{ts[0]})"
+        )
+    return chain.versions[index - 1]

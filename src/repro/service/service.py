@@ -223,7 +223,7 @@ class TransactionService:
         """
         monitor = ConsistencyMonitor(
             model=model,
-            initial_values=dict(engine.initial),
+            initial_values=engine.initial,
             init_tid=engine.init_tid,
             checker=checker,
             window=window,

@@ -131,7 +131,7 @@ def audit_log(
     chosen = model or default_model(meta)
     monitor = ConsistencyMonitor(
         model=chosen,
-        initial_values=dict(meta.init),
+        initial_values=meta.init,
         strict_values=strict_values,
         init_tid=meta.init_tid,
         checker=checker,

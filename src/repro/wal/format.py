@@ -42,6 +42,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.events import Obj, Value
@@ -161,7 +162,9 @@ class LogMeta:
     Attributes:
         engine: engine key the log was produced under (``"SI"``,
             ``"SER"``, ``"PSI"``, ``"2PL"``, or ``None`` when unknown).
-        init: initial object values (the recovered engine's seed).
+        init: initial object values (the recovered engine's seed), a
+            read-only mapping that a recovered engine, its store and an
+            audit monitor share without copying.
         init_tid: tid of the implied initialisation transaction.
         model: consistency model the producer certified against, if any.
         segment: the segment's index.
@@ -170,12 +173,62 @@ class LogMeta:
     """
 
     engine: Optional[str]
-    init: Dict[Obj, Value]
+    init: Mapping[Obj, Value]
     init_tid: str
     model: Optional[str]
     segment: int
     first_ts: int
     extra: Mapping[str, Any] = field(default_factory=dict, compare=False)
+
+
+_SEGMENT_FIELDS = ("segment", "first_ts")
+"""The meta frame fields that differ from segment to segment."""
+
+_CONTAINERS = (tuple, list, dict)
+"""The value types :func:`value_to_wire` wraps; every other value is
+its own wire form."""
+
+
+class MetaEncoder:
+    """Serialises the meta frames of one log.
+
+    The log-level description — ``engine``, ``init``, ``init_tid``,
+    ``model`` and any free-form keys — is the same in every segment, so
+    each of its fields is serialised once, here; :meth:`payload` adds
+    the per-segment fields and joins the pieces in sorted key order.
+    The bytes are those of one ``json.dumps`` of the whole document
+    with sorted keys, so a log's meta frames do not depend on how they
+    were built.
+    """
+
+    def __init__(self, meta: Mapping[str, Any]):
+        doc: Dict[str, Any] = {
+            "kind": "meta",
+            "engine": meta.get("engine"),
+            "init_tid": meta.get("init_tid", "t_init"),
+            "model": meta.get("model"),
+            "init": {
+                str(obj): (
+                    value_to_wire(value)
+                    if isinstance(value, _CONTAINERS) else value
+                )
+                for obj, value in (meta.get("init") or {}).items()
+            },
+        }
+        for key, value in meta.items():
+            if key not in doc and key not in _SEGMENT_FIELDS:
+                doc[key] = value
+        self._fields: Dict[str, bytes] = {
+            key: _dump_field(key, value) for key, value in doc.items()
+        }
+
+    def payload(self, segment: int, first_ts: int) -> bytes:
+        """The meta frame payload of segment ``segment``, whose first
+        commit is ``first_ts``."""
+        fields = dict(self._fields)
+        fields["segment"] = _dump_field("segment", segment)
+        fields["first_ts"] = _dump_field("first_ts", first_ts)
+        return b"{" + b",".join(fields[key] for key in sorted(fields)) + b"}"
 
 
 def meta_to_payload(
@@ -185,24 +238,10 @@ def meta_to_payload(
 
     ``meta`` carries the log-level description (``engine``, ``init``,
     ``init_tid``, ``model``, plus free-form keys); the per-segment
-    fields are supplied by the writer.
+    fields are supplied by the writer.  A writer of many segments
+    keeps one :class:`MetaEncoder` instead.
     """
-    doc: Dict[str, Any] = {
-        "kind": "meta",
-        "segment": segment,
-        "first_ts": first_ts,
-        "engine": meta.get("engine"),
-        "init_tid": meta.get("init_tid", "t_init"),
-        "model": meta.get("model"),
-        "init": {
-            str(obj): value_to_wire(value)
-            for obj, value in dict(meta.get("init") or {}).items()
-        },
-    }
-    for key, value in meta.items():
-        if key not in doc:
-            doc[key] = value
-    return _dump(doc)
+    return MetaEncoder(meta).payload(segment, first_ts)
 
 
 def commit_record_to_payload(record: CommitRecord) -> bytes:
@@ -223,8 +262,13 @@ def commit_record_to_payload(record: CommitRecord) -> bytes:
     })
 
 
-def _dump(doc: Dict[str, Any]) -> bytes:
+def _dump(doc: Any) -> bytes:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+
+
+def _dump_field(key: str, value: Any) -> bytes:
+    """One ``"key":value`` member of a document :func:`_dump` writes."""
+    return _dump(key) + b":" + _dump(value)
 
 
 def payload_to_doc(payload: bytes) -> Dict[str, Any]:
@@ -248,12 +292,18 @@ def meta_from_doc(doc: Mapping[str, Any]) -> LogMeta:
     if doc.get("kind") != "meta":
         raise FormatError(f"expected a meta frame, got {doc.get('kind')!r}")
     try:
+        init = doc["init"]
+        if not isinstance(init, dict):
+            raise TypeError(f"init is {type(init).__name__}, not an object")
         return LogMeta(
             engine=doc.get("engine"),
-            init={
-                obj: value_from_wire(value)
-                for obj, value in dict(doc["init"]).items()
-            },
+            init=MappingProxyType({
+                obj: (
+                    value_from_wire(value)
+                    if type(value) is dict else value
+                )
+                for obj, value in init.items()
+            }),
             init_tid=doc["init_tid"],
             model=doc.get("model"),
             segment=int(doc["segment"]),

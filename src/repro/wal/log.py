@@ -64,9 +64,9 @@ from ..faults import FAULTS
 from ..mvcc.engine import CommitRecord
 from .format import (
     SEGMENT_MAGIC,
+    MetaEncoder,
     commit_record_to_payload,
     encode_frame,
-    meta_to_payload,
     segment_index,
     segment_name,
 )
@@ -165,8 +165,11 @@ class WriteAheadLog:
             the highest existing index, so a recovered directory can be
             inspected while a fresh service logs elsewhere).
         fsync_policy: one of :data:`FSYNC_POLICIES`.
-        segment_max_bytes: rotate to a new segment once the current one
-            would exceed this (every segment keeps at least one record).
+        segment_max_bytes: rotate to a new segment once the commit
+            frames in the current one would exceed this (every segment
+            keeps at least one record).  Only commit frames count: the
+            segment's magic and meta frame are a fixed header, however
+            large the initial state makes it.
         retention_segments: keep at most this many segments, deleting
             the oldest after rotation (``None`` = keep everything).
             Recovery from a pruned log yields the surviving suffix.
@@ -209,6 +212,8 @@ class WriteAheadLog:
         self.segment_max_bytes = segment_max_bytes
         self.retention_segments = retention_segments
         self.meta: Dict[str, Any] = dict(meta or {})
+        # Every segment repeats the meta: serialise it once per log.
+        self._meta_encoder = MetaEncoder(self.meta)
         self.metrics = metrics
         self.stats = WalStats()
 
@@ -241,7 +246,7 @@ class WriteAheadLog:
         ]
         self._segment = max(existing, default=0)
         self._file = None  # type: Optional[Any]
-        self._segment_bytes = 0
+        self._segment_commit_bytes = 0  # commit frames in this segment
         self._segment_records = 0
         self._open_segment(first_ts=start_seq)
 
@@ -451,14 +456,14 @@ class WriteAheadLog:
                     FAULTS.fire("wal.write", seq=ts)
                 if (
                     self._segment_records > 0
-                    and self._segment_bytes + len(frame)
+                    and self._segment_commit_bytes + len(frame)
                     > self.segment_max_bytes
                 ):
                     self._rotate(next_ts=ts)
                 self._file.write(frame)
             except BaseException as exc:
                 raise _BatchFailure(ts, exc) from exc
-            self._segment_bytes += len(frame)
+            self._segment_commit_bytes += len(frame)
             self._segment_records += 1
             if self.fsync_policy == "always":
                 try:
@@ -502,10 +507,10 @@ class WriteAheadLog:
         path = os.path.join(self.directory, segment_name(self._segment))
         self._file = open(path, "wb")
         header = SEGMENT_MAGIC + encode_frame(
-            meta_to_payload(self.meta, self._segment, first_ts)
+            self._meta_encoder.payload(self._segment, first_ts)
         )
         self._file.write(header)
-        self._segment_bytes = len(header)
+        self._segment_commit_bytes = 0
         self._segment_records = 0
         self.stats.segments_created += 1
         self.stats.bytes_written += len(header)

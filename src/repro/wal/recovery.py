@@ -25,13 +25,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.errors import StoreError
 from ..io.json_format import FormatError
 from ..mvcc import ENGINE_MODELS, build_engine
 from ..mvcc.engine import BaseEngine, CommitRecord
 from .format import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
     SEGMENT_MAGIC,
     LogMeta,
     commit_record_from_doc,
@@ -70,6 +72,12 @@ class LogScan:
     (or during) iteration the summary attributes describe what was seen.
     Each ``iter()`` call rescans from the start.
 
+    Construction reads only the first segment's meta frame, so callers
+    can configure themselves (seed an engine or a monitor) before
+    streaming; iteration reuses that decoded meta for the first segment
+    when its frame is byte-identical, so a meta frame is decoded once
+    per segment.
+
     Attributes:
         meta: the log description (from the first readable segment
             header; ``None`` when no segment header decodes).
@@ -94,11 +102,17 @@ class LogScan:
         self.bytes_scanned = 0
         self.first_ts = 0
         self.last_ts = 0
-        # Eagerly read the first segment's meta so callers (the audit
-        # monitor, the recovery engine factory) can configure themselves
-        # before streaming.
-        for record in self._scan(stop_after_meta=True):  # pragma: no cover
-            break
+        # The first segment's name, meta payload and decoded meta.
+        self._head: Optional[Tuple[str, bytes, LogMeta]] = None
+        names = self._segments()
+        if names:
+            data = self._read_meta_frame(names)
+            found = None if data is None else self._segment_head(
+                names, 0, data
+            )
+            if found is not None:
+                self.meta = found[0]
+                self._head = (names[0], found[1][0], found[0])
 
     @property
     def truncated(self) -> bool:
@@ -112,10 +126,60 @@ class LogScan:
         )
         return names
 
-    def __iter__(self) -> Iterator[CommitRecord]:
-        return self._scan(stop_after_meta=False)
+    def _read_meta_frame(self, names: List[str]) -> Optional[bytes]:
+        """The magic and first frame of segment ``names[0]`` — only
+        as many bytes as its frame header promises — or ``None`` (with
+        the damage recorded) when the file cannot be read."""
+        head = len(SEGMENT_MAGIC) + FRAME_HEADER.size
+        try:
+            with open(os.path.join(self.directory, names[0]), "rb") as f:
+                data = f.read(head)
+                if len(data) == head:
+                    length, _ = FRAME_HEADER.unpack_from(
+                        data, len(SEGMENT_MAGIC)
+                    )
+                    if length <= MAX_FRAME_BYTES:
+                        data += f.read(length)
+        except OSError as exc:
+            self._stop(names, 0, names[0], -1, f"unreadable segment: {exc}")
+            return None
+        return data
 
-    def _scan(self, stop_after_meta: bool) -> Iterator[CommitRecord]:
+    def _segment_head(
+        self, names: List[str], position: int, data: bytes
+    ) -> Optional[Tuple[LogMeta, List[bytes], Optional[str], int]]:
+        """Check segment ``names[position]``'s magic and frames and
+        decode its meta frame.  Returns ``(meta, payloads, frame_damage,
+        damage_offset)`` as :func:`scan_frames` reports them, or
+        ``None`` with the damage recorded."""
+        name = names[position]
+        bad_magic = segment_magic_damage(data)
+        if bad_magic is not None:
+            self._stop(names, position, name, 0, bad_magic)
+            return None
+        payloads, frame_damage, damage_offset = scan_frames(
+            data, len(SEGMENT_MAGIC)
+        )
+        if not payloads:
+            self._stop(names, position, name,
+                       damage_offset if frame_damage else len(data),
+                       frame_damage or "segment has no meta frame")
+            return None
+        if (
+            self._head is not None
+            and self._head[0] == name
+            and self._head[1] == payloads[0]
+        ):
+            return self._head[2], payloads, frame_damage, damage_offset
+        try:
+            meta = meta_from_doc(payload_to_doc(payloads[0]))
+        except FormatError as exc:
+            self._stop(names, position, name, len(SEGMENT_MAGIC),
+                       f"bad meta frame: {exc}")
+            return None
+        return meta, payloads, frame_damage, damage_offset
+
+    def __iter__(self) -> Iterator[CommitRecord]:
         self.damage = []
         self.records_scanned = 0
         self.segments_scanned = 0
@@ -136,24 +200,10 @@ class LogScan:
                 return
             self.segments_scanned += 1
             self.bytes_scanned += len(data)
-            bad_magic = segment_magic_damage(data)
-            if bad_magic is not None:
-                self._stop(names, position, name, 0, bad_magic)
+            found = self._segment_head(names, position, data)
+            if found is None:
                 return
-            payloads, frame_damage, damage_offset = scan_frames(
-                data, len(SEGMENT_MAGIC)
-            )
-            if not payloads:
-                self._stop(names, position, name,
-                           damage_offset if frame_damage else len(data),
-                           frame_damage or "segment has no meta frame")
-                return
-            try:
-                meta = meta_from_doc(payload_to_doc(payloads[0]))
-            except FormatError as exc:
-                self._stop(names, position, name, len(SEGMENT_MAGIC),
-                           f"bad meta frame: {exc}")
-                return
+            meta, payloads, frame_damage, damage_offset = found
             if expected_ts is None:
                 # The first segment fixes where the log starts.
                 self.meta = meta
@@ -164,8 +214,6 @@ class LogScan:
                     f"segment expects commit #{meta.first_ts} but the "
                     f"log's next is #{expected_ts} (missing segment?)",
                 )
-                return
-            if stop_after_meta:
                 return
             for payload in payloads[1:]:
                 try:
@@ -302,7 +350,7 @@ def recover(
         key = engine_key or log_scan.meta.engine
         engine, _ = build_engine(
             key if key in ENGINE_MODELS else "SI",
-            dict(log_scan.meta.init),
+            log_scan.meta.init,
             init_tid=log_scan.meta.init_tid,
         )
     count = 0

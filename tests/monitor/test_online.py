@@ -190,3 +190,48 @@ class TestEngineCleanliness:
         Scheduler(engine, wl.sessions).run_random(seed)
         monitor, violations = watch_engine(engine, model="SER")
         assert monitor.consistent, violations
+
+
+class TestLazyTables:
+    """Per-object writer and value tables are built on an object's
+    first write, from the shared initial values."""
+
+    KEYSPACE = 100_000
+
+    def _tables(self, monitor):
+        return (len(monitor._writers) + len(monitor._value_writer)
+                + len(monitor._latest_value))
+
+    def test_large_monitor_starts_with_no_tables(self):
+        initial = {f"o{i}": 0 for i in range(self.KEYSPACE)}
+        monitor = ConsistencyMonitor("SI", initial)
+        assert self._tables(monitor) == 0
+        assert monitor._initial is initial
+        assert monitor.state_size()["value_attributions"] == self.KEYSPACE
+
+    def test_reads_build_nothing_and_writes_build_one_object(self):
+        monitor = ConsistencyMonitor("SI", {"x": 0, "y": 5})
+        monitor.observe_commit("t1", "s1", [read("x", 0), read("y", 5)])
+        assert self._tables(monitor) == 0
+        monitor.observe_commit("t2", "s2", [read("y", 5), write("y", 6)])
+        assert set(monitor._writers) == {"y"}
+        assert monitor._writers["y"] == ["t_init", "t2"]
+        assert monitor._value_writer["y"] == {5: "t_init", 6: "t2"}
+        assert monitor.state_size()["value_attributions"] == 3
+        edges = monitor.dependency_edges()
+        assert ("t1", "t2") in edges["RW"]
+        assert not edges["WR"]
+
+    def test_unwritten_object_reads_still_checked(self):
+        monitor = ConsistencyMonitor("SI", {"x": 0})
+        with pytest.raises(MonitorError):
+            monitor.observe_commit("t1", "s1", [read("x", 1)])
+        lenient = ConsistencyMonitor("SI", {"x": 0}, strict_values=False)
+        assert lenient.observe_commit("t1", "s1", [read("x", 1)]) is None
+
+    def test_certified_service_shares_the_engine_initial(self):
+        from repro.service import TransactionService
+
+        engine = SIEngine({"x": 0})
+        service = TransactionService.certified(engine)
+        assert service.monitor._initial is engine.initial

@@ -222,3 +222,54 @@ class TestLongFork:
         engine.commit(t)
         engine.deliver_all()
         assert PSI.satisfied_by(engine.abstract_execution())
+
+
+class TestReplicaStores:
+    """A replica's state is a multi-version store stamped with its own
+    apply counter, so a snapshot is a counter value, not a copy."""
+
+    def test_begin_copies_no_state(self):
+        import tracemalloc
+
+        engine = PSIEngine({f"o{i}": i for i in range(100_000)})
+        commit_write(engine, "s", "o7", -7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            t = engine.begin("s")
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # A copy of 100,000 objects takes megabytes.
+        assert grown < 64 * 1024, grown
+        assert engine.read(t, "o7") == -7
+        assert engine.read(t, "o8") == 8
+        replica = engine.replica_of("s")
+        assert replica.clock == 1 and replica.store.chain_count == 1
+
+    def test_snapshot_reads_ignore_later_applies(self, engine):
+        t = engine.begin("s1")
+        commit_write(engine, "s2", "x", 1)
+        engine.deliver_all()
+        assert engine.replica_of("s1").state == {"x": 1, "y": 0}
+        assert engine.read(t, "x") == 0
+        engine.commit(t)
+        t = engine.begin("s1")
+        assert engine.read(t, "x") == 1
+
+    def test_vacuum_spares_active_snapshots(self, engine):
+        engine.replica_of("s2")
+        for value in (1, 2):
+            commit_write(engine, "s1", "x", value)
+        engine.deliver_all()
+        pinned = engine.begin("s1")
+        commit_write(engine, "s2", "x", 3)
+        engine.deliver_all()
+        # Both replicas hold x at 0, 1, 2 and 3.  r_s1 keeps x=2 for
+        # the pinned snapshot and drops two versions; r_s2 drops three.
+        assert engine.vacuum() == 2 + 3
+        assert engine.read(pinned, "x") == 2
+        engine.commit(pinned)
+        fresh = engine.begin("s1")
+        assert engine.read(fresh, "x") == 3
+        assert engine.read(fresh, "y") == 0

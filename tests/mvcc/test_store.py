@@ -1,9 +1,12 @@
 """Unit tests for the multi-version store."""
 
+from types import MappingProxyType
+
 import pytest
 
-from repro.core.errors import StoreError
-from repro.mvcc.store import MVStore, Version
+from repro.core.errors import SnapshotTooOld, StoreError
+from repro.mvcc import PSIEngine, SIEngine, TwoPhaseLockingEngine
+from repro.mvcc.store import MVStore, Version, shared_initial
 
 
 @pytest.fixture
@@ -133,3 +136,106 @@ class TestStripes:
     def test_same_object_same_stripe(self):
         store = MVStore({"x": 0, "y": 0})
         assert store._stripe("x") is store._stripe("x")
+
+
+class TestLazyChains:
+    """The initialisation transaction is implicit: only written objects
+    get a version chain, and construction does no per-object work."""
+
+    KEYSPACE = 100_000
+
+    def test_large_store_and_engines_start_with_no_chain(self):
+        initial = {f"o{i}": i for i in range(self.KEYSPACE)}
+        assert MVStore(initial).chain_count == 0
+        for engine in (SIEngine(initial), TwoPhaseLockingEngine(initial)):
+            assert engine.store.chain_count == 0
+            assert engine.store.initial is engine.initial
+
+    def test_reads_of_unwritten_objects_build_no_chain(self, store):
+        assert store.read_at("x", 5) == Version(0, 0, "t_init")
+        assert store.value_at("y", 0) == 10
+        assert store.latest("y") == Version(10, 0, "t_init")
+        assert store.latest_commit_ts("x") == 0
+        assert not store.modified_since("x", 0)
+        assert store.versions("x") == [Version(0, 0, "t_init")]
+        assert store.chain_count == 0
+
+    def test_first_install_builds_chain_holding_initial_version(self, store):
+        store.install({"x": 5}, commit_ts=3, writer="t1")
+        assert store.chain_count == 1
+        assert store.versions("x") == [
+            Version(0, 0, "t_init"), Version(5, 3, "t1"),
+        ]
+        assert store.read_at("x", 2).value == 0
+        assert store.value_at("x", 3) == 5
+
+    @pytest.mark.parametrize("written", [False, True])
+    def test_unknown_objects_rejected(self, store, written):
+        if written:
+            store.install({"x": 1}, commit_ts=1, writer="t1")
+        for read in (store.read_at, store.value_at):
+            with pytest.raises(StoreError):
+                read("z", 0)
+        for call in (store.versions, store.latest, store.latest_commit_ts):
+            with pytest.raises(StoreError):
+                call("z")
+        with pytest.raises(StoreError):
+            store.install({"x": 2, "z": 1}, commit_ts=2, writer="t2")
+        assert store.chain_count == int(written)
+        engine = SIEngine({"x": 0})
+        ctx = engine.begin("s")
+        with pytest.raises(StoreError):
+            engine.write(ctx, "z", 1)
+
+    def test_objects_lists_written_and_unwritten(self, store):
+        store.install({"y": 11}, commit_ts=1, writer="t1")
+        assert store.objects == ["x", "y"]
+
+    def test_snapshot_at_mixes_chains_and_initial_values(self):
+        store = MVStore({"x": 0, "y": 10, "z": 20})
+        store.install({"x": 1}, commit_ts=1, writer="t1")
+        store.install({"y": 11}, commit_ts=2, writer="t2")
+        assert store.snapshot_at(0) == {"x": 0, "y": 10, "z": 20}
+        assert store.snapshot_at(1) == {"x": 1, "y": 10, "z": 20}
+        assert store.snapshot_at(2) == {"x": 1, "y": 11, "z": 20}
+
+    def test_vacuum_skips_unwritten_objects(self):
+        store = MVStore({"x": 0, "y": 10})
+        store.install({"x": 1}, commit_ts=1, writer="t1")
+        store.install({"x": 2}, commit_ts=2, writer="t2")
+        assert store.vacuum(horizon_ts=2) == 2
+        assert store.chain_count == 1
+        assert store.versions("x") == [Version(2, 2, "t2")]
+        with pytest.raises(SnapshotTooOld):
+            store.read_at("x", 1)
+        # An unwritten object keeps its initial version at every horizon.
+        assert store.read_at("y", 0).value == 10
+        assert store.value_at("y", 2) == 10
+
+    def test_chain_accessor_builds_one_chain(self, store):
+        chain = store._chain("x")
+        assert store.chain_count == 1
+        store.install({"x": 1}, commit_ts=1, writer="t1")
+        assert store._chain("x") is chain
+        assert chain.ts == [0, 1]
+
+
+class TestSharedInitial:
+    def test_read_only_view_is_shared_not_copied(self):
+        view = shared_initial({"x": 0})
+        assert isinstance(view, MappingProxyType)
+        assert shared_initial(view) is view
+        with pytest.raises(TypeError):
+            view["x"] = 1
+
+    def test_engine_copies_a_plain_dict_once(self):
+        initial = {"x": 0}
+        engine = SIEngine(initial)
+        initial["x"] = 99
+        assert engine.initial == {"x": 0}
+        assert engine.store.value_at("x", 0) == 0
+
+    def test_psi_replicas_share_the_engine_initial(self):
+        engine = PSIEngine({"x": 0, "y": 0})
+        for session in ("a", "b"):
+            assert engine.replica_of(session).store.initial is engine.initial

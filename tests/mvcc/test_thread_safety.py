@@ -13,6 +13,7 @@ invariants that would break under a lost update or a torn commit:
   replayed through the offline monitor.
 """
 
+import sys
 import threading
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro.core.errors import TransactionAborted
 from repro.monitor import watch_engine
 from repro.mvcc import ENGINE_MODELS, PSIEngine, SIEngine, build_engine
+from repro.mvcc.store import MVStore
 
 THREADS = 8
 TXNS_PER_THREAD = 25
@@ -167,3 +169,74 @@ def _latest_value(engine, obj):
         assert len(states) == 1, states
         return states.pop()
     return engine.store.latest(obj).value
+
+
+FIRST_WRITES = 2_000
+
+
+def _race_first_writes(store, racer):
+    """Install one first write per object (object ``o{ts}`` gets value
+    ``ts`` at timestamp ``ts``, publishing ``ts`` only afterwards, as
+    the engines publish their clock) while ``racer(published)`` runs in
+    three threads; returns the errors the racers collected."""
+    published = [0]
+    stop = threading.Event()
+    errors = []
+
+    def writer():
+        for ts in range(1, FIRST_WRITES + 1):
+            store.install({f"o{ts}": ts}, commit_ts=ts, writer=f"t{ts}")
+            published[0] = ts
+        stop.set()
+
+    def run_racer():
+        try:
+            while not stop.is_set():
+                racer(published[0])
+        except Exception as exc:  # noqa: BLE001 - surfaced to the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=run_racer) for _ in range(3)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-install often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+def test_first_writes_racing_lock_free_readers():
+    """Readers at a published timestamp see every object written at or
+    below it and the initial value of every other object, whether or
+    not its chain has been inserted yet."""
+    store = MVStore({f"o{i}": 0 for i in range(1, FIRST_WRITES + 1)})
+
+    def reader(snapshot_ts):
+        for i in (snapshot_ts, snapshot_ts + 1, snapshot_ts + 2):
+            if 1 <= i <= FIRST_WRITES:
+                expected = i if i <= snapshot_ts else 0
+                got = store.value_at(f"o{i}", snapshot_ts)
+                assert got == expected, (i, snapshot_ts, got)
+                assert store.read_at(f"o{i}", snapshot_ts).value == expected
+
+    assert not _race_first_writes(store, reader)
+    assert store.chain_count == FIRST_WRITES
+
+
+def test_vacuum_racing_chain_creation():
+    """A vacuum iterates a copy of the chain keys, so commits inserting
+    first chains meanwhile neither break it nor lose a version."""
+    store = MVStore({f"o{i}": 0 for i in range(1, FIRST_WRITES + 1)})
+    assert not _race_first_writes(store, store.vacuum)
+    store.vacuum(FIRST_WRITES)
+    assert store.snapshot_at(FIRST_WRITES) == {
+        f"o{i}": i for i in range(1, FIRST_WRITES + 1)
+    }

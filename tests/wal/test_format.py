@@ -1,5 +1,8 @@
 """Frame codec tests: framing, CRC, and bit-identical payload round trips."""
 
+import hashlib
+from types import MappingProxyType
+
 import pytest
 
 from repro.core.events import read as read_op, write as write_op
@@ -10,6 +13,7 @@ from repro.wal.format import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     LogMeta,
+    MetaEncoder,
     commit_record_from_doc,
     commit_record_to_payload,
     encode_frame,
@@ -186,6 +190,43 @@ class TestMetaPayloads:
         assert meta.engine is None
         assert meta.model is None
         assert meta.init_tid == "t_init"
+
+    # sha256 of meta frames as ``json.dumps(doc, sort_keys=True)`` of
+    # the whole document writes them; the per-field encoder must not
+    # change a byte of any log.
+    PINNED = [
+        (
+            {"engine": "SI", "init_tid": "t_init", "model": "SI",
+             "init": {f"{kind}{n}": 100 for n in range(1000)
+                      for kind in ("savings", "checking")}},
+            1, 1, 34876,
+            "7e8c6ecceff62bd3a5ee7425f14ec020e01b61eba14dbac352c6d6b30fd74fef",
+        ),
+        (
+            {"engine": "PSI", "init_tid": "t0", "model": None,
+             "init": {"x": (0, "a"), "y": [1, (2, 3)], "z": {"k": (1,)},
+                      "\u00e9": "\u00fc", "n": None, "f": 1.5, "b": True},
+             "note": "hi", "zeta": [1, 2], "aardvark": {"q": 1},
+             "segment": 99},
+            7, 123, 253,
+            "76f09ae3fb9eb435851c4d08e551b62e809052e3833abae2112f1e8b80c17cd9",
+        ),
+    ]
+
+    @pytest.mark.parametrize("meta, segment, first_ts, size, digest", PINNED)
+    def test_meta_frame_bytes_are_pinned(self, meta, segment, first_ts,
+                                         size, digest):
+        encoder = MetaEncoder(meta)
+        for payload in (encoder.payload(segment, first_ts),
+                        meta_to_payload(meta, segment, first_ts)):
+            assert len(payload) == size
+            assert hashlib.sha256(payload).hexdigest() == digest
+
+    def test_decoded_init_is_read_only(self):
+        meta = meta_from_doc(payload_to_doc(
+            meta_to_payload({"init": {"x": 0}}, 1, 1)
+        ))
+        assert isinstance(meta.init, MappingProxyType)
 
     def test_missing_init_rejected(self):
         doc = payload_to_doc(meta_to_payload({"init": {"x": 0}}, 1, 1))

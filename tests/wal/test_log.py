@@ -10,14 +10,17 @@ import pytest
 from repro.mvcc.engine import CommitRecord
 from repro.core.events import write as write_op
 from repro.faults import FaultPlan, FaultRule, armed
+from repro.wal.format import meta_from_doc
 from repro.wal import (
     FSYNC_POLICIES,
+    SEGMENT_MAGIC,
     WalClosed,
     WalError,
     WalPoisoned,
     WriteAheadLog,
     recover,
     scan,
+    scan_frames,
 )
 
 META = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
@@ -185,6 +188,53 @@ class TestRotationAndRetention:
         result = recover(log.directory)
         assert result.meta.engine == "SI"
         assert result.records_recovered > 0
+
+    def test_large_meta_frame_does_not_count_against_rotation(
+        self, tmp_path
+    ):
+        # The meta frame alone exceeds the bound; only commit frames
+        # count, so segments still fill up with commits instead of
+        # holding one commit each behind a re-written meta frame.
+        meta = dict(META, init={f"obj{i:04d}": i for i in range(300)})
+        with make_log(tmp_path, fsync_policy="none", meta=meta,
+                      segment_max_bytes=2000) as log:
+            for ts in range(1, 51):
+                log.append(make_record(ts))
+            log.flush()
+        per_segment = []
+        for path in log.segments():
+            with open(path, "rb") as f:
+                payloads, damage, _ = scan_frames(f.read(),
+                                                  len(SEGMENT_MAGIC))
+            assert damage is None and len(payloads[0]) > 2000
+            per_segment.append(len(payloads) - 1)
+        assert sum(per_segment) == 50
+        assert len(per_segment) <= 6, per_segment
+        assert all(n > 1 for n in per_segment[:-1]), per_segment
+        assert [r.commit_ts for r in scan(log.directory)] == list(
+            range(1, 51)
+        )
+
+    @pytest.mark.parametrize("segment_max_bytes", [600, 1 << 22])
+    def test_each_meta_frame_decoded_once(self, tmp_path, monkeypatch,
+                                          segment_max_bytes):
+        import repro.wal.recovery as recovery
+
+        with make_log(tmp_path, fsync_policy="none",
+                      segment_max_bytes=segment_max_bytes) as log:
+            for ts in range(1, 31):
+                log.append(make_record(ts))
+            log.flush()
+        decoded = []
+
+        def counting(doc):
+            decoded.append(doc["segment"])
+            return meta_from_doc(doc)
+
+        monkeypatch.setattr(recovery, "meta_from_doc", counting)
+        result = recover(log.directory)
+        assert result.records_recovered == 30
+        assert sorted(decoded) == list(range(1, len(log.segments()) + 1))
 
     def test_new_log_never_touches_existing_segments(self, tmp_path):
         with make_log(tmp_path, fsync_policy="none") as log:

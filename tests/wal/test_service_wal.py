@@ -94,6 +94,16 @@ class TestRoundTrip:
             record.tid for record in engine.committed
         }
 
+    @pytest.mark.parametrize("engine_key", ["2PL", "SER", "SI"])
+    def test_recovered_store_matches_live_snapshots(self, tmp_path,
+                                                    engine_key):
+        engine, wal, _, _ = run_with_wal(tmp_path, engine_key)
+        recovered = recover(wal.directory).engine
+        assert recovered.store.chain_count == engine.store.chain_count
+        for ts in (0, engine._clock // 2, engine._clock):
+            assert (recovered.store.snapshot_at(ts)
+                    == engine.store.snapshot_at(ts))
+
     def test_abstract_execution_reconstructs(self, tmp_path):
         engine, wal, _, _ = run_with_wal(tmp_path, "SI", workers=2, txns=5)
         recovered = recover(wal.directory).engine
