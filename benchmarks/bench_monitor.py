@@ -13,6 +13,7 @@ the sweep with ``E24_MAX_COMMITS`` (CI smoke sets a small value).
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -105,6 +106,36 @@ def test_bench_full_vs_windowed_cost(benchmark, variant, length):
     assert monitor.commit_count == length
     if variant == "windowed":
         assert monitor.retained_count == 32
+
+
+#: E18 gate: the windowed monitor's cost relative to the full one.
+E18_WINDOWED_BOUND = 1.5
+
+
+def test_windowed_cost_within_bound_of_full():
+    """E18 gate: windowing bounds memory without costing time.  On the
+    800-commit pad stream the windowed monitor (w=32) takes at most
+    1.5x the full monitor, medians of 15 interleaved runs.  Eviction
+    unhooks a commit from the object tuples recorded at observe time,
+    so it recomputes nothing."""
+    initial, events = pad_stream(800)
+    walls = {"full": [], "windowed": []}
+    for _ in range(15):
+        for variant, window in (("full", None), ("windowed", 32)):
+            monitor = ConsistencyMonitor("SI", dict(initial), window=window)
+            started = time.perf_counter()
+            feed(monitor, events)
+            walls[variant].append(time.perf_counter() - started)
+    full = statistics.median(walls["full"])
+    windowed = statistics.median(walls["windowed"])
+    print_table(
+        "E18 — full vs windowed monitor, 800 pad-stream commits",
+        ["monitor", "median wall"],
+        [("full", f"{full * 1e3:.1f} ms"),
+         ("windowed (w=32)", f"{windowed * 1e3:.1f} ms"),
+         ("ratio", f"{windowed / full:.2f}x")],
+    )
+    assert windowed <= E18_WINDOWED_BOUND * full, (windowed, full)
 
 
 def test_windowed_state_stays_flat():

@@ -39,8 +39,8 @@ E26_META = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
 def _record(ts):
     return CommitRecord(
         tid=f"t{ts}", session=f"client-{ts % E26_WORKERS}",
-        start_ts=ts - 1, commit_ts=ts,
-        events=(write_op("x", ts),), writes={"x": ts},
+        commit_ts=ts,
+        events=(write_op("x", ts),),
         snapshot=ts - 1,
     )
 

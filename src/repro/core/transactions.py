@@ -16,15 +16,50 @@ The module also implements the judgements used by the axioms:
   is the value returned by the first such read
   (:meth:`Transaction.external_read`);
 * the internal consistency axiom INT (:func:`check_internal_consistency`).
+
+The first two are a function of the operation sequence alone, its
+*footprint*, computed in one pass by :func:`footprint`.  Transactions,
+the engines' commit records and the online monitor all take them from
+there; :func:`final_writes` is its write half, for callers (log replay)
+that need nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InternalConsistencyError
 from .events import Event, Obj, Op, OpKind, Value, read, write
+
+Footprint = Tuple[Dict[Obj, Value], Dict[Obj, Value]]
+"""``(external_reads, final_writes)``: object → value maps of the
+``T ⊢ read(x, n)`` and ``T ⊢ write(x, n)`` judgements."""
+
+
+def footprint(ops: Iterable[Op]) -> Footprint:
+    """The external reads and final writes of an operation sequence.
+
+    ``external_reads[x] == n`` iff the first operation on ``x`` is
+    ``read(x, n)``; ``final_writes[x] == n`` iff the last write to ``x``
+    writes ``n``.  Each map keeps its objects in the order of their first
+    read or first write.
+    """
+    reads: Dict[Obj, Value] = {}
+    writes: Dict[Obj, Value] = {}
+    for op in ops:
+        obj = op.obj
+        if op.kind is OpKind.WRITE:
+            writes[obj] = op.value
+        elif obj not in writes and obj not in reads:
+            reads[obj] = op.value
+    return reads, writes
+
+
+def final_writes(ops: Iterable[Op]) -> Dict[Obj, Value]:
+    """The write half of :func:`footprint`, without the reads."""
+    return {op.obj: op.value for op in ops if op.kind is OpKind.WRITE}
 
 
 @dataclass(frozen=True)
@@ -74,7 +109,7 @@ class Transaction:
 
         This is the paper's ``{x | T ∈ WriteTx_x}``.
         """
-        return frozenset(e.obj for e in self.events if e.is_write)
+        return frozenset(self._footprint[1])
 
     def events_on(self, obj: Obj) -> List[Event]:
         """The events on ``obj`` in program order."""
@@ -84,17 +119,18 @@ class Transaction:
     # Judgements of §2
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _footprint(self) -> Footprint:
+        return footprint(e.op for e in self.events)
+
     def writes(self, obj: Obj) -> bool:
         """True iff the transaction writes to ``obj`` (``T ∈ WriteTx_obj``)."""
-        return obj in self.written_objects
+        return obj in self._footprint[1]
 
     def final_write(self, obj: Obj) -> Optional[Value]:
         """The value ``n`` with ``T ⊢ write(obj, n)``: the last value the
         transaction writes to ``obj``; ``None`` if it never writes ``obj``."""
-        for e in reversed(self.events):
-            if e.is_write and e.obj == obj:
-                return e.value
-        return None
+        return self._footprint[1].get(obj)
 
     def external_read(self, obj: Obj) -> Optional[Value]:
         """The value ``n`` with ``T ⊢ read(obj, n)``.
@@ -104,24 +140,16 @@ class Transaction:
         whose values are constrained externally (axiom EXT); later reads are
         governed by INT.  Returns ``None`` when undefined.
         """
-        for e in self.events:
-            if e.obj == obj:
-                return e.value if e.is_read else None
-        return None
+        return self._footprint[0].get(obj)
 
     def reads_externally(self, obj: Obj) -> bool:
         """True iff ``T ⊢ read(obj, _)`` is defined."""
-        for e in self.events:
-            if e.obj == obj:
-                return e.is_read
-        return False
+        return obj in self._footprint[0]
 
     @property
     def external_read_objects(self) -> FrozenSet[Obj]:
         """Objects ``x`` with ``T ⊢ read(x, _)`` defined."""
-        return frozenset(
-            obj for obj in self.objects if self.reads_externally(obj)
-        )
+        return frozenset(self._footprint[0])
 
     # ------------------------------------------------------------------
     # Internal consistency (axiom INT)

@@ -87,7 +87,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..core.errors import ReproError
 from ..core.events import Obj, Op, Value
 from ..core.relations import Relation
-from ..core.transactions import Transaction
+from ..core.transactions import footprint
 from ..mvcc.engine import BaseEngine
 from .incremental import IncrementalChecker, make_checker
 
@@ -118,8 +118,11 @@ class Violation:
 
 @dataclass
 class _TxnRecord:
-    txn: Transaction
     session: str
+    # The objects it reads externally and writes, sorted; eviction
+    # unhooks it from their reader and writer indexes.
+    read_objects: Tuple[Obj, ...]
+    written_objects: Tuple[Obj, ...]
     # Reduced-graph edges whose older endpoint this transaction is;
     # they leave the graph with it (eviction is oldest first).
     edges: int = 0
@@ -233,8 +236,12 @@ class ConsistencyMonitor:
         """
         if tid in self._records or tid in self._evicted:
             raise MonitorError(f"transaction {tid!r} observed twice")
-        txn = _make_transaction(tid, events)
-        self._records[tid] = _TxnRecord(txn, session)
+        reads, writes = footprint(events)
+        read_objects = tuple(sorted(reads))
+        written_objects = tuple(sorted(writes))
+        self._records[tid] = _TxnRecord(
+            session, read_objects, written_objects
+        )
         if self._core is not None:
             self._core.add_node(tid)
 
@@ -252,9 +259,8 @@ class ConsistencyMonitor:
         session_tids.append(tid)
 
         # WR and RW-out: attribute external reads to writers.
-        for obj in sorted(txn.external_read_objects):
-            value = txn.external_read(obj)
-            writer = self._attribute_read(tid, obj, value)
+        for obj in read_objects:
+            writer = self._attribute_read(tid, obj, reads[obj])
             self._readers.setdefault(obj, {})[tid] = writer
             self._fresh_readers.setdefault(obj, {})[tid] = None
             if writer != tid and writer in self._records:
@@ -271,7 +277,7 @@ class ConsistencyMonitor:
         # before the previous write already reach that writer, and WW
         # carries them on to ``tid``.
         superseded: List[Tuple[Obj, Value, str]] = []
-        for obj in sorted(txn.written_objects):
+        for obj in written_objects:
             seq = self._writers.get(obj)
             if seq is None:
                 seq = self._build_tables(obj)
@@ -281,7 +287,7 @@ class ConsistencyMonitor:
                 if reader != tid:
                     new_rw[(reader, tid)] = None
             seq.append(tid)
-            value = txn.final_write(obj)
+            value = writes[obj]
             table = self._value_writer[obj]
             previous = self._latest_value.get(obj, value)
             if self.window is not None and previous != value:
@@ -383,14 +389,14 @@ class ConsistencyMonitor:
         if not session_tids:
             del self._sessions[record.session]
         self._edge_count -= record.edges
-        for obj in record.txn.external_read_objects:
+        for obj in record.read_objects:
             for index in (self._readers, self._fresh_readers):
                 readers = index.get(obj)
                 if readers is not None:
                     readers.pop(old, None)
                     if not readers:
                         del index[obj]
-        for obj in record.txn.written_objects:
+        for obj in record.written_objects:
             self._writers[obj].remove(old)
         # The versions ``old`` overwrote have now been stale for a full
         # window: no attributable read can still return them.  Drop an
@@ -621,16 +627,8 @@ def watch_engine(
     violations: List[Violation] = []
     for record in sorted(engine.committed, key=lambda r: r.commit_ts):
         violation = monitor.observe_commit(
-            record.tid, record.session, list(record.events)
+            record.tid, record.session, record.events
         )
         if violation is not None:
             violations.append(violation)
     return monitor, violations
-
-
-def _make_transaction(tid: str, events: Sequence[Op]) -> Transaction:
-    from ..core.events import Event
-
-    return Transaction(
-        tid, tuple(Event(i, op) for i, op in enumerate(events))
-    )

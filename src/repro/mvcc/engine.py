@@ -47,6 +47,7 @@ import enum
 import re
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..core.errors import StoreError, TransactionAborted
@@ -54,7 +55,7 @@ from ..core.events import Obj, Op, Value, read as read_op, write as write_op
 from ..core.executions import AbstractExecution
 from ..core.histories import History
 from ..core.relations import Relation
-from ..core.transactions import Transaction
+from ..core.transactions import Transaction, final_writes, transaction
 from .store import shared_initial
 
 class TxStatus(enum.Enum):
@@ -106,18 +107,25 @@ class CommitRecord:
     prefixes, so their ``extra`` is empty; only a PSI replica that has
     applied commits out of commit order fills it.  The initialisation
     transaction is implicitly in every snapshot.
+
+    ``events`` is the one record of what the transaction did: its
+    writes are derived from it, not stored beside it.
     """
 
     tid: str
     session: str
-    start_ts: int
     commit_ts: int
     events: Tuple[Op, ...]
-    writes: Mapping[Obj, Value]
     snapshot: int
     """The snapshot frontier: every commit at or below it is visible."""
     extra: frozenset = frozenset()
     """Tids of the commits above the frontier that are also visible."""
+
+    @cached_property
+    def writes(self) -> Dict[Obj, Value]:
+        """The final value written to each object (``T ⊢ write(x, n)``),
+        derived from ``events`` on first use."""
+        return final_writes(self.events)
 
 
 @dataclass
@@ -310,8 +318,6 @@ class BaseEngine(abc.ABC):
 
     def initialisation(self) -> Transaction:
         """The initialisation transaction implied by the initial state."""
-        from ..core.transactions import transaction
-
         ops = [write_op(obj, self.initial[obj]) for obj in sorted(self.initial)]
         return transaction(self.init_tid, *ops)
 
@@ -333,15 +339,7 @@ class BaseEngine(abc.ABC):
         with self._reconstruction_lock:
             while len(self._converted) < len(committed):
                 rec = committed[len(self._converted)]
-                self._converted.append(
-                    Transaction(
-                        rec.tid,
-                        tuple(
-                            _indexed_event(i, op)
-                            for i, op in enumerate(rec.events)
-                        ),
-                    )
-                )
+                self._converted.append(transaction(rec.tid, *rec.events))
             return self._converted[: len(committed)]
 
     def history(self) -> History:
@@ -398,9 +396,3 @@ class BaseEngine(abc.ABC):
                     vis.add((by_tid[tid], s))
         co = Relation.total_order([init] + ordered)
         return AbstractExecution(h, Relation(vis, h.transactions), co)
-
-
-def _indexed_event(index: int, op: Op):
-    from ..core.events import Event
-
-    return Event(index, op)

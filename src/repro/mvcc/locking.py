@@ -156,10 +156,8 @@ class TwoPhaseLockingEngine(BaseEngine):
             record = CommitRecord(
                 tid=ctx.tid,
                 session=ctx.session,
-                start_ts=ctx.start_ts,
                 commit_ts=commit_ts,
                 events=tuple(ctx.events),
-                writes=dict(ctx.write_buffer),
                 # Under strict 2PL a committed transaction logically
                 # observed everything that committed before it.
                 snapshot=commit_ts - 1,

@@ -206,10 +206,8 @@ class PSIEngine(BaseEngine):
         record = CommitRecord(
             tid=ctx.tid,
             session=ctx.session,
-            start_ts=ctx.start_ts,
             commit_ts=self._commit_index,
             events=tuple(ctx.events),
-            writes=dict(ctx.write_buffer),
             snapshot=frontier,
             extra=extra,
         )

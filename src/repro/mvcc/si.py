@@ -140,10 +140,8 @@ class SIEngine(BaseEngine):
             record = CommitRecord(
                 tid=ctx.tid,
                 session=ctx.session,
-                start_ts=ctx.start_ts,
                 commit_ts=commit_ts,
                 events=tuple(ctx.events),
-                writes=dict(ctx.write_buffer),
                 snapshot=ctx.start_ts,
             )
             with self._session_lock:

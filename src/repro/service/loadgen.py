@@ -20,7 +20,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..apps import smallbank, tpcc
 from ..core.errors import (
@@ -33,6 +33,7 @@ from ..core.errors import (
 from ..wal.log import WalError
 from ..core.events import Obj, Value
 from ..mvcc.runtime import ReadOp, TxProgram, WriteOp
+from ..mvcc.store import shared_initial
 from .service import TransactionService
 
 
@@ -79,13 +80,15 @@ class WorkloadMix:
     def __init__(
         self,
         name: str,
-        initial: Dict[Obj, Value],
+        initial: Mapping[Obj, Value],
         choices: Dict[str, Tuple[int, ProgramFactory]],
     ):
         if not choices:
             raise StoreError(f"mix {name!r} has no transaction types")
         self.name = name
-        self.initial = dict(initial)
+        self.initial = shared_initial(initial)
+        """Read-only, shared with the engines built from this mix;
+        ``dict(mix.initial)`` for a mutable copy."""
         self._labels = list(choices)
         self._weights = [choices[label][0] for label in self._labels]
         self._factories = [choices[label][1] for label in self._labels]

@@ -339,7 +339,7 @@ class TransactionService:
         if FAULTS.armed:
             FAULTS.fire("monitor.observe", tid=record.tid)
         violation = self.monitor.observe_commit(
-            record.tid, record.session, list(record.events)
+            record.tid, record.session, record.events
         )
         if violation is not None:
             self.metrics.record_violation()

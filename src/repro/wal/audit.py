@@ -141,7 +141,7 @@ def audit_log(
     for record in log_scan:
         try:
             violation = monitor.observe_commit(
-                record.tid, record.session, list(record.events)
+                record.tid, record.session, record.events
             )
         except MonitorError as exc:
             result.monitor_error = str(exc)

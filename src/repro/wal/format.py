@@ -3,7 +3,7 @@
 A log is a directory of *segments* (``wal-00000001.seg``,
 ``wal-00000002.seg``, ...).  Each segment is::
 
-    SIWAL002                                  8-byte magic
+    SIWAL003                                  8-byte magic
     frame*                                    zero or more frames
 
 and each frame is::
@@ -13,22 +13,25 @@ and each frame is::
 with little-endian header fields.  The first frame of every segment
 carries a JSON **meta** payload describing the log (engine key, initial
 object values, init tid, segment index, first expected commit sequence
-number), so every segment is self-describing — retention may delete old
-segments and a surviving suffix still recovers.  Every later frame is
+number), so every segment is self-describing.  Every later frame is
 one **commit** payload: a :class:`~repro.mvcc.engine.CommitRecord`
 serialised with the type-preserving value codecs of
 :mod:`repro.io.json_format` (tuples — the service's tagged values —
-survive the round trip bit-identically).  A commit payload carries the
-record's constant-size snapshot descriptor as ``"snapshot"`` (the
-frontier) and ``"extra"`` (the tids visible above it), never the set of
-every visible tid, so frames stay the same size however long the log
-grows.
+survive the round trip bit-identically).  A commit payload carries
+exactly the record's fields: ``tid``, ``session``, ``commit_ts``, the
+op list ``events`` (the record's writes are derived from it, so no
+second copy can disagree), and the constant-size snapshot descriptor
+as ``"snapshot"`` (the frontier) and ``"extra"`` (the tids visible
+above it), never the set of every visible tid, so frames stay the
+same size however long the log grows.
 
-The magic names the format version.  ``SIWAL001`` segments (which
-listed every visible tid in each frame) are not read: the scanner
-reports such a segment as damage naming both versions rather than
-misdecode it.  Frames are input from outside the program, so
-:func:`commit_record_from_doc` validates the descriptor too.
+The magic names the format version.  Segments of an earlier version —
+``SIWAL001`` (which listed every visible tid in each frame) and
+``SIWAL002`` (which also stored a ``writes`` map and a ``start_ts``) —
+are not read: the scanner reports such a segment as damage naming both
+versions rather than misdecode it.  Frames are input from outside the
+program, so :func:`commit_record_from_doc` validates the descriptor
+too.
 
 The framing is what makes recovery torn-tail tolerant: a crash mid
 ``write`` leaves a frame whose header promises more bytes than exist or
@@ -55,7 +58,7 @@ from ..io.json_format import (
 )
 from ..mvcc.engine import CommitRecord
 
-SEGMENT_MAGIC = b"SIWAL002"
+SEGMENT_MAGIC = b"SIWAL003"
 """Leading bytes of every segment file (8 bytes, version included)."""
 
 FRAME_HEADER = struct.Struct("<II")
@@ -250,13 +253,8 @@ def commit_record_to_payload(record: CommitRecord) -> bytes:
         "kind": "commit",
         "tid": record.tid,
         "session": record.session,
-        "start_ts": record.start_ts,
         "commit_ts": record.commit_ts,
         "events": [op_to_wire(op) for op in record.events],
-        "writes": {
-            str(obj): value_to_wire(value)
-            for obj, value in record.writes.items()
-        },
         "snapshot": record.snapshot,
         "extra": sorted(record.extra),
     })
@@ -358,13 +356,8 @@ def commit_record_from_doc(doc: Mapping[str, Any]) -> CommitRecord:
         return CommitRecord(
             tid=doc["tid"],
             session=doc["session"],
-            start_ts=int(doc["start_ts"]),
             commit_ts=commit_ts,
             events=tuple(op_from_wire(op) for op in doc["events"]),
-            writes={
-                obj: value_from_wire(value)
-                for obj, value in dict(doc["writes"]).items()
-            },
             snapshot=snapshot,
             extra=frozenset(extra),
         )

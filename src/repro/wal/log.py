@@ -145,7 +145,6 @@ class WalStats:
     fsyncs: int = 0
     bytes_written: int = 0
     segments_created: int = 0
-    segments_deleted: int = 0
     records_flushed: int = 0
 
     @property
@@ -170,9 +169,6 @@ class WriteAheadLog:
             keeps at least one record).  Only commit frames count: the
             segment's magic and meta frame are a fixed header, however
             large the initial state makes it.
-        retention_segments: keep at most this many segments, deleting
-            the oldest after rotation (``None`` = keep everything).
-            Recovery from a pruned log yields the surviving suffix.
         start_seq: first commit sequence number expected (one past the
             engine's last commit at attach time; 1 for a fresh engine).
         meta: log description written into every segment header —
@@ -188,7 +184,6 @@ class WriteAheadLog:
         directory: str,
         fsync_policy: str = "group",
         segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
-        retention_segments: Optional[int] = None,
         start_seq: int = 1,
         meta: Optional[Mapping[str, Any]] = None,
         metrics: Optional[Any] = None,
@@ -202,15 +197,9 @@ class WriteAheadLog:
             raise WalError(
                 f"segment_max_bytes must be positive, got {segment_max_bytes}"
             )
-        if retention_segments is not None and retention_segments < 1:
-            raise WalError(
-                f"retention_segments must be positive, got "
-                f"{retention_segments}"
-            )
         self.directory = directory
         self.fsync_policy = fsync_policy
         self.segment_max_bytes = segment_max_bytes
-        self.retention_segments = retention_segments
         self.meta: Dict[str, Any] = dict(meta or {})
         # Every segment repeats the meta: serialise it once per log.
         self._meta_encoder = MetaEncoder(self.meta)
@@ -500,7 +489,6 @@ class WriteAheadLog:
             os.fsync(self._file.fileno())
         self._file.close()
         self._open_segment(first_ts=next_ts)
-        self._apply_retention()
 
     def _open_segment(self, first_ts: int) -> None:
         self._segment += 1
@@ -514,18 +502,6 @@ class WriteAheadLog:
         self._segment_records = 0
         self.stats.segments_created += 1
         self.stats.bytes_written += len(header)
-
-    def _apply_retention(self) -> None:
-        if self.retention_segments is None:
-            return
-        indices = sorted(
-            i for i in (
-                segment_index(name) for name in os.listdir(self.directory)
-            ) if i is not None
-        )
-        for index in indices[:-self.retention_segments]:
-            os.unlink(os.path.join(self.directory, segment_name(index)))
-            self.stats.segments_deleted += 1
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,6 +1,8 @@
 """Unit tests for transactions and the §2 judgements."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import InternalConsistencyError
 from repro.core.events import read, write
@@ -8,6 +10,8 @@ from repro.core.transactions import (
     Transaction,
     all_internally_consistent,
     check_internal_consistency,
+    final_writes,
+    footprint,
     initialisation_transaction,
     read_only,
     transaction,
@@ -133,3 +137,53 @@ class TestInternalConsistency:
         bad = transaction("b", write("x", 1), read("x", 2))
         assert all_internally_consistent([good])
         assert not all_internally_consistent([good, bad])
+
+
+# ----------------------------------------------------------------------
+# The single-pass footprint against the definitions of §2
+# ----------------------------------------------------------------------
+
+ops_strategy = st.lists(
+    st.builds(
+        lambda is_read, obj, value: (read if is_read else write)(obj, value),
+        st.booleans(),
+        st.sampled_from("xyz"),
+        st.integers(0, 3),
+    ),
+    max_size=12,
+)
+
+
+def definitional_footprint(ops):
+    """Scan each object's operations separately: the first one decides
+    an external read, the last write decides the final write."""
+    reads, writes = {}, {}
+    for obj in {op.obj for op in ops}:
+        on_obj = [op for op in ops if op.obj == obj]
+        if on_obj[0].is_read:
+            reads[obj] = on_obj[0].value
+        written = [op.value for op in on_obj if op.is_write]
+        if written:
+            writes[obj] = written[-1]
+    return reads, writes
+
+
+class TestFootprint:
+    @settings(max_examples=300, deadline=None)
+    @given(ops_strategy)
+    def test_matches_per_object_definition(self, ops):
+        assert footprint(ops) == definitional_footprint(ops)
+        assert final_writes(ops) == definitional_footprint(ops)[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops_strategy.filter(bool))
+    def test_transaction_judgements_read_the_footprint(self, ops):
+        t = transaction("t", *ops)
+        reads, writes = definitional_footprint(ops)
+        assert t.external_read_objects == frozenset(reads)
+        assert t.written_objects == frozenset(writes)
+        for obj in "xyz":
+            assert t.reads_externally(obj) == (obj in reads)
+            assert t.external_read(obj) == reads.get(obj)
+            assert t.writes(obj) == (obj in writes)
+            assert t.final_write(obj) == writes.get(obj)

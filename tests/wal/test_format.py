@@ -30,10 +30,8 @@ def make_record(ts=1, tid=None, values=(0, 1)):
     return CommitRecord(
         tid=tid or f"t{ts}",
         session="client-1",
-        start_ts=ts - 1,
         commit_ts=ts,
         events=(read_op("x", values[0]), write_op("x", values[1])),
-        writes={"x": values[1]},
         snapshot=ts - 1,
     )
 
@@ -117,9 +115,8 @@ class TestCommitPayloads:
         # The service's value tagger writes (logical, seq) tuples; JSON
         # alone would flatten them to lists.
         record = CommitRecord(
-            tid="t1", session="s", start_ts=0, commit_ts=1,
+            tid="t1", session="s", commit_ts=1,
             events=(read_op("x", (5, 2)), write_op("x", (6, 3))),
-            writes={"x": (6, 3)},
             snapshot=0,
         )
         back = commit_record_from_doc(
@@ -132,9 +129,8 @@ class TestCommitPayloads:
     def test_nested_container_values_survive(self):
         value = {"a": [1, (2, 3)], "b": (4, [5])}
         record = CommitRecord(
-            tid="t1", session="s", start_ts=0, commit_ts=1,
+            tid="t1", session="s", commit_ts=1,
             events=(write_op("x", value),),
-            writes={"x": value},
             snapshot=0,
         )
         back = commit_record_from_doc(
@@ -222,6 +218,21 @@ class TestMetaPayloads:
             assert len(payload) == size
             assert hashlib.sha256(payload).hexdigest() == digest
 
+    def test_commit_frame_bytes_are_pinned(self):
+        # A commit frame holds exactly the record's six fields; a field
+        # added back (or a changed encoding) needs a new segment magic.
+        record = CommitRecord(
+            tid="t7", session="client-2", commit_ts=7,
+            events=(read_op("x", (5, 2)), write_op("x", (6, 3)),
+                    write_op("y", 1), write_op("x", 9)),
+            snapshot=4, extra=frozenset({"t6", "t5"}),
+        )
+        frame = encode_frame(commit_record_to_payload(record))
+        assert len(frame) == 198
+        assert hashlib.sha256(frame).hexdigest() == (
+            "5d679cdbecd5e66c0df45ef3f0fb48c34dacff764e619ac7252feeab7be2b091"
+        )
+
     def test_decoded_init_is_read_only(self):
         meta = meta_from_doc(payload_to_doc(
             meta_to_payload({"init": {"x": 0}}, 1, 1)
@@ -265,8 +276,8 @@ class TestSnapshotDescriptor:
 
     def test_extra_round_trips(self):
         record = CommitRecord(
-            tid="t5", session="s", start_ts=-1, commit_ts=5,
-            events=(write_op("x", 1),), writes={"x": 1},
+            tid="t5", session="s", commit_ts=5,
+            events=(write_op("x", 1),),
             snapshot=2, extra=frozenset({"t4", "t3"}),
         )
         payload = commit_record_to_payload(record)

@@ -1,5 +1,5 @@
-"""WriteAheadLog behaviour: policies, ordering, rotation, retention,
-concurrency, and close semantics."""
+"""WriteAheadLog behaviour: policies, ordering, rotation, concurrency,
+and close semantics."""
 
 import os
 import threading
@@ -29,8 +29,8 @@ META = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
 
 def make_record(ts):
     return CommitRecord(
-        tid=f"t{ts}", session=f"client-{ts % 3}", start_ts=ts - 1,
-        commit_ts=ts, events=(write_op("x", ts),), writes={"x": ts},
+        tid=f"t{ts}", session=f"client-{ts % 3}",
+        commit_ts=ts, events=(write_op("x", ts),),
         snapshot=ts - 1,
     )
 
@@ -155,24 +155,6 @@ class TestRotationAndRetention:
         assert log.stats.segments_created == len(log.segments())
         assert [r.commit_ts for r in scan(log.directory)] == list(
             range(1, 31)
-        )
-
-    def test_retention_prunes_oldest(self, tmp_path):
-        with make_log(tmp_path, fsync_policy="none", segment_max_bytes=600,
-                      retention_segments=2) as log:
-            for ts in range(1, 31):
-                log.append(make_record(ts))
-            log.flush()
-        assert len(log.segments()) <= 2
-        assert log.stats.segments_deleted > 0
-        # The surviving suffix is still self-describing and scannable:
-        # its first segment's meta carries the first expected commit.
-        result = scan(log.directory)
-        records = list(result)
-        assert not result.truncated
-        assert records[0].commit_ts == result.meta.first_ts
-        assert [r.commit_ts for r in records] == list(
-            range(records[0].commit_ts, 31)
         )
 
     def test_every_segment_is_self_describing(self, tmp_path):
@@ -317,15 +299,13 @@ class TestValidation:
     def test_bad_sizes_rejected(self, tmp_path):
         with pytest.raises(WalError):
             make_log(tmp_path, segment_max_bytes=0)
-        with pytest.raises(WalError):
-            make_log(tmp_path, retention_segments=0)
 
     def test_unencodable_record_poisons_log(self, tmp_path):
         log = make_log(tmp_path, fsync_policy="none")
         log.append(make_record(1))
         bad = CommitRecord(
-            tid="t2", session="s", start_ts=1, commit_ts=2,
-            events=(write_op("x", object()),), writes={"x": object()},
+            tid="t2", session="s", commit_ts=2,
+            events=(write_op("x", object()),),
             snapshot=1,
         )
         with pytest.raises(WalError, match="cannot encode"):

@@ -8,6 +8,7 @@ the live run's prefix — bit-identical commit records, consistent
 engine state, damage accounted for.
 """
 
+import json
 import os
 
 import pytest
@@ -128,17 +129,52 @@ class TestCorruption:
         result = assert_prefix_recovery(directory, engine)
         assert any("magic" in d.reason for d in result.damage)
 
-    def test_previous_format_version_is_damage(self, logged_run):
-        # A segment written by the SIWAL001 format (whose frames carry a
-        # list of every visible tid) must be refused by name, never
-        # misdecoded.
+    @pytest.mark.parametrize("version", [b"SIWAL001", b"SIWAL002"])
+    def test_previous_format_version_is_damage(self, logged_run, version):
+        # A segment written by an earlier format (SIWAL001 frames list
+        # every visible tid; SIWAL002 frames also carry a writes map and
+        # a start_ts) must be refused by name, never misdecoded.
         engine, directory, segments = logged_run
         with open(segments[-1], "r+b") as f:
-            f.write(b"SIWAL001")
+            f.write(version)
         result = assert_prefix_recovery(directory, engine)
         reason = result.damage[0].reason
-        assert "SIWAL001" in reason and "SIWAL002" in reason
+        assert version.decode() in reason
+        assert SEGMENT_MAGIC.decode() in reason
         assert "magic" in reason
+
+    def test_events_decide_the_writes_a_frame_recovers(self, tmp_path):
+        # A CRC-valid frame whose ``writes`` member disagrees with its
+        # events: the events are the record, so recovery installs what
+        # they wrote, and the audit certifies the same history.
+        directory = tmp_path / "wal"
+        directory.mkdir()
+        meta = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
+                "model": "SI"}
+        writer = {
+            "kind": "commit", "tid": "t1", "session": "s1",
+            "start_ts": 0, "commit_ts": 1, "snapshot": 0, "extra": [],
+            "events": [["write", "x", 1]], "writes": {"x": 2},
+        }
+        reader = {
+            "kind": "commit", "tid": "t2", "session": "s2",
+            "start_ts": 1, "commit_ts": 2, "snapshot": 1, "extra": [],
+            "events": [["read", "x", 1]], "writes": {},
+        }
+        (directory / segment_name(1)).write_bytes(
+            SEGMENT_MAGIC
+            + encode_frame(meta_to_payload(meta, 1, first_ts=1))
+            + b"".join(
+                encode_frame(json.dumps(doc).encode())
+                for doc in (writer, reader)
+            )
+        )
+        result = recover(str(directory))
+        assert result.records_recovered == 2 and not result.truncated
+        assert result.engine.store.value_at("x", 2) == 1
+        assert result.engine.committed[0].writes == {"x": 1}
+        audit = audit_log(str(directory))
+        assert audit.commits_observed == 2 and audit.consistent
 
     def test_bad_snapshot_descriptor_is_damage(self, tmp_path):
         directory = tmp_path / "wal"
@@ -146,8 +182,8 @@ class TestCorruption:
         meta = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
                 "model": "SI"}
         good = CommitRecord(
-            tid="t1", session="s", start_ts=0, commit_ts=1,
-            events=(write_op("x", 1),), writes={"x": 1}, snapshot=0,
+            tid="t1", session="s", commit_ts=1,
+            events=(write_op("x", 1),), snapshot=0,
         )
         bad = commit_record_to_payload(good).replace(
             b'"snapshot":0', b'"snapshot":2'
@@ -197,8 +233,8 @@ class TestMissingSegments:
         # scan as a clean log starting at #2.
         def record(ts):
             return CommitRecord(
-                tid=f"t{ts}", session="s", start_ts=ts - 1, commit_ts=ts,
-                events=(write_op("x", ts),), writes={"x": ts},
+                tid=f"t{ts}", session="s", commit_ts=ts,
+                events=(write_op("x", ts),),
                 snapshot=ts - 1,
             )
 
