@@ -7,9 +7,10 @@ and flags the first commit whose accumulated behaviour leaves GraphSI /
 GraphSER / GraphPSI.
 Certification runs on one of two back-ends selected by the ``checker``
 knob: the default ``"incremental"`` core
-(:mod:`repro.monitor.incremental`) maintains the composed relation as a
-DAG under a Pearce–Kelly dynamic topological order so the common
-no-violation commit costs amortised near-constant work, while
+(:mod:`repro.monitor.incremental`) maintains a plain DAG under a
+Pearce–Kelly dynamic topological order (for SI a split graph whose
+cycles are those of ``dep ; RW?``), so the common no-violation commit
+costs amortised near-constant work, while
 ``"rebuild"`` re-derives the full condition each commit and serves as
 the differential-testing oracle.  With ``window=W`` the monitor
 garbage-collects transactions outside a sliding commit window so memory

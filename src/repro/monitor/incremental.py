@@ -4,10 +4,11 @@
 the model's graph condition from scratch after every commit — a full
 acyclicity test over the composed relation for SI/SER and a transitive
 closure for PSI, i.e. ``O(V+E)`` (resp. ``O(V·E)``) *per commit*.  This
-module replaces that with an **incremental certification core**: the
-monitor's composed relation is maintained as a DAG with a dynamic
-topological order (Pearce & Kelly, *A dynamic topological sort algorithm
-for directed acyclic graphs*, JEA 2006), updated edge-by-edge as
+module replaces that with an **incremental certification core**: a
+graph with the same cycles as the model's condition is maintained as a
+DAG with a dynamic topological order (Pearce & Kelly, *A dynamic
+topological sort algorithm for directed acyclic graphs*, JEA 2006),
+updated edge-by-edge as
 ``observe_commit`` discovers new SO/WR/WW/RW edges.  Inserting an edge
 that respects the current order is O(1); an order-violating insertion
 only reorders the *affected region* between the edge's endpoints; and an
@@ -19,15 +20,14 @@ Three checkers share the core, one per model condition:
 
 * **SER** (Theorem 8): ``SO ∪ WR ∪ WW ∪ RW`` acyclic — every dependency
   and anti-dependency edge goes straight into one dynamic DAG.
-* **SI** (Theorem 9): ``(SO ∪ WR ∪ WW) ; RW?`` acyclic — the *composed*
-  relation is maintained incrementally.  Each new dep edge ``(u, v)``
-  contributes the composed edges ``(u, v)`` (via the reflexive part of
-  ``RW?``) plus ``(u, w)`` for every RW-successor ``w`` of ``v``; each
-  new RW edge ``(v, w)`` contributes ``(u, w)`` for every dep-predecessor
-  ``u`` of ``v``.  Per-node dep-predecessor / RW-successor indexes make
-  these deltas enumerable in output-sensitive time, and composed edges
-  carry multiplicities (a pair may have several middle-node witnesses)
-  so windowed eviction can decrement exactly.
+* **SI** (Theorem 9): ``(SO ∪ WR ∪ WW) ; RW?`` acyclic — certified as
+  plain acyclicity of a *split graph*.  Each transaction ``t`` has a
+  twin node ``^t`` that is entered only by RW edges and left only by
+  copies of ``t``'s dep edges: a dep edge ``(u, v)`` inserts ``u -> v``
+  and ``^u -> v``, an RW edge ``(v, w)`` inserts ``v -> ^w``.  A cycle
+  of the split graph never takes two RW edges in a row, so it has a
+  cycle iff the composed relation does, and mapping ``^t`` back to
+  ``t`` turns it into a dependency cycle of the history.
 * **PSI** (Theorem 21): ``(SO ∪ WR ∪ WW)+ ; RW?`` irreflexive — i.e. the
   dep relation is acyclic *and* no RW edge ``(c, a)`` has a dep path
   ``a ⇒ c``.  The dep DAG's topological order prunes the reachability
@@ -52,39 +52,40 @@ therefore compare the two up to the first violation
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 Edge = Tuple[str, str]
+Node = Hashable
 
 
 class DynamicTopoOrder:
     """A DAG maintained under edge insertion with a dynamic topological
     order (the Pearce–Kelly PK algorithm).
 
-    Edges carry multiplicities: inserting an existing edge just bumps a
-    counter (no search), removing decrements, and the structural edge
-    disappears when the count hits zero.  Node and edge removal never
+    Inserting an existing edge is a no-op.  Node and edge removal never
     reorder — a topological order of a graph is a topological order of
-    every subgraph.
+    every subgraph.  Adjacency is kept in insertion-ordered dicts, so
+    searches, and the witnesses they return, do not depend on hash
+    seeds.
     """
 
     def __init__(self) -> None:
-        self._ord: Dict[str, int] = {}
+        self._ord: Dict[Node, int] = {}
         self._next_index = 0
-        self._succ: Dict[str, Dict[str, int]] = {}
-        self._pred: Dict[str, Dict[str, int]] = {}
+        self._succ: Dict[Node, Dict[Node, None]] = {}
+        self._pred: Dict[Node, Dict[Node, None]] = {}
 
     # ------------------------------------------------------------------
     # Nodes
     # ------------------------------------------------------------------
 
-    def __contains__(self, node: str) -> bool:
+    def __contains__(self, node: Node) -> bool:
         return node in self._ord
 
     def __len__(self) -> int:
         return len(self._ord)
 
-    def add_node(self, node: str) -> None:
+    def add_node(self, node: Node) -> None:
         """Register ``node`` (appended at the end of the order)."""
         if node in self._ord:
             return
@@ -93,7 +94,7 @@ class DynamicTopoOrder:
         self._succ[node] = {}
         self._pred[node] = {}
 
-    def remove_node(self, node: str) -> None:
+    def remove_node(self, node: Node) -> None:
         """Delete ``node`` and every incident edge (order stays valid)."""
         if node not in self._ord:
             return
@@ -103,7 +104,7 @@ class DynamicTopoOrder:
             del self._succ[other][node]
         del self._ord[node]
 
-    def order_index(self, node: str) -> int:
+    def order_index(self, node: Node) -> int:
         """The node's current position in the maintained order."""
         return self._ord[node]
 
@@ -111,29 +112,23 @@ class DynamicTopoOrder:
     # Edges
     # ------------------------------------------------------------------
 
-    def edge_count(self, a: str, b: str) -> int:
-        """The multiplicity of edge ``a -> b`` (0 when absent)."""
-        return self._succ.get(a, {}).get(b, 0)
-
-    def edges(self) -> Iterable[Edge]:
-        """Every structural edge (ignoring multiplicity)."""
+    def edges(self) -> Iterable[Tuple[Node, Node]]:
+        """Every edge, in insertion order per source node."""
         for a, targets in self._succ.items():
             for b in targets:
                 yield (a, b)
 
-    def add_edge(self, a: str, b: str) -> Optional[List[str]]:
+    def add_edge(self, a: Node, b: Node) -> Optional[List[Node]]:
         """Insert ``a -> b``; both nodes must be registered.
 
-        Returns ``None`` on success.  If the edge would close a cycle it
-        is **not** inserted and the witness cycle ``[a, b, ..., a]`` is
-        returned instead.
+        Returns ``None`` on success or if the edge is already present.
+        If the edge would close a cycle it is **not** inserted and the
+        witness cycle ``[a, b, ..., a]`` is returned instead.
         """
         if a == b:
             return [a, a]
         succ_a = self._succ[a]
-        if b in succ_a:  # structural edge exists: no search needed
-            succ_a[b] += 1
-            self._pred[b][a] += 1
+        if b in succ_a:
             return None
         lower, upper = self._ord[b], self._ord[a]
         if lower < upper:
@@ -144,28 +139,22 @@ class DynamicTopoOrder:
                 return [a] + cycle_tail
             backward = self._discover_backward(a, lower)
             self._reorder(backward, forward)
-        succ_a[b] = 1
-        self._pred[b][a] = 1
+        succ_a[b] = None
+        self._pred[b][a] = None
         return None
 
-    def remove_edge(self, a: str, b: str) -> None:
-        """Decrement ``a -> b``; drops the structural edge at zero."""
-        succ_a = self._succ[a]
-        count = succ_a[b] - 1
-        if count:
-            succ_a[b] = count
-            self._pred[b][a] = count
-        else:
-            del succ_a[b]
-            del self._pred[b][a]
+    def remove_edge(self, a: Node, b: Node) -> None:
+        """Delete the edge ``a -> b`` (order stays valid)."""
+        del self._succ[a][b]
+        del self._pred[b][a]
 
     # ------------------------------------------------------------------
     # PK discovery and reordering
     # ------------------------------------------------------------------
 
     def _discover_forward(
-        self, start: str, upper: int
-    ) -> Tuple[List[str], Optional[List[str]]]:
+        self, start: Node, upper: int
+    ) -> Tuple[List[Node], Optional[List[Node]]]:
         """DFS from ``start`` over nodes ordered strictly below ``upper``.
 
         Returns ``(visited, cycle_tail)`` where ``cycle_tail`` is the
@@ -173,8 +162,8 @@ class DynamicTopoOrder:
         if it is reachable (the cycle case), else ``None``.
         """
         ord_ = self._ord
-        parent: Dict[str, Optional[str]] = {start: None}
-        visited: List[str] = []
+        parent: Dict[Node, Optional[Node]] = {start: None}
+        visited: List[Node] = []
         stack = [start]
         while stack:
             node = stack.pop()
@@ -196,11 +185,11 @@ class DynamicTopoOrder:
                     stack.append(nxt)
         return visited, None
 
-    def _discover_backward(self, start: str, lower: int) -> List[str]:
+    def _discover_backward(self, start: Node, lower: int) -> List[Node]:
         """DFS over predecessors of ``start`` ordered above ``lower``."""
         ord_ = self._ord
-        seen: Set[str] = {start}
-        visited: List[str] = []
+        seen: Set[Node] = {start}
+        visited: List[Node] = []
         stack = [start]
         while stack:
             node = stack.pop()
@@ -211,7 +200,7 @@ class DynamicTopoOrder:
                     stack.append(nxt)
         return visited
 
-    def _reorder(self, backward: List[str], forward: List[str]) -> None:
+    def _reorder(self, backward: List[Node], forward: List[Node]) -> None:
         """Reassign the affected region's indices: everything that must
         precede the edge's source, then everything reachable from its
         target, each group keeping its internal relative order."""
@@ -226,7 +215,7 @@ class DynamicTopoOrder:
     # Reachability (order-pruned)
     # ------------------------------------------------------------------
 
-    def find_path(self, a: str, b: str) -> Optional[List[str]]:
+    def find_path(self, a: Node, b: Node) -> Optional[List[Node]]:
         """A path ``[a, ..., b]`` if one exists, else ``None``.
 
         The search only expands nodes ordered at or below ``b`` — on a
@@ -239,7 +228,7 @@ class DynamicTopoOrder:
         bound = self._ord[b]
         if self._ord[a] > bound:
             return None
-        parent: Dict[str, Optional[str]] = {a: None}
+        parent: Dict[Node, Optional[Node]] = {a: None}
         stack = [a]
         while stack:
             node = stack.pop()
@@ -264,13 +253,10 @@ class IncrementalChecker:
     The monitor feeds each commit's *new* dependency (``SO ∪ WR ∪ WW``)
     and anti-dependency (``RW``) edges through :meth:`observe`, each
     edge once; the checker returns the first witness cycle the deltas
-    close, or ``None``.  A cycle-closing edge is dropped (with all of
-    its already applied composed deltas rolled back) so the maintained
-    structure stays acyclic and certification continues.
+    close, or ``None``.  An edge that would close a cycle of the
+    maintained DAG is not inserted, so the DAG stays acyclic and
+    certification continues.
     """
-
-    #: Human-readable name of the maintained target relation.
-    target = "dependency graph"
 
     def add_node(self, tid: str) -> None:
         raise NotImplementedError
@@ -304,8 +290,6 @@ class SerIncrementalChecker(IncrementalChecker):
     """SER (Theorem 8): ``SO ∪ WR ∪ WW ∪ RW`` acyclic — one dynamic DAG
     holds every edge directly."""
 
-    target = "SO ∪ WR ∪ WW ∪ RW"
-
     def __init__(self) -> None:
         self._dag = DynamicTopoOrder()
 
@@ -321,89 +305,67 @@ class SerIncrementalChecker(IncrementalChecker):
     _insert_rw = _insert_dep
 
 
+class _Twin:
+    """The split-graph node ``^t`` of transaction ``t``.  It compares by
+    identity, so it never equals a tid."""
+
+    __slots__ = ("tid",)
+
+    def __init__(self, tid: str) -> None:
+        self.tid = tid
+
+
 class SiIncrementalChecker(IncrementalChecker):
-    """SI (Theorem 9): ``(SO ∪ WR ∪ WW) ; RW?`` acyclic.
+    """SI (Theorem 9): ``(SO ∪ WR ∪ WW) ; RW?`` acyclic, certified as
+    acyclicity of a split graph.
 
-    The composed relation is maintained in the dynamic DAG; per-node
-    dep-predecessor and RW-successor indexes translate each new dep/RW
-    edge into its composed-edge deltas.  Composed multiplicities count
-    middle-node witnesses so node eviction can decrement exactly; an
-    edge already in the indexes is skipped so no witness counts twice.
+    Each transaction ``t`` has a twin ``^t``, entered only by RW edges
+    and left only by copies of ``t``'s dep edges: a dep edge ``(u, v)``
+    inserts ``u -> v`` and ``^u -> v``, an RW edge ``(v, w)`` inserts
+    ``v -> ^w``.  A cycle never takes two RW edges in a row, so the
+    split graph is acyclic iff the composed relation is; witnesses map
+    ``^t`` back to ``t``.
     """
-
-    target = "(SO ∪ WR ∪ WW) ; RW?"
 
     def __init__(self) -> None:
         self._dag = DynamicTopoOrder()
-        self._dep_pred: Dict[str, Set[str]] = {}
-        self._dep_succ: Dict[str, Set[str]] = {}
-        self._rw_pred: Dict[str, Set[str]] = {}
-        self._rw_succ: Dict[str, Set[str]] = {}
+        self._twin: Dict[str, _Twin] = {}
 
     def add_node(self, tid: str) -> None:
-        if tid in self._dag:
+        if tid in self._twin:
             return
+        twin = self._twin[tid] = _Twin(tid)
         self._dag.add_node(tid)
-        self._dep_pred[tid] = set()
-        self._dep_succ[tid] = set()
-        self._rw_pred[tid] = set()
-        self._rw_succ[tid] = set()
+        self._dag.add_node(twin)
 
     def remove_node(self, tid: str) -> None:
-        if tid not in self._dag:
+        twin = self._twin.pop(tid, None)
+        if twin is None:
             return
-        # Composed edges with `tid` as the *middle* node (u -dep-> tid
-        # -RW-> w) are not incident to it in the DAG: decrement each
-        # witness explicitly, then drop everything incident wholesale.
-        for u in self._dep_pred[tid]:
-            for w in self._rw_succ[tid]:
-                if u != tid and w != tid:
-                    self._dag.remove_edge(u, w)
         self._dag.remove_node(tid)
-        for u in self._dep_pred.pop(tid):
-            self._dep_succ[u].discard(tid)
-        for w in self._dep_succ.pop(tid):
-            self._dep_pred[w].discard(tid)
-        for u in self._rw_pred.pop(tid):
-            self._rw_succ[u].discard(tid)
-        for w in self._rw_succ.pop(tid):
-            self._rw_pred[w].discard(tid)
-
-    def _apply(self, deltas: List[Edge]) -> Optional[List[str]]:
-        """Insert composed deltas atomically: on a cycle, roll back the
-        already-applied ones so multiplicities stay witness-exact."""
-        applied: List[Edge] = []
-        for u, w in deltas:
-            cycle = self._dag.add_edge(u, w)
-            if cycle is not None:
-                for edge in applied:
-                    self._dag.remove_edge(*edge)
-                return cycle
-            applied.append((u, w))
-        return None
+        self._dag.remove_node(twin)
 
     def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
         u, v = edge
-        if v in self._dep_succ[u]:
-            return None
-        deltas: List[Edge] = [(u, v)]
-        deltas.extend((u, w) for w in self._rw_succ[v])
-        cycle = self._apply(deltas)
+        cycle = self._dag.add_edge(u, v)
         if cycle is None:
-            self._dep_succ[u].add(v)
-            self._dep_pred[v].add(u)
-        return cycle
+            cycle = self._dag.add_edge(self._twin[u], v)
+            if cycle is not None:
+                # The two edges come and go together, so ``u -> v`` was
+                # new: take it back out.
+                self._dag.remove_edge(u, v)
+        return _untwin(cycle)
 
     def _insert_rw(self, edge: Edge) -> Optional[List[str]]:
         v, w = edge
-        if w in self._rw_succ[v]:
-            return None
-        deltas = [(u, w) for u in self._dep_pred[v]]
-        cycle = self._apply(deltas)
-        if cycle is None:
-            self._rw_succ[v].add(w)
-            self._rw_pred[w].add(v)
-        return cycle
+        return _untwin(self._dag.add_edge(v, self._twin[w]))
+
+
+def _untwin(cycle: Optional[List[Node]]) -> Optional[List[str]]:
+    """A split-graph cycle as the dependency cycle it stands for."""
+    if cycle is None:
+        return None
+    return [node.tid if type(node) is _Twin else node for node in cycle]
 
 
 class PsiIncrementalChecker(IncrementalChecker):
@@ -415,8 +377,6 @@ class PsiIncrementalChecker(IncrementalChecker):
     insertion) and prunes the reachability queries of the second; no
     transitive closure is ever built.
     """
-
-    target = "(SO ∪ WR ∪ WW)+ ; RW?"
 
     def __init__(self) -> None:
         self._dag = DynamicTopoOrder()

@@ -39,9 +39,10 @@ per-object writer and per-object reader indexes.
 
 Two certification back-ends are available via the ``checker`` knob:
 
-* ``"incremental"`` (the default) maintains the model's composed
-  relation as a DAG under a dynamic topological order
-  (:mod:`repro.monitor.incremental`), so each commit costs work
+* ``"incremental"`` (the default) maintains a plain graph with the
+  model's cycles — for SI a split graph in which no cycle takes two
+  anti-dependencies in a row — as a DAG under a dynamic topological
+  order (:mod:`repro.monitor.incremental`), so each commit costs work
   proportional to its own edge deltas' affected region — near-amortised
   constant in the common no-violation case.  A cycle-closing edge is
   reported and dropped, so certification continues on the still-acyclic
@@ -469,19 +470,20 @@ class ConsistencyMonitor:
         deps = so.union(wr, ww)
         if self.model == "SER":
             target = deps.union(rw)
-            bad = not target.is_acyclic()
+            if target.is_acyclic():
+                return None
+            cycle = target.find_cycle() or []
         elif self.model == "SI":
             target = deps.compose(rw.reflexive())
-            bad = not target.is_acyclic()
+            if target.is_acyclic():
+                return None
+            cycle = _si_witness(deps, rw, target.find_cycle() or [])
         else:  # PSI
             closure = deps.transitive_closure()
-            target = closure.compose(rw.reflexive())
-            bad = not target.is_irreflexive()
-            if bad:
-                return self._violation(tid, _psi_witness(deps, rw, closure))
-        if not bad:
-            return None
-        return self._violation(tid, target.find_cycle() or [])
+            if closure.compose(rw.reflexive()).is_irreflexive():
+                return None
+            cycle = _psi_witness(deps, rw, closure)
+        return self._violation(tid, cycle)
 
     # ------------------------------------------------------------------
     # Post-mortem views
@@ -564,6 +566,28 @@ def _chain_pairs(chain: Sequence[str]) -> List[Tuple[str, str]]:
         for i, earlier in enumerate(chain)
         for later in chain[i + 1 :]
     ]
+
+
+def _si_witness(
+    deps: Relation, rw: Relation, cycle: Sequence[str]
+) -> List[str]:
+    """A cycle of ``deps ; rw?`` as the dependency cycle it stands for.
+
+    Each composed pair ``(u, w)`` that is not a dependency becomes
+    ``u -> v -> w`` through a middle ``v`` with ``deps(u, v)`` and
+    ``rw(v, w)``, so a lost update reads ``[t1, t2, t1]``, not
+    ``[t1, t1]``.
+    """
+    if not cycle:
+        return []
+    succ = deps.successors_map()
+    pred = rw.predecessors_map()
+    witness = [cycle[0]]
+    for u, w in zip(cycle, cycle[1:]):
+        if (u, w) not in deps:
+            witness.append(min(succ[u] & pred[w]))
+        witness.append(w)
+    return witness
 
 
 def _psi_witness(

@@ -110,7 +110,7 @@ def run_to_first_violation(monitor, stream):
 def assert_parity(stream, model, initial, init_tid="t_init", window=None):
     """Both back-ends produce identical verdicts and commit points."""
 
-    def monitor_for(checker):
+    def monitor_for(checker, window=window):
         return ConsistencyMonitor(
             model,
             dict(initial),
@@ -129,10 +129,18 @@ def assert_parity(stream, model, initial, init_tid="t_init", window=None):
     assert (inc_violation is None) == (reb_violation is None)
     if inc_violation is not None:
         assert inc_violation.tid == reb_violation.tid
-        # Both witnesses are genuine cycles.
+        # Both witnesses are genuine cycles of the history's dependency
+        # graph.  Its edges come from an unwindowed monitor: a windowed
+        # one has already evicted its oldest commit after the check.
+        full = monitor_for("incremental", window=None)
+        for tid, session, events in stream[:len(inc_verdicts)]:
+            full.observe_commit(tid, session, events)
+        edges = set().union(*full.dependency_edges().values())
         for violation in (inc_violation, reb_violation):
             assert violation.cycle, violation
             assert violation.cycle[0] == violation.cycle[-1]
+            for pair in zip(violation.cycle, violation.cycle[1:]):
+                assert pair in edges, (model, window, violation.cycle)
     return inc_violation
 
 
