@@ -9,7 +9,9 @@ demonstrate the asymptotic win of the incremental certification core
 (dynamic topological order, ``checker="incremental"``) over the
 per-commit full rebuild (``checker="rebuild"``), writing the
 machine-readable ``BENCH_monitor_scaling.json`` record CI tracks.  Cap
-the sweep with ``E24_MAX_COMMITS`` (CI smoke sets a small value).
+the rebuild sweep with ``E24_MAX_COMMITS`` (CI smoke sets a small
+value); the incremental-only flatness sweep (400 and 3,200 commits) is
+never capped.
 """
 
 import os
@@ -257,10 +259,32 @@ def timed_feed(checker, model, initial, events):
     return time.perf_counter() - started
 
 
+#: E24 flatness sweep: the incremental checker's per-commit cost at the
+#: larger size may be at most ``E24_FLAT_BOUND`` times its cost at the
+#: smaller one, for every model.
+E24_FLAT_SIZES = (400, 3200)
+E24_FLAT_BOUND = 2.0
+
+
+def incremental_cost_per_commit(model, rounds=5):
+    """Best-of-``rounds`` incremental cost per commit (µs) at each of
+    ``E24_FLAT_SIZES``, the sizes interleaved so machine drift hits both
+    alike."""
+    streams = {size: certification_stream(size) for size in E24_FLAT_SIZES}
+    best = {size: float("inf") for size in E24_FLAT_SIZES}
+    for _ in range(rounds):
+        for size, (initial, events) in streams.items():
+            elapsed = timed_feed("incremental", model, initial, events)
+            best[size] = min(best[size], elapsed / size * 1e6)
+    return best
+
+
 def test_bench_incremental_scaling():
     """E24: the incremental checker beats the rebuild checker with a
     widening gap as the commit count grows (≥5x at the largest default
-    size; never slower at the largest size of a capped CI smoke run)."""
+    size; never slower at the largest size of a capped CI smoke run),
+    and its own per-commit cost stays flat: at 3,200 commits at most
+    2x its cost at 400, for every model."""
     cap = int(os.environ.get("E24_MAX_COMMITS", "0")) or None
     rows = []
     results = {}
@@ -295,13 +319,34 @@ def test_bench_incremental_scaling():
         ["model", "commits", "rebuild", "incremental", "speedup"],
         rows,
     )
+    small, large = E24_FLAT_SIZES
+    flat = {}
+    flat_rows = []
+    for model in E24_SIZES:
+        cost = incremental_cost_per_commit(model)
+        ratio = round(cost[large] / cost[small], 2)
+        flat[model] = {
+            "us_per_commit": {str(s): round(c, 2) for s, c in cost.items()},
+            "ratio": ratio,
+        }
+        flat_rows.append((model, f"{cost[small]:.1f} us",
+                          f"{cost[large]:.1f} us", f"{ratio}x"))
+    print_table(
+        "E24 — incremental cost per commit (best of 5)",
+        ["model", f"{small} commits", f"{large} commits", "ratio"],
+        flat_rows,
+    )
     path = write_bench_json(
         "monitor_scaling",
         params={
             "sizes": {m: [s["commits"] for s in results[m]] for m in results},
             "session_span": 4,
             "capped": cap is not None,
+            "flat_sizes": list(E24_FLAT_SIZES),
+            "flat_bound": E24_FLAT_BOUND,
         },
-        results=results,
+        results={**results, "incremental_flat": flat},
     )
     print(f"scaling record written to {path}")
+    for model, row in flat.items():
+        assert row["ratio"] <= E24_FLAT_BOUND, (model, row)

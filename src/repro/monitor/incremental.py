@@ -7,14 +7,21 @@ closure for PSI, i.e. ``O(V+E)`` (resp. ``O(V·E)``) *per commit*.  This
 module replaces that with an **incremental certification core**: a
 graph with the same cycles as the model's condition is maintained as a
 DAG with a dynamic topological order (Pearce & Kelly, *A dynamic
-topological sort algorithm for directed acyclic graphs*, JEA 2006),
-updated edge-by-edge as
-``observe_commit`` discovers new SO/WR/WW/RW edges.  Inserting an edge
-that respects the current order is O(1); an order-violating insertion
-only reorders the *affected region* between the edge's endpoints; and an
-insertion that would close a cycle is detected during that same bounded
-discovery, yielding the violation witness for free.  In the common
-no-violation case certification is near-amortised-constant per commit.
+topological sort algorithm for directed acyclic graphs*, JEA 2006).
+Inserting an edge that respects the current order is O(1); an
+order-violating insertion only reorders the *affected region* between
+the edge's endpoints; and an insertion that would close a cycle is
+detected during that same bounded discovery, yielding the violation
+witness for free.
+
+The checkers take **one commit per call**:
+``observe(tid, deps_in, rw_out, rw_in)`` registers the new transaction
+with the tids that have a dep edge (``SO ∪ WR ∪ WW``) into it, the
+overwriters it anti-depends on (its stale reads) and the readers that
+anti-depend on it.  Commits arrive in commit order, so every dep edge
+enters the newest node, which has no out-edges yet: dep edges never
+close a cycle and never reorder, and only the commit's anti-dependencies
+can (Biswas–Enea: checking is easy once the commit order is known).
 
 Three checkers share the core, one per model condition:
 
@@ -30,16 +37,17 @@ Three checkers share the core, one per model condition:
   ``t`` turns it into a dependency cycle of the history.
 * **PSI** (Theorem 21): ``(SO ∪ WR ∪ WW)+ ; RW?`` irreflexive — i.e. the
   dep relation is acyclic *and* no RW edge ``(c, a)`` has a dep path
-  ``a ⇒ c``.  The dep DAG's topological order prunes the reachability
-  queries: a new RW edge asks one order-bounded DFS, a new dep edge
-  ``(u, v)`` intersects dep-ancestors of ``u`` with dep-descendants of
-  ``v`` against the RW-edge index (skipped outright while no RW edge
-  exists).  No transitive closure is ever materialised.
+  ``a ⇒ c``.  The DAG holds dep edges only, which is acyclic by
+  construction; each stale read ``(tid, w)`` asks one reachability
+  query ``w ⇒ tid``, pruned by the topological order.  A reader's
+  anti-dependency ``(r, tid)`` would need a dep path from ``tid`` back
+  to the older ``r``, and dep paths only run forward in commit order,
+  so it is never stored.
 
 All three checkers support :meth:`remove_node`, used by the windowed
 :class:`~repro.monitor.online.ConsistencyMonitor`'s garbage collection:
-deleting nodes/edges from a DAG never invalidates its topological
-order, so eviction is pure bookkeeping — no re-check, no reorder.
+deleting nodes from a DAG never invalidates its topological order, so
+eviction is pure bookkeeping — no re-check, no reorder.
 
 On a violation the cycle-closing edge is *not* inserted (the core must
 stay acyclic to keep certifying); the monitor reports the witness cycle
@@ -54,7 +62,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-Edge = Tuple[str, str]
 Node = Hashable
 
 
@@ -62,9 +69,9 @@ class DynamicTopoOrder:
     """A DAG maintained under edge insertion with a dynamic topological
     order (the Pearce–Kelly PK algorithm).
 
-    Inserting an existing edge is a no-op.  Node and edge removal never
-    reorder — a topological order of a graph is a topological order of
-    every subgraph.  Adjacency is kept in insertion-ordered dicts, so
+    Inserting an existing edge is a no-op.  Node removal never reorders
+    — a topological order of a graph is a topological order of every
+    subgraph.  Adjacency is kept in insertion-ordered dicts, so
     searches, and the witnesses they return, do not depend on hash
     seeds.
     """
@@ -142,11 +149,6 @@ class DynamicTopoOrder:
         succ_a[b] = None
         self._pred[b][a] = None
         return None
-
-    def remove_edge(self, a: Node, b: Node) -> None:
-        """Delete the edge ``a -> b`` (order stays valid)."""
-        del self._succ[a][b]
-        del self._pred[b][a]
 
     # ------------------------------------------------------------------
     # PK discovery and reordering
@@ -248,41 +250,34 @@ class DynamicTopoOrder:
 
 
 class IncrementalChecker:
-    """Base class: one model's graph condition, maintained edge-by-edge.
+    """Base class: one model's graph condition, certified one commit at
+    a time.
 
-    The monitor feeds each commit's *new* dependency (``SO ∪ WR ∪ WW``)
-    and anti-dependency (``RW``) edges through :meth:`observe`, each
-    edge once; the checker returns the first witness cycle the deltas
-    close, or ``None``.  An edge that would close a cycle of the
-    maintained DAG is not inserted, so the DAG stays acyclic and
-    certification continues.
+    The monitor feeds commits in commit order through :meth:`observe`.
+    Every dependency edge (``SO ∪ WR ∪ WW``) points from an older
+    transaction into the newest one, so the commit's dep edges enter a
+    node with no out-edges and cannot close a cycle; only its
+    anti-dependencies can.  A cycle-closing edge is not inserted, so the
+    maintained graph stays acyclic and certification continues.
     """
 
-    def add_node(self, tid: str) -> None:
+    def observe(
+        self,
+        tid: str,
+        deps_in: Iterable[str],
+        rw_out: Iterable[str],
+        rw_in: Iterable[str],
+    ) -> Optional[List[str]]:
+        """Register commit ``tid`` and its edges; return the first cycle.
+
+        ``deps_in`` are the tids with a dep edge into ``tid``,
+        ``rw_out`` the overwriters ``tid`` anti-depends on (its stale
+        reads) and ``rw_in`` the readers that anti-depend on ``tid``;
+        all are already registered.  Edges are inserted in that order.
+        """
         raise NotImplementedError
 
     def remove_node(self, tid: str) -> None:
-        raise NotImplementedError
-
-    def observe(
-        self, dep_edges: Iterable[Edge], rw_edges: Iterable[Edge]
-    ) -> Optional[List[str]]:
-        """Apply one commit's edge deltas; return the first cycle."""
-        witness: Optional[List[str]] = None
-        for edge in dep_edges:
-            cycle = self._insert_dep(edge)
-            if witness is None:
-                witness = cycle
-        for edge in rw_edges:
-            cycle = self._insert_rw(edge)
-            if witness is None:
-                witness = cycle
-        return witness
-
-    def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
-        raise NotImplementedError
-
-    def _insert_rw(self, edge: Edge) -> Optional[List[str]]:
         raise NotImplementedError
 
 
@@ -293,16 +288,28 @@ class SerIncrementalChecker(IncrementalChecker):
     def __init__(self) -> None:
         self._dag = DynamicTopoOrder()
 
-    def add_node(self, tid: str) -> None:
-        self._dag.add_node(tid)
-
     def remove_node(self, tid: str) -> None:
         self._dag.remove_node(tid)
 
-    def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
-        return self._dag.add_edge(*edge)
-
-    _insert_rw = _insert_dep
+    def observe(
+        self,
+        tid: str,
+        deps_in: Iterable[str],
+        rw_out: Iterable[str],
+        rw_in: Iterable[str],
+    ) -> Optional[List[str]]:
+        dag = self._dag
+        dag.add_node(tid)
+        for u in deps_in:
+            dag.add_edge(u, tid)
+        witness = None
+        for w in rw_out:
+            cycle = dag.add_edge(tid, w)
+            witness = witness or cycle
+        for r in rw_in:
+            cycle = dag.add_edge(r, tid)
+            witness = witness or cycle
+        return witness
 
 
 class _Twin:
@@ -320,8 +327,8 @@ class SiIncrementalChecker(IncrementalChecker):
     acyclicity of a split graph.
 
     Each transaction ``t`` has a twin ``^t``, entered only by RW edges
-    and left only by copies of ``t``'s dep edges: a dep edge ``(u, v)``
-    inserts ``u -> v`` and ``^u -> v``, an RW edge ``(v, w)`` inserts
+    and left only by copies of ``t``'s dep edges: a dep edge ``(u, t)``
+    inserts ``u -> t`` and ``^u -> t``, an RW edge ``(v, w)`` inserts
     ``v -> ^w``.  A cycle never takes two RW edges in a row, so the
     split graph is acyclic iff the composed relation is; witnesses map
     ``^t`` back to ``t``.
@@ -331,13 +338,6 @@ class SiIncrementalChecker(IncrementalChecker):
         self._dag = DynamicTopoOrder()
         self._twin: Dict[str, _Twin] = {}
 
-    def add_node(self, tid: str) -> None:
-        if tid in self._twin:
-            return
-        twin = self._twin[tid] = _Twin(tid)
-        self._dag.add_node(tid)
-        self._dag.add_node(twin)
-
     def remove_node(self, tid: str) -> None:
         twin = self._twin.pop(tid, None)
         if twin is None:
@@ -345,20 +345,28 @@ class SiIncrementalChecker(IncrementalChecker):
         self._dag.remove_node(tid)
         self._dag.remove_node(twin)
 
-    def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
-        u, v = edge
-        cycle = self._dag.add_edge(u, v)
-        if cycle is None:
-            cycle = self._dag.add_edge(self._twin[u], v)
-            if cycle is not None:
-                # The two edges come and go together, so ``u -> v`` was
-                # new: take it back out.
-                self._dag.remove_edge(u, v)
-        return _untwin(cycle)
-
-    def _insert_rw(self, edge: Edge) -> Optional[List[str]]:
-        v, w = edge
-        return _untwin(self._dag.add_edge(v, self._twin[w]))
+    def observe(
+        self,
+        tid: str,
+        deps_in: Iterable[str],
+        rw_out: Iterable[str],
+        rw_in: Iterable[str],
+    ) -> Optional[List[str]]:
+        dag, twins = self._dag, self._twin
+        twin = twins[tid] = _Twin(tid)
+        dag.add_node(tid)
+        dag.add_node(twin)
+        for u in deps_in:
+            dag.add_edge(u, tid)
+            dag.add_edge(twins[u], tid)
+        witness = None
+        for w in rw_out:
+            cycle = dag.add_edge(tid, twins[w])
+            witness = witness or cycle
+        for r in rw_in:
+            cycle = dag.add_edge(r, twin)
+            witness = witness or cycle
+        return _untwin(witness)
 
 
 def _untwin(cycle: Optional[List[Node]]) -> Optional[List[str]]:
@@ -372,94 +380,36 @@ class PsiIncrementalChecker(IncrementalChecker):
     """PSI (Theorem 21): ``(SO ∪ WR ∪ WW)+ ; RW?`` irreflexive.
 
     Equivalently: the dep relation is acyclic *and* no RW edge
-    ``(c, a)`` coexists with a dep path ``a ⇒ c``.  The dep DAG's
-    dynamic topological order both certifies the first conjunct (PK
-    insertion) and prunes the reachability queries of the second; no
-    transitive closure is ever built.
+    ``(c, a)`` coexists with a dep path ``a ⇒ c``.  Dep edges only ever
+    enter the newest commit, so the dep DAG stays acyclic by
+    construction, and a loop can only be closed by the new commit's
+    stale reads: one order-pruned ``find_path(w, tid)`` per ``rw_out``.
+    ``rw_in`` is ignored, because no dep path leaves ``tid`` toward an
+    older reader, and no RW edge is kept: a later dep edge cannot reach
+    back to close it.
     """
 
     def __init__(self) -> None:
         self._dag = DynamicTopoOrder()
-        # rw(c, a) indexed both ways for eviction and loop queries.
-        self._rw_out: Dict[str, Set[str]] = {}
-        self._rw_in: Dict[str, Set[str]] = {}
-
-    def add_node(self, tid: str) -> None:
-        self._dag.add_node(tid)
 
     def remove_node(self, tid: str) -> None:
         self._dag.remove_node(tid)
-        for a in self._rw_out.pop(tid, ()):
-            self._rw_in[a].discard(tid)
-        for c in self._rw_in.pop(tid, ()):
-            self._rw_out[c].discard(tid)
 
-    def _insert_dep(self, edge: Edge) -> Optional[List[str]]:
-        u, v = edge
-        cycle = self._dag.add_edge(u, v)
-        if cycle is not None:
-            return cycle
-        # The new dep edge may have completed a dep path a => c closing
-        # some existing RW edge (c, a): intersect dep-ancestors of u
-        # with dep-descendants of v against the RW index.
-        loop = self._dep_edge_closes_rw(u, v)
-        if loop is not None:
-            # Keep the dep edge (the dep DAG is still acyclic); the
-            # loop is reported once, at this closing commit.
-            return loop
-        return None
-
-    def _insert_rw(self, edge: Edge) -> Optional[List[str]]:
-        c, a = edge
-        path = self._dag.find_path(a, c)
-        if path is not None:
-            return path + [a]
-        self._rw_out.setdefault(c, set()).add(a)
-        self._rw_in.setdefault(a, set()).add(c)
-        return None
-
-    def _dep_edge_closes_rw(self, u: str, v: str) -> Optional[List[str]]:
-        if not self._rw_out:
-            return None
-        succ, pred = self._dag._succ, self._dag._pred
-        # Descendants of v (dep paths v => c), with path parents.
-        desc: Dict[str, Optional[str]] = {v: None}
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            for nxt in succ[node]:
-                if nxt not in desc:
-                    desc[nxt] = node
-                    stack.append(nxt)
-        # Ancestors of u (dep paths a => u); anc[x] is the next node on
-        # the dep path from x towards u.
-        anc: Dict[str, Optional[str]] = {u: None}
-        stack = [u]
-        while stack:
-            node = stack.pop()
-            for nxt in pred[node]:
-                if nxt not in anc:
-                    anc[nxt] = node
-                    stack.append(nxt)
-        for c, targets in self._rw_out.items():
-            if c not in desc:
-                continue
-            for a in targets:
-                if a not in anc:
-                    continue
-                # Loop: a => u -> v => c -RW-> a.
-                head: List[str] = [a]
-                cursor = anc[a]
-                while cursor is not None:
-                    head.append(cursor)
-                    cursor = anc[cursor]
-                tail: List[str] = [c]
-                cursor = desc[c]
-                while cursor is not None:
-                    tail.append(cursor)
-                    cursor = desc[cursor]
-                tail.reverse()
-                return head + tail + [a]
+    def observe(
+        self,
+        tid: str,
+        deps_in: Iterable[str],
+        rw_out: Iterable[str],
+        rw_in: Iterable[str],
+    ) -> Optional[List[str]]:
+        dag = self._dag
+        dag.add_node(tid)
+        for u in deps_in:
+            dag.add_edge(u, tid)
+        for w in rw_out:
+            path = dag.find_path(w, tid)
+            if path is not None:
+                return path + [w]
         return None
 
 

@@ -34,20 +34,23 @@ more anti-dependencies in a row than the edge it replaces, so each
 model's condition has the same cycles on both graphs
 (``docs/ALGORITHMS.md``).  Each commit therefore adds edges for its own
 reads and writes, not for the whole history.  :meth:`dependency_edges`
-derives the full SO/WR/WW/RW relations on demand from the per-session,
-per-object writer and per-object reader indexes.
+derives the full SO/WR/WW/RW relations on demand from the retained
+commits (each keeps the versions it read) and the per-object writer
+sequences.
 
 Two certification back-ends are available via the ``checker`` knob:
 
 * ``"incremental"`` (the default) maintains a plain graph with the
   model's cycles — for SI a split graph in which no cycle takes two
   anti-dependencies in a row — as a DAG under a dynamic topological
-  order (:mod:`repro.monitor.incremental`), so each commit costs work
-  proportional to its own edge deltas' affected region — near-amortised
-  constant in the common no-violation case.  A cycle-closing edge is
-  reported and dropped, so certification continues on the still-acyclic
-  remainder: each violation is flagged once, at the commit that closes
-  it.
+  order (:mod:`repro.monitor.incremental`).  Each commit is handed over
+  in one call: the tids with a dep edge into it, the overwriters its
+  stale reads anti-depend on and the readers that anti-depend on it.
+  Its dep edges enter a node with no out-edges and cost O(1); only its
+  anti-dependencies can reorder or close a cycle.  A cycle-closing edge
+  is reported and dropped, so certification continues on the
+  still-acyclic remainder: each violation is flagged once, at the
+  commit that closes it.
 * ``"rebuild"`` re-derives every relation and re-runs the full cycle
   test on each commit — ``O(V+E)`` per commit for SI/SER and a full
   transitive closure for PSI.  It is kept as the differential-testing
@@ -64,7 +67,9 @@ omitted edge runs through transactions that committed after the edge's
 source, and eviction is oldest first, so the path is retained whenever
 both ends are.  A violating cycle whose transactions all lie within one
 window is therefore flagged at the same commit as without a window
-(``tests/monitor/test_windowed.py``).  A cycle
+(``tests/monitor/test_windowed.py``).  After a violation the oldest
+commit over the window stays until the next commit arrives, so
+:meth:`dependency_edges` still holds every step of the witness.  A cycle
 *spanning* more than a window is missed, so the window must exceed the
 anomaly horizon of interest (for the MVCC engines: the maximum number
 of commits overlapping any transaction's lifetime).
@@ -120,9 +125,10 @@ class Violation:
 @dataclass
 class _TxnRecord:
     session: str
-    # The objects it reads externally and writes, sorted; eviction
-    # unhooks it from their reader and writer indexes.
-    read_objects: Tuple[Obj, ...]
+    # Its external reads as (object, version's writer) pairs and the
+    # objects it writes, sorted by object; eviction unhooks it from the
+    # fresh-reader and writer indexes.
+    reads: Tuple[Tuple[Obj, str], ...]
     written_objects: Tuple[Obj, ...]
     # Reduced-graph edges whose older endpoint this transaction is;
     # they leave the graph with it (eviction is oldest first).
@@ -186,7 +192,8 @@ class ConsistencyMonitor:
         self.window = window
         # The graph's nodes, in commit order (oldest first).
         self._records: Dict[str, _TxnRecord] = {}
-        self._sessions: Dict[str, List[str]] = {}
+        # Per session: its newest retained transaction.
+        self._sessions: Dict[str, str] = {}
         # The implicit initialisation transaction's writes.  The per-
         # object tables below are built from them on an object's first
         # write; until then the object has only its initial version.
@@ -199,8 +206,6 @@ class ConsistencyMonitor:
         # How many objects of ``_initial`` have their tables built.
         self._built_initial = 0
         self._collided: Dict[Obj, Set[Value]] = {}
-        # Per object: reader tid → the version (writer tid) it read.
-        self._readers: Dict[Obj, Dict[str, str]] = {}
         # Per object: the readers observed since its newest write, the
         # only ones whose anti-dependency into the next writer is not
         # implied by an edge already in the graph.
@@ -233,45 +238,51 @@ class ConsistencyMonitor:
         Returns a :class:`Violation` if the accumulated behaviour is no
         longer allowed by the model, else ``None``.  Monitoring continues
         after a violation (further commits are still processed).  In
-        windowed mode the oldest commits are then evicted.
+        windowed mode the oldest commits are then evicted, down to the
+        window — or one commit over it after a violation, so that
+        :meth:`dependency_edges` still holds every step of the witness
+        until the next commit.
         """
         if tid in self._records or tid in self._evicted:
             raise MonitorError(f"transaction {tid!r} observed twice")
+        if self.window is not None:
+            # Only the commit over the window a violation left behind.
+            while len(self._records) > self.window:
+                self._evict(next(iter(self._records)))
         reads, writes = footprint(events)
-        read_objects = tuple(sorted(reads))
-        written_objects = tuple(sorted(writes))
-        self._records[tid] = _TxnRecord(
-            session, read_objects, written_objects
+        # Attribute every read before touching any state, so that an
+        # unattributable read leaves the monitor as it was.
+        read_versions = tuple(
+            (obj, self._attribute_read(tid, obj, reads[obj]))
+            for obj in sorted(reads)
         )
-        if self._core is not None:
-            self._core.add_node(tid)
+        written_objects = tuple(sorted(writes))
 
-        # This commit's new edges of the transitive reduction, each
-        # once, in discovery order.  Every edge touches ``tid``, so none
-        # can predate this commit.
-        new_dep: Dict[Tuple[str, str], None] = {}
-        new_rw: Dict[Tuple[str, str], None] = {}
+        # This commit's edges of the transitive reduction, each once, in
+        # discovery order: the tids with a dep edge into ``tid``, the
+        # overwriters ``tid`` anti-depends on and the readers that
+        # anti-depend on ``tid``.
+        deps_in: Dict[str, None] = {}
+        rw_out: Dict[str, None] = {}
+        rw_in: Dict[str, None] = {}
 
         # SO: an edge from the session's previous retained transaction;
         # the earlier ones reach ``tid`` through it.
-        session_tids = self._sessions.setdefault(session, [])
-        if session_tids:
-            new_dep[(session_tids[-1], tid)] = None
-        session_tids.append(tid)
+        last = self._sessions.get(session)
+        if last is not None:
+            deps_in[last] = None
+        self._sessions[session] = tid
 
-        # WR and RW-out: attribute external reads to writers.
-        for obj in read_objects:
-            writer = self._attribute_read(tid, obj, reads[obj])
-            self._readers.setdefault(obj, {})[tid] = writer
+        # WR and RW-out from the external reads.
+        for obj, writer in read_versions:
             self._fresh_readers.setdefault(obj, {})[tid] = None
-            if writer != tid and writer in self._records:
-                new_dep[(writer, tid)] = None
+            if writer in self._records:
+                deps_in[writer] = None
             # A stale read: RW to every overwriter already committed.
             # Later overwriters are reached through the fresh-readers
             # list and WW.
             for later in self._overwriters(obj, writer):
-                if later != tid:
-                    new_rw[(tid, later)] = None
+                rw_out[later] = None
 
         # WW and RW-in for writes: this transaction overwrites the
         # current last version of each object it writes.  Readers from
@@ -283,10 +294,10 @@ class ConsistencyMonitor:
             if seq is None:
                 seq = self._build_tables(obj)
             if seq and seq[-1] in self._records:
-                new_dep[(seq[-1], tid)] = None
+                deps_in[seq[-1]] = None
             for reader in self._fresh_readers.pop(obj, ()):
                 if reader != tid:
-                    new_rw[(reader, tid)] = None
+                    rw_in[reader] = None
             seq.append(tid)
             value = writes[obj]
             table = self._value_writer[obj]
@@ -300,20 +311,27 @@ class ConsistencyMonitor:
             table[value] = tid
             self._latest_value[obj] = value
 
+        self._records[tid] = _TxnRecord(
+            session, read_versions, written_objects
+        )
         # Charge each edge to its older endpoint, the one that is not
         # ``tid``.
-        for edges in (new_dep, new_rw):
-            for a, b in edges:
-                self._records[b if a == tid else a].edges += 1
-        self._edge_count += len(new_dep) + len(new_rw)
+        for older in (deps_in, rw_out, rw_in):
+            for other in older:
+                self._records[other].edges += 1
+            self._edge_count += len(older)
 
-        violation = self._check(tid, list(new_dep), list(new_rw))
+        if self._core is not None:
+            cycle = self._core.observe(tid, deps_in, rw_out, rw_in)
+            violation = None if cycle is None else self._violation(tid, cycle)
+        else:
+            violation = self._check_rebuild(tid)
         if violation is not None:
             self.violations.append(violation)
         if self.window is not None:
             if superseded:
                 self._superseded_by[tid] = superseded
-            while len(self._records) > self.window:
+            while len(self._records) > self.window + (violation is not None):
                 self._evict(next(iter(self._records)))
             self._prune_evicted_set()
         return violation
@@ -385,18 +403,17 @@ class ConsistencyMonitor:
         self.evicted_count += 1
         if self._core is not None:
             self._core.remove_node(old)
-        session_tids = self._sessions[record.session]
-        session_tids.remove(old)
-        if not session_tids:
+        # Eviction is oldest first: a session whose newest retained
+        # transaction leaves has none left.
+        if self._sessions[record.session] == old:
             del self._sessions[record.session]
         self._edge_count -= record.edges
-        for obj in record.read_objects:
-            for index in (self._readers, self._fresh_readers):
-                readers = index.get(obj)
-                if readers is not None:
-                    readers.pop(old, None)
-                    if not readers:
-                        del index[obj]
+        for obj, _ in record.reads:
+            readers = self._fresh_readers.get(obj)
+            if readers is not None:
+                readers.pop(old, None)
+                if not readers:
+                    del self._fresh_readers[obj]
         for obj in record.written_objects:
             self._writers[obj].remove(old)
         # The versions ``old`` overwrote have now been stale for a full
@@ -421,8 +438,8 @@ class ConsistencyMonitor:
             return
         referenced = {
             version
-            for readers in self._readers.values()
-            for version in readers.values()
+            for record in self._records.values()
+            for _, version in record.reads
         }
         for table in self._value_writer.values():
             # Every retained attribution keeps its writer's tombstone,
@@ -433,19 +450,6 @@ class ConsistencyMonitor:
     # ------------------------------------------------------------------
     # Checking
     # ------------------------------------------------------------------
-
-    def _check(
-        self,
-        tid: str,
-        new_dep: Sequence[Tuple[str, str]],
-        new_rw: Sequence[Tuple[str, str]],
-    ) -> Optional[Violation]:
-        if self._core is not None:
-            cycle = self._core.observe(new_dep, new_rw)
-            if cycle is None:
-                return None
-            return self._violation(tid, cycle)
-        return self._check_rebuild(tid)
 
     def _violation(self, tid: str, cycle: Sequence[str]) -> Violation:
         return Violation(
@@ -507,28 +511,37 @@ class ConsistencyMonitor:
     def dependency_edges(self) -> Dict[str, Set[Tuple[str, str]]]:
         """The full SO/WR/WW/RW relations over the retained tids.
 
-        Derived on demand from the session, writer and reader indexes,
-        so they are the paper's relations, not the transitive reduction
-        the incremental checker certifies.
+        Derived on demand from the retained records (in commit order)
+        and the per-object writer sequences, so they are the paper's
+        relations, not the transitive reduction the incremental checker
+        certifies.
         """
         records = self._records
+        by_session: Dict[str, List[str]] = {}
+        for tid, record in records.items():
+            by_session.setdefault(record.session, []).append(tid)
         so: Set[Tuple[str, str]] = set()
-        for tids in self._sessions.values():
+        for tids in by_session.values():
             so.update(_chain_pairs(tids))
+        writers = {
+            obj: [t for t in seq if t in records]
+            for obj, seq in self._writers.items()
+        }
         ww: Set[Tuple[str, str]] = set()
+        for seq in writers.values():
+            ww.update(_chain_pairs(seq))
         wr: Set[Tuple[str, str]] = set()
         rw: Set[Tuple[str, str]] = set()
-        for obj in self._writers.keys() | self._readers.keys():
-            writers = [t for t in self._writers.get(obj, ()) if t in records]
-            ww.update(_chain_pairs(writers))
-            for reader, version in self._readers.get(obj, {}).items():
+        for reader, record in records.items():
+            for obj, version in record.reads:
+                seq = writers.get(obj, [])
                 if version in records:
                     wr.add((version, reader))
-                    later = writers[writers.index(version) + 1 :]
+                    later = seq[seq.index(version) + 1 :]
                 else:
                     # The initial version, or one whose writer was
                     # evicted: every retained writer overwrote it.
-                    later = writers
+                    later = seq
                 rw.update((reader, w) for w in later if w != reader)
         return {"SO": so, "WR": wr, "WW": ww, "RW": rw}
 
@@ -544,7 +557,7 @@ class ConsistencyMonitor:
             "records": len(self._records),
             "edges": self._edge_count,
             "read_versions": sum(
-                len(readers) for readers in self._readers.values()
+                len(record.reads) for record in self._records.values()
             ),
             "fresh_readers": sum(
                 len(readers) for readers in self._fresh_readers.values()

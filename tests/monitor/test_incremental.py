@@ -70,11 +70,7 @@ class TestDynamicTopoOrder:
         assert dag.add_edge("a", "b") is None
         assert dag.add_edge("a", "b") is None
         assert list(dag.edges()) == [("a", "b")]
-        # Edges carry no count: one removal deletes the edge, after
-        # which the reverse edge is legal.
-        dag.remove_edge("a", "b")
-        assert list(dag.edges()) == []
-        assert dag.add_edge("b", "a") is None
+        assert dag.add_edge("b", "a") == ["b", "a", "b"]
 
     def test_remove_node_clears_incident_edges(self):
         dag = DynamicTopoOrder()
@@ -135,160 +131,174 @@ class TestCheckerFactories:
         assert isinstance(make_checker("PSI"), PsiIncrementalChecker)
 
 
+def condition_holds(model, dep, rw, nodes):
+    """The model's graph condition, tested offline on plain relations:
+    SER ``dep ∪ RW`` acyclic, SI ``dep ; RW?`` acyclic, PSI
+    ``dep⁺ ; RW?`` irreflexive."""
+    from repro.core.relations import Relation
+
+    deps, rws = Relation(dep, nodes), Relation(rw, nodes)
+    if model == "SER":
+        return deps.union(rws).is_acyclic()
+    if model == "SI":
+        return deps.compose(rws.reflexive()).is_acyclic()
+    return deps.transitive_closure().compose(rws.reflexive()).is_irreflexive()
+
+
+def random_commit_stream(seed, steps=100, max_live=10):
+    """A seeded commit-shaped stream with interleaved removals.
+
+    Yields ``("commit", (tid, deps_in, rw_out, rw_in))`` — each list a
+    random sample of the live, older tids — or ``("remove", tid)`` for
+    a random live tid (not necessarily the oldest).
+    """
+    rng = random.Random(seed)
+    live = []
+    for step in range(steps):
+        if len(live) >= max_live or (len(live) > 3 and rng.random() < 0.2):
+            yield "remove", live.pop(rng.randrange(len(live)))
+            continue
+        tid = f"t{step}"
+        deps_in, rw_out, rw_in = (
+            rng.sample(live, min(len(live), rng.randint(0, k)))
+            for k in (3, 2, 2)
+        )
+        live.append(tid)
+        yield "commit", (tid, deps_in, rw_out, rw_in)
+
+
+def assert_agrees_with_condition(model, seed):
+    """The checker flags exactly the commits whose edges, inserted in
+    ``deps_in``, ``rw_out``, ``rw_in`` order with each cycle-closing
+    edge dropped, break the model's offline condition; every witness is
+    a cycle of kept edges and the first dropped one."""
+    checker = make_checker(model)
+    live, dep, rw = set(), set(), set()
+    flagged = commits = 0
+    for kind, item in random_commit_stream(seed):
+        if kind == "remove":
+            checker.remove_node(item)
+            live.discard(item)
+            dep = {e for e in dep if item not in e}
+            rw = {e for e in rw if item not in e}
+            continue
+        tid, deps_in, rw_out, rw_in = item
+        commits += 1
+        live.add(tid)
+        first_dropped = None
+        edges = (
+            [(u, tid, True) for u in deps_in]
+            + [(tid, w, False) for w in rw_out]
+            + [(r, tid, False) for r in rw_in]
+        )
+        for a, b, is_dep in edges:
+            new_dep = dep | {(a, b)} if is_dep else dep
+            new_rw = rw if is_dep else rw | {(a, b)}
+            if condition_holds(model, new_dep, new_rw, live):
+                dep, rw = new_dep, new_rw
+            elif first_dropped is None:
+                first_dropped = (a, b)
+        cycle = checker.observe(tid, deps_in, rw_out, rw_in)
+        assert (cycle is None) == (first_dropped is None), (item, cycle)
+        if cycle is not None:
+            flagged += 1
+            assert cycle[0] == cycle[-1]
+            assert len(set(cycle)) >= 2, cycle
+            kept = dep | rw | {first_dropped}
+            for pair in zip(cycle, cycle[1:]):
+                assert pair in kept, (cycle, pair)
+    # The stream exercises both verdicts.
+    assert 0 < flagged < commits, (model, seed, flagged, commits)
+
+
+class TestSerChecker:
+    def test_write_skew_is_a_cycle(self):
+        # t1 -dep-> t2 -rw-> t3 -rw-> t1: two anti-dependencies in a
+        # row still form a SER cycle.
+        checker = make_checker("SER")
+        assert checker.observe("t1", [], [], []) is None
+        assert checker.observe("t2", ["t1"], [], []) is None
+        cycle = checker.observe("t3", [], ["t1"], ["t2"])
+        assert cycle == ["t2", "t3", "t1", "t2"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_commits_agree_with_union_acyclic(self, seed):
+        assert_agrees_with_condition("SER", seed)
+
+
 class TestSiChecker:
     def test_dep_then_rw_composes_to_self_loop(self):
+        # The lost update: t2 reads t1's write and anti-depends on it.
         checker = make_checker("SI")
-        for tid in ("t1", "t2"):
-            checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], []) is None
-        cycle = checker.observe([], [("t2", "t1")])
-        assert cycle is not None and cycle[0] == cycle[-1]
-
-    def test_rw_then_dep_composes_to_self_loop(self):
-        checker = make_checker("SI")
-        for tid in ("t1", "t2"):
-            checker.add_node(tid)
-        assert checker.observe([], [("t2", "t1")]) is None
-        cycle = checker.observe([("t1", "t2")], [])
-        assert cycle is not None and cycle[0] == cycle[-1]
+        assert checker.observe("t1", [], [], []) is None
+        cycle = checker.observe("t2", ["t1"], ["t1"], [])
+        assert cycle == ["t2", "t1", "t2"]
 
     def test_two_rw_steps_do_not_compose(self):
         # dep;rw? takes at most one RW step: t1 -dep-> t2 -rw-> t3 and
         # t3 -rw-> t1 is SI-consistent (the write-skew shape).
         checker = make_checker("SI")
-        for tid in ("t1", "t2", "t3"):
-            checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], [("t2", "t3")]) is None
-        assert checker.observe([], [("t3", "t1")]) is None
+        assert checker.observe("t1", [], [], []) is None
+        assert checker.observe("t2", ["t1"], [], []) is None
+        assert checker.observe("t3", [], ["t1"], ["t2"]) is None
 
     def test_evicting_middle_node_accepts_closing_edge(self):
-        # t1 -dep-> t2 -rw-> t3 composes to (t1, t3), so the dep edge
-        # (t3, t1) closes a cycle through t2 and is rejected with the
-        # real dependency path; once t2 is evicted it is accepted.
-        checker = make_checker("SI")
-        for tid in ("t1", "t2", "t3"):
-            checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], [("t2", "t3")]) is None
-        cycle = checker.observe([("t3", "t1")], [])
-        assert cycle == ["t3", "t1", "t2", "t3"]
-        checker.remove_node("t2")
-        assert checker.observe([("t3", "t1")], []) is None
-
-    def test_repeated_dep_edge_counts_one_witness(self):
-        # Feeding the same dep edge twice stores it once: evicting t2
-        # removes every path through it.
-        checker = make_checker("SI")
-        for tid in ("t1", "t2", "t3"):
-            checker.add_node(tid)
-        checker.observe([("t1", "t2")], [("t2", "t3")])
-        assert checker.observe([("t1", "t2")], []) is None
-        checker.remove_node("t2")
-        assert checker.observe([("t3", "t1")], []) is None
-
-    def test_violation_rolls_back_partial_deltas(self):
-        # A rejected dep edge leaves no state behind.
-        checker = make_checker("SI")
-        for tid in ("t1", "t2", "t3"):
-            checker.add_node(tid)
-        checker.observe([("t2", "t3")], [])
-        checker.observe([], [("t2", "t1"), ("t3", "t1")])
-        # dep (t1, t2) closes t1 -dep-> t2 -rw-> t1.
-        assert checker.observe([("t1", "t2")], []) == ["t1", "t2", "t1"]
-        # Had (t1, t2) stayed in the graph, (t2, t1) would close a
-        # dependency cycle; without it the edge is legal.
-        assert checker.observe([("t2", "t1")], []) is None
+        # t1 -dep-> t2 -rw-> t3 -dep-> t4 -rw-> t1 composes to the
+        # cycle (t1, t3), (t3, t1); the witness is the real dependency
+        # path.  With t2 evicted first, the same commit is clean.
+        for evict in (False, True):
+            checker = make_checker("SI")
+            checker.observe("t1", [], [], [])
+            checker.observe("t2", ["t1"], [], [])
+            checker.observe("t3", [], [], ["t2"])
+            if evict:
+                checker.remove_node("t2")
+            cycle = checker.observe("t4", ["t3"], ["t1"], [])
+            if evict:
+                assert cycle is None
+            else:
+                assert cycle == ["t4", "t1", "t2", "t3", "t4"]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_edges_agree_with_composed_relation(self, seed):
-        """The checker accepts exactly the edges that keep
-        ``dep ; RW?`` acyclic, across arbitrary evictions, and every
-        witness is a cycle of accepted edges and the rejected one."""
-        from repro.core.relations import Relation
-
-        rng = random.Random(seed)
-        checker = make_checker("SI")
-        live = []
-        dep, rw = set(), set()
-        for step in range(150):
-            if len(live) < 2 or rng.random() < 0.1:
-                tid = f"t{step}"
-                checker.add_node(tid)
-                live.append(tid)
-                continue
-            if len(live) > 4 and rng.random() < 0.1:
-                gone = live.pop(rng.randrange(len(live)))
-                checker.remove_node(gone)
-                dep = {e for e in dep if gone not in e}
-                rw = {e for e in rw if gone not in e}
-                continue
-            edge = tuple(rng.sample(live, 2))
-            is_dep = rng.random() < 0.5
-            new_dep = dep | {edge} if is_dep else dep
-            new_rw = rw if is_dep else rw | {edge}
-            offline_ok = (
-                Relation(new_dep, live)
-                .compose(Relation(new_rw, live).reflexive())
-                .is_acyclic()
-            )
-            cycle = (
-                checker.observe([edge], []) if is_dep
-                else checker.observe([], [edge])
-            )
-            assert (cycle is None) == offline_ok, (edge, is_dep, dep, rw)
-            if cycle is None:
-                dep, rw = new_dep, new_rw
-            else:
-                assert cycle[0] == cycle[-1]
-                assert len(set(cycle)) >= 2, cycle
-                for pair in zip(cycle, cycle[1:]):
-                    assert pair in new_dep | new_rw, (cycle, pair)
+        assert_agrees_with_condition("SI", seed)
 
 
 class TestPsiChecker:
-    def test_dep_cycle_detected(self):
-        checker = make_checker("PSI")
-        for tid in ("t1", "t2"):
-            checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], []) is None
-        cycle = checker.observe([("t2", "t1")], [])
-        assert cycle == ["t2", "t1", "t2"]
-
     def test_rw_edge_closing_dep_path_detected_with_real_path(self):
         checker = make_checker("PSI")
-        for tid in ("t1", "t2", "t3"):
-            checker.add_node(tid)
-        checker.observe([("t1", "t2"), ("t2", "t3")], [])
-        cycle = checker.observe([], [("t3", "t1")])
-        assert cycle == ["t1", "t2", "t3", "t1"]
-
-    def test_dep_edge_closing_existing_rw_detected(self):
-        checker = make_checker("PSI")
-        for tid in ("t1", "t2", "t3"):
-            checker.add_node(tid)
-        assert checker.observe([("t1", "t2")], [("t3", "t1")]) is None
-        cycle = checker.observe([("t2", "t3")], [])
+        assert checker.observe("t1", [], [], []) is None
+        assert checker.observe("t2", ["t1"], [], []) is None
+        cycle = checker.observe("t3", ["t2"], ["t1"], [])
         assert cycle == ["t1", "t2", "t3", "t1"]
 
     def test_two_rw_steps_allowed(self):
         # The long-fork shape: loops needing two anti-dependency steps
         # are PSI-consistent.
         checker = make_checker("PSI")
-        for tid in ("t1", "t2", "t3", "t4"):
-            checker.add_node(tid)
-        assert checker.observe(
-            [("t1", "t3"), ("t2", "t4")], [("t3", "t2"), ("t4", "t1")]
-        ) is None
+        assert checker.observe("t1", [], [], []) is None
+        assert checker.observe("t2", [], [], []) is None
+        assert checker.observe("t3", ["t1"], ["t2"], []) is None
+        assert checker.observe("t4", ["t2"], ["t1"], []) is None
 
-    def test_eviction_clears_rw_index(self):
-        checker = make_checker("PSI")
-        for tid in ("t1", "t2", "t3"):
-            checker.add_node(tid)
-        checker.observe([("t1", "t2")], [("t3", "t1")])
-        checker.remove_node("t3")
-        # After eviction the rw edge is gone: a dep edge that would have
-        # closed the loop through t3 is now fine.
-        checker.add_node("t3")
-        assert checker.observe([("t2", "t3")], []) is None
+    def test_eviction_removes_dep_paths(self):
+        # t4's stale read of t1 closes a loop only through t2.
+        for evict in (False, True):
+            checker = make_checker("PSI")
+            checker.observe("t1", [], [], [])
+            checker.observe("t2", ["t1"], [], [])
+            checker.observe("t3", ["t2"], [], [])
+            if evict:
+                checker.remove_node("t2")
+            cycle = checker.observe("t4", ["t3"], ["t1"], [])
+            if evict:
+                assert cycle is None
+            else:
+                assert cycle == ["t1", "t2", "t3", "t4", "t1"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_commits_agree_with_closure_condition(self, seed):
+        assert_agrees_with_condition("PSI", seed)
 
 
 class TestMonitorKnob:

@@ -68,6 +68,22 @@ class TestBasicObservation:
         with pytest.raises(MonitorError):
             monitor.observe_commit("t1", "s1", [read("x", 42)])
 
+    def test_rejected_commit_leaves_no_state(self):
+        """Reads are attributed before anything is recorded, so a
+        rejected commit can be fed again once corrected."""
+        monitor = ConsistencyMonitor("SI", {"x": 0, "y": 0})
+        monitor.observe_commit("t1", "s1", [write("x", 1)])
+        with pytest.raises(MonitorError):
+            monitor.observe_commit(
+                "t2", "s1", [read("x", 1), read("y", 42), write("y", 2)]
+            )
+        assert monitor.commit_count == 1
+        assert monitor.state_size()["fresh_readers"] == 0
+        assert monitor.observe_commit(
+            "t2", "s1", [read("x", 1), read("y", 0), write("y", 2)]
+        ) is None
+        assert monitor.dependency_edges()["SO"] == {("t1", "t2")}
+
     def test_ambiguous_value_rejected_in_strict_mode(self):
         monitor = ConsistencyMonitor("SI", {"x": 0})
         monitor.observe_commit("t1", "s1", [write("x", 7)])

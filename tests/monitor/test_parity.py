@@ -110,7 +110,7 @@ def run_to_first_violation(monitor, stream):
 def assert_parity(stream, model, initial, init_tid="t_init", window=None):
     """Both back-ends produce identical verdicts and commit points."""
 
-    def monitor_for(checker, window=window):
+    def monitor_for(checker):
         return ConsistencyMonitor(
             model,
             dict(initial),
@@ -119,24 +119,21 @@ def assert_parity(stream, model, initial, init_tid="t_init", window=None):
             window=window,
         )
 
-    inc_verdicts, inc_violation = run_to_first_violation(
-        monitor_for("incremental"), stream
-    )
-    reb_verdicts, reb_violation = run_to_first_violation(
-        monitor_for("rebuild"), stream
-    )
+    inc_monitor = monitor_for("incremental")
+    reb_monitor = monitor_for("rebuild")
+    inc_verdicts, inc_violation = run_to_first_violation(inc_monitor, stream)
+    reb_verdicts, reb_violation = run_to_first_violation(reb_monitor, stream)
     assert inc_verdicts == reb_verdicts, (model, window)
     assert (inc_violation is None) == (reb_violation is None)
     if inc_violation is not None:
         assert inc_violation.tid == reb_violation.tid
         # Both witnesses are genuine cycles of the history's dependency
-        # graph.  Its edges come from an unwindowed monitor: a windowed
-        # one has already evicted its oldest commit after the check.
-        full = monitor_for("incremental", window=None)
-        for tid, session, events in stream[:len(inc_verdicts)]:
-            full.observe_commit(tid, session, events)
-        edges = set().union(*full.dependency_edges().values())
-        for violation in (inc_violation, reb_violation):
+        # graph, as the monitor that reported it still holds it: a
+        # windowed one keeps the witness until the next commit.
+        for violation, monitor in (
+            (inc_violation, inc_monitor), (reb_violation, reb_monitor)
+        ):
+            edges = set().union(*monitor.dependency_edges().values())
             assert violation.cycle, violation
             assert violation.cycle[0] == violation.cycle[-1]
             for pair in zip(violation.cycle, violation.cycle[1:]):
