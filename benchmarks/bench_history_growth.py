@@ -22,8 +22,9 @@ the first and last 100 commits, the commit rate of the first and last
 run, the full monitor's retained edges per commit (a deterministic
 count) and its certification rate over the first and last 1,000
 commits.  The CI gates (asserted here and re-asserted on the JSON):
-last-100 / first-100 mean frame bytes <= 1.5, and at most 8 monitor
-edges per commit.
+last-100 / first-100 mean frame bytes <= 1.5, a last-100 mean frame of
+at most 180 B (the binary ``SIWAL004`` commit frame; the JSON frames
+of ``SIWAL003`` read 227 B), and at most 8 monitor edges per commit.
 
 ``perfbench`` is imported from the checkout root, so run the bench from
 there with ``python -m pytest benchmarks/bench_history_growth.py``.
@@ -49,6 +50,7 @@ E28_RUNS = 4
 E28_COMMITS = E28_RUNS * E28_RATE_WINDOW
 E28_WINDOW = 100  # commits per frame-size sample
 E28_MAX_FRAME_RATIO = 1.5
+E28_MAX_LAST_FRAME_BYTES = 180
 E28_MAX_EDGES_PER_COMMIT = 8
 
 
@@ -155,6 +157,9 @@ def test_bench_history_growth():
     assert frame_ratio <= E28_MAX_FRAME_RATIO, (
         f"frames grew {frame_ratio:.2f}x from the first to the last "
         f"{E28_WINDOW} commits"
+    )
+    assert last_bytes <= E28_MAX_LAST_FRAME_BYTES, (
+        f"the last {E28_WINDOW} commits' frames average {last_bytes:.0f} B"
     )
     assert edges_per_commit <= E28_MAX_EDGES_PER_COMMIT, (
         f"the full monitor holds {edges_per_commit:.1f} edges per commit"

@@ -12,6 +12,13 @@ machine-readable ``BENCH_wal.json`` that CI gates on:
 group-commit throughput must be >= 3x the per-record-fsync policy at
 4 workers.
 
+E26c times the commit frame codec alone: encode and decode microseconds
+per record and bytes per frame, over the records perfbench's
+``audit-replay`` producer logs (certified SI service, 100-customer
+SmallBank mix, 16 round-robin sessions).  Its timings are recorded,
+not gated.  ``perfbench`` is imported from the checkout root, so run
+the bench from there with ``python -m pytest``.
+
 ``E26_MAX_SECONDS`` caps the sweep for CI smoke runs; the gate cells
 (``always`` and ``group`` at 4 workers) always run.
 """
@@ -22,9 +29,16 @@ import tempfile
 import threading
 import time
 
+from perfbench.driver import InterleavedDriver
+from perfbench.workloads import WORKLOADS, build_stack
 from repro.core.events import write as write_op
 from repro.mvcc.engine import CommitRecord
-from repro.wal import WriteAheadLog, recover
+from repro.wal import WriteAheadLog, recover, scan
+from repro.wal.format import (
+    commit_record_from_payload,
+    commit_record_to_payload,
+    encode_frame,
+)
 
 from helpers import print_table, write_bench_json
 
@@ -34,6 +48,8 @@ E26_REPEATS = 5  # interleaved repeats; paired ratios damp disk jitter
 E26_RECOVERY_SIZES = (500, 2000, 8000)
 E26_META = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
             "model": "SI"}
+E26_CODEC_TRANSACTIONS = 1000
+E26_CODEC_REPEATS = 7  # best-of passes over the whole record stream
 
 
 def _record(ts):
@@ -156,6 +172,54 @@ def test_bench_wal_group_commit():
     test_bench_wal_group_commit.results = results
 
 
+def _best_us_per_item(function, items, repeats=E26_CODEC_REPEATS):
+    """Fastest of ``repeats`` passes of ``function`` over ``items``, in
+    microseconds per item."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for item in items:
+            function(item)
+        best = min(best, time.perf_counter() - started)
+    return best / len(items) * 1e6
+
+
+def test_bench_wal_codec():
+    """E26c: the commit frame codec over the audit-replay stream."""
+    base = tempfile.mkdtemp(prefix="bench-wal-codec-")
+    try:
+        directory = os.path.join(base, "wal")
+        mix, service = build_stack(WORKLOADS["audit-replay"], directory)
+        InterleavedDriver(
+            service, mix, transactions=E26_CODEC_TRANSACTIONS, sessions=16,
+            seed=0, round_robin=True,
+        ).run()
+        service.close()
+        records = list(scan(directory))
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
+    payloads = [commit_record_to_payload(r) for r in records]
+    assert [commit_record_from_payload(p) for p in payloads] == records
+    encode_us = _best_us_per_item(commit_record_to_payload, records)
+    decode_us = _best_us_per_item(commit_record_from_payload, payloads)
+    frame_bytes = sum(len(encode_frame(p)) for p in payloads) / len(payloads)
+    ops = sum(len(r.events) for r in records) / len(records)
+    print_table(
+        f"E26c — commit frame codec over {len(records)} audit-replay "
+        f"records ({ops:.1f} ops per record, best of "
+        f"{E26_CODEC_REPEATS})",
+        ["encode us/record", "decode us/record", "bytes/frame"],
+        [(f"{encode_us:.2f}", f"{decode_us:.2f}", f"{frame_bytes:.1f}")],
+    )
+    test_bench_wal_codec.results = {
+        "records": len(records),
+        "ops_per_record": round(ops, 3),
+        "encode_us": round(encode_us, 3),
+        "decode_us": round(decode_us, 3),
+        "frame_bytes": round(frame_bytes, 2),
+    }
+
+
 def test_bench_wal_recovery():
     """E26b: recovery replays the log at a rate that scales linearly."""
     budget = float(os.environ.get("E26_MAX_SECONDS", "0")) or None
@@ -212,6 +276,10 @@ def test_bench_wal_recovery():
             "max_seconds": budget,
             "dropped_recovery_sizes": dropped,
         },
-        results={"append": group_results, "recovery": recovery},
+        results={
+            "append": group_results,
+            "recovery": recovery,
+            "codec": getattr(test_bench_wal_codec, "results", {}),
+        },
     )
     print(f"bench record written to {path}")

@@ -133,9 +133,10 @@ def history_from_json(data: Dict[str, Any]) -> Tuple[History, Optional[str]]:
 # Plain JSON maps tuples and lists to the same array syntax, but the
 # operational stack distinguishes them: the service's value tagger
 # writes ``(logical, seq)`` tuples and `ValueTagger.logical` detects
-# them with an isinstance check.  The write-ahead log must reproduce
-# committed values bit-identically on recovery, so its payloads encode
-# values through these tagged codecs instead of raw JSON.
+# them with an isinstance check.  The write-ahead log's JSON meta frame
+# encodes its initial values through these tagged codecs instead of raw
+# JSON.  Dict keys become strings here; commit frames use the binary
+# codec of :mod:`repro.wal.format`, which keeps them.
 
 
 def value_to_wire(value: Any) -> Any:
@@ -162,25 +163,6 @@ def value_from_wire(data: Any) -> Any:
             return {k: value_from_wire(v) for k, v in data["d"].items()}
         raise FormatError(f"malformed wire value: {data!r}")
     return data
-
-
-def op_to_wire(op: Op) -> List[Any]:
-    """Like :func:`op_to_json` but with a type-preserving value."""
-    return [op.kind.value, op.obj, value_to_wire(op.value)]
-
-
-def op_from_wire(data: Any) -> Op:
-    """Inverse of :func:`op_to_wire`."""
-    try:
-        kind, obj, value = data
-    except (TypeError, ValueError):
-        raise FormatError(f"operation must be [kind, obj, value]: {data!r}")
-    value = value_from_wire(value)
-    if kind == OpKind.READ.value:
-        return read_op(obj, value)
-    if kind == OpKind.WRITE.value:
-        return write_op(obj, value)
-    raise FormatError(f"unknown operation kind {kind!r}")
 
 
 # ----------------------------------------------------------------------

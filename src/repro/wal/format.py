@@ -3,7 +3,7 @@
 A log is a directory of *segments* (``wal-00000001.seg``,
 ``wal-00000002.seg``, ...).  Each segment is::
 
-    SIWAL003                                  8-byte magic
+    SIWAL004                                  8-byte magic
     frame*                                    zero or more frames
 
 and each frame is::
@@ -14,24 +14,45 @@ with little-endian header fields.  The first frame of every segment
 carries a JSON **meta** payload describing the log (engine key, initial
 object values, init tid, segment index, first expected commit sequence
 number), so every segment is self-describing.  Every later frame is
-one **commit** payload: a :class:`~repro.mvcc.engine.CommitRecord`
-serialised with the type-preserving value codecs of
-:mod:`repro.io.json_format` (tuples — the service's tagged values —
-survive the round trip bit-identically).  A commit payload carries
-exactly the record's fields: ``tid``, ``session``, ``commit_ts``, the
-op list ``events`` (the record's writes are derived from it, so no
-second copy can disagree), and the constant-size snapshot descriptor
-as ``"snapshot"`` (the frontier) and ``"extra"`` (the tids visible
-above it), never the set of every visible tid, so frames stay the
+one **commit** payload: a :class:`~repro.mvcc.engine.CommitRecord` in
+a ``struct``-packed binary layout.  It carries exactly the record's
+fields: ``tid``, ``session``, ``commit_ts``, the op list ``events``
+(the record's writes are derived from it, so no second copy can
+disagree), and the constant-size snapshot descriptor ``snapshot`` (the
+frontier) and ``extra`` (the tids visible above it), so frames stay the
 same size however long the log grows.
 
+A commit payload is a header and four tables (``docs/WAL.md`` has the
+byte layout)::
+
+    "C" <layout byte> <counts: ints, strings, floats, shape bytes>
+    <one struct: the int table, the string lengths, the float table>
+    <shape: one tag byte per op and per value, in pre-order>
+    <text: every string, concatenated, UTF-8>
+
+The int table starts with ``commit_ts``, ``snapshot`` and the number of
+``extra`` tids, then holds every int value and container length; the
+string table starts with the tid, the session and the sorted ``extra``
+tids, then holds every object name and string value.  Values are
+tagged, so a decoded value has its original type: int (``i``), int
+beyond int64 (``I``), bool (``T``/``F``), float (``f``, bit-exact),
+str (``s``), bytes (``b``), None (``N``), tuple (``t``), list (``l``)
+and dict (``d``, keys keep their type).  Each table uses the narrowest
+width that holds its entries, named by the layout byte.  Decoding is
+one ``unpack_from``, one UTF-8 decode, and a walk of the shape that
+takes a run of ints as one slice of the int table.
+
 The magic names the format version.  Segments of an earlier version —
-``SIWAL001`` (which listed every visible tid in each frame) and
-``SIWAL002`` (which also stored a ``writes`` map and a ``start_ts``) —
-are not read: the scanner reports such a segment as damage naming both
-versions rather than misdecode it.  Frames are input from outside the
-program, so :func:`commit_record_from_doc` validates the descriptor
-too.
+``SIWAL001`` (which listed every visible tid in each frame),
+``SIWAL002`` (which also stored a ``writes`` map and a ``start_ts``)
+and ``SIWAL003`` (whose commit frames were JSON) — are not read: the
+scanner reports such a segment as damage naming both versions rather
+than misdecode it.  Frames are input from outside the program, so
+:func:`commit_record_from_payload` raises nothing but
+:class:`FormatError`: it checks truncation, unknown tags, bad UTF-8,
+unused table entries, nesting deeper than :data:`MAX_VALUE_DEPTH` and
+the descriptor.  The encoder refuses what the decoder would reject, so
+every frame the log writes reads back.
 
 The framing is what makes recovery torn-tail tolerant: a crash mid
 ``write`` leaves a frame whose header promises more bytes than exist or
@@ -48,17 +69,11 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.events import Obj, Value
-from ..io.json_format import (
-    FormatError,
-    op_from_wire,
-    op_to_wire,
-    value_from_wire,
-    value_to_wire,
-)
+from ..core.events import Obj, Op, OpKind, Value
+from ..io.json_format import FormatError, value_from_wire, value_to_wire
 from ..mvcc.engine import CommitRecord
 
-SEGMENT_MAGIC = b"SIWAL003"
+SEGMENT_MAGIC = b"SIWAL004"
 """Leading bytes of every segment file (8 bytes, version included)."""
 
 FRAME_HEADER = struct.Struct("<II")
@@ -247,19 +262,6 @@ def meta_to_payload(
     return MetaEncoder(meta).payload(segment, first_ts)
 
 
-def commit_record_to_payload(record: CommitRecord) -> bytes:
-    """Serialise one commit record frame payload."""
-    return _dump({
-        "kind": "commit",
-        "tid": record.tid,
-        "session": record.session,
-        "commit_ts": record.commit_ts,
-        "events": [op_to_wire(op) for op in record.events],
-        "snapshot": record.snapshot,
-        "extra": sorted(record.extra),
-    })
-
-
 def _dump(doc: Any) -> bytes:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
 
@@ -270,7 +272,7 @@ def _dump_field(key: str, value: Any) -> bytes:
 
 
 def payload_to_doc(payload: bytes) -> Dict[str, Any]:
-    """Parse a frame payload into its JSON document.
+    """Parse a meta frame payload into its JSON document.
 
     Raises:
         FormatError: when the payload is not a JSON object with a
@@ -278,7 +280,7 @@ def payload_to_doc(payload: bytes) -> Dict[str, Any]:
     """
     try:
         doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"undecodable frame payload: {exc}")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("frame payload is not a tagged JSON object")
@@ -315,51 +317,372 @@ def meta_from_doc(doc: Mapping[str, Any]) -> LogMeta:
                 )
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"malformed meta frame: {exc!r}")
 
 
-def commit_record_from_doc(doc: Mapping[str, Any]) -> CommitRecord:
-    """Deserialise a commit frame document, inverse of
+# ----------------------------------------------------------------------
+# Commit payloads (binary)
+# ----------------------------------------------------------------------
+
+COMMIT_KIND = b"C"
+"""Leading byte of a commit payload (a meta payload starts with ``{``)."""
+
+MAX_VALUE_DEPTH = 64
+"""Deepest container nesting a committed value may have.  The encoder
+refuses a deeper value (which poisons the log) and the decoder reports
+one as damage, so decoding is bounded and every frame the writer
+accepts reads back."""
+
+# Shape tags: one byte per op and per value, in pre-order.
+_READ = ord("r")
+_WRITE = ord("w")
+_INT = ord("i")
+_BIGINT = ord("I")
+_FLOAT = ord("f")
+_TRUE = ord("T")
+_FALSE = ord("F")
+_NONE = ord("N")
+_STR = ord("s")
+_BYTES = ord("b")
+_TUPLE = ord("t")
+_LIST = ord("l")
+_DICT = ord("d")
+_OP_KINDS = {_READ: OpKind.READ, _WRITE: OpKind.WRITE}
+
+_INT_MIN, _INT_MAX = -(1 << 63), (1 << 63) - 1
+
+# The layout byte: bits 0-1 pick the int table's entry format, bits 2-3
+# the string-length table's, bit 4 the header's count format.  Each is
+# the narrowest that holds every entry, chosen by bit length.
+_INT_CODES = "bhiq"
+_INT_CODE_BY_BITS = [0] * 8 + [1] * 8 + [2] * 16 + [3] * 32
+_LEN_CODES = "BHI"
+_LEN_CODE_BY_BITS = [0] * 9 + [1] * 8 + [2] * 16
+_HEADERS = (struct.Struct("<cBHHHH"), struct.Struct("<cBIIII"))
+_HEADER_SIZES = tuple(head.size for head in _HEADERS)
+_LAYOUTS = {
+    i | (n << 2) | (c << 4): (_INT_CODES[i], _LEN_CODES[n])
+    for i in range(len(_INT_CODES))
+    for n in range(len(_LEN_CODES))
+    for c in range(len(_HEADERS))
+}
+
+_Plan = Tuple[struct.Struct, int, int, int, int, int, int]
+_PLANS: Dict[bytes, _Plan] = {}
+_MAX_PLANS = 4096
+
+
+def _plan(header: bytes) -> _Plan:
+    """Check a commit payload header and compile the struct of its
+    scalar tables.  Returns ``(scalars, n_ints, n_strs, n_floats,
+    table_at, shape_at, text_at)``; cached per distinct header."""
+    plan = _PLANS.get(header)
+    if plan is not None:
+        return plan
+    if header[:1] != COMMIT_KIND:
+        raise FormatError(
+            f"expected a commit frame, got kind byte {header[:1]!r}"
+        )
+    layout = header[1]
+    if layout not in _LAYOUTS:
+        raise FormatError(f"malformed commit frame: layout byte {layout}")
+    int_code, len_code = _LAYOUTS[layout]
+    head = _HEADERS[layout >> 4]
+    _, _, n_ints, n_strs, n_floats, n_shape = head.unpack(header)
+    scalars = struct.Struct(
+        f"<{n_ints}{int_code}{n_strs}{len_code}{n_floats}d"
+    )
+    shape_at = head.size + scalars.size
+    plan = (scalars, n_ints, n_strs, n_floats, head.size, shape_at,
+            shape_at + n_shape)
+    if len(_PLANS) >= _MAX_PLANS:
+        _PLANS.clear()
+    _PLANS[header] = plan
+    return plan
+
+
+def commit_record_to_payload(record: CommitRecord) -> bytes:
+    """Serialise one commit record frame payload.
+
+    Raises:
+        ValueError / TypeError: when the record is one
+            :func:`commit_record_from_payload` would refuse (a snapshot
+            frontier outside ``[0, commit_ts)``, an ``extra`` that is
+            not a frozenset of other tids), or a value nests deeper
+            than :data:`MAX_VALUE_DEPTH` or is of a type the codec does
+            not carry.  The log poisons itself on any of them, so every
+            frame it writes reads back.
+    """
+    snapshot = record.snapshot
+    if type(snapshot) is not int or not 0 <= snapshot < record.commit_ts:
+        raise ValueError(
+            f"snapshot {snapshot!r} is not an int in "
+            f"[0, {record.commit_ts!r})"
+        )
+    if not isinstance(record.extra, frozenset) or record.tid in record.extra:
+        raise ValueError(
+            f"extra {record.extra!r} is not a frozenset of other tids"
+        )
+    extra = sorted(record.extra)
+    ints = [record.commit_ts, snapshot, len(extra)]
+    strs = [record.tid, record.session, *extra]
+    floats: List[float] = []
+    shape = bytearray()
+    for op in record.events:
+        shape.append(_READ if op.kind is OpKind.READ else _WRITE)
+        strs.append(op.obj)
+        _put_value(op.value, shape, ints, strs, floats, 0)
+    lengths = [len(s) for s in strs]
+    counts = (len(ints), len(strs), len(floats), len(shape))
+    wide = max(counts) > 0xFFFF
+    layout = (
+        _INT_CODE_BY_BITS[max(max(ints), ~min(ints)).bit_length()]
+        | _LEN_CODE_BY_BITS[max(lengths).bit_length()] << 2
+        | wide << 4
+    )
+    header = _HEADERS[wide].pack(COMMIT_KIND, layout, *counts)
+    return b"".join((
+        header,
+        _plan(header)[0].pack(*ints, *lengths, *floats),
+        shape,
+        "".join(strs).encode("utf-8", "surrogatepass"),
+    ))
+
+
+def _put_value(
+    value: Any,
+    shape: bytearray,
+    ints: List[int],
+    strs: List[str],
+    floats: List[float],
+    depth: int,
+) -> None:
+    """Append ``value``'s tags to ``shape`` and its scalars to the
+    tables, in pre-order."""
+    if type(value) is int and _INT_MIN <= value <= _INT_MAX:
+        shape.append(_INT)
+        ints.append(value)
+    elif isinstance(value, str):
+        shape.append(_STR)
+        strs.append(value)
+    elif isinstance(value, (tuple, list, dict)):
+        if depth >= MAX_VALUE_DEPTH:
+            raise ValueError(
+                f"value nests deeper than {MAX_VALUE_DEPTH} containers"
+            )
+        ints.append(len(value))
+        if isinstance(value, dict):
+            shape.append(_DICT)
+            for key, item in value.items():
+                _put_value(key, shape, ints, strs, floats, depth + 1)
+                _put_value(item, shape, ints, strs, floats, depth + 1)
+            return
+        shape.append(_TUPLE if isinstance(value, tuple) else _LIST)
+        for item in value:
+            if type(item) is int and _INT_MIN <= item <= _INT_MAX:
+                shape.append(_INT)
+                ints.append(item)
+            else:
+                _put_value(item, shape, ints, strs, floats, depth + 1)
+    elif isinstance(value, bool):
+        shape.append(_TRUE if value else _FALSE)
+    elif isinstance(value, int):
+        if _INT_MIN <= value <= _INT_MAX:
+            shape.append(_INT)
+            ints.append(int(value))
+        else:
+            # Two's complement, little-endian, one char per byte.
+            shape.append(_BIGINT)
+            size = (value.bit_length() + 8) // 8
+            strs.append(
+                value.to_bytes(size, "little", signed=True).decode("latin-1")
+            )
+    elif isinstance(value, float):
+        shape.append(_FLOAT)
+        floats.append(value)
+    elif isinstance(value, bytes):
+        shape.append(_BYTES)
+        strs.append(value.decode("latin-1"))
+    elif value is None:
+        shape.append(_NONE)
+    else:
+        raise TypeError(
+            f"cannot log a value of type {type(value).__name__}"
+        )
+
+
+def commit_record_from_payload(payload: bytes) -> CommitRecord:
+    """Deserialise a commit frame payload, inverse of
     :func:`commit_record_to_payload` (bit-identical round trip).
 
     Raises:
-        FormatError: when a field is missing or mistyped, the snapshot
-            frontier is not an int in ``[0, commit_ts)``, or ``extra``
-            is not a list of tid strings or names the record's own tid.
+        FormatError: on anything but a well-formed payload: a wrong
+            kind byte, unknown layout or tag, truncated or unused table
+            entries, bad UTF-8, a value nested deeper than
+            :data:`MAX_VALUE_DEPTH`, a snapshot frontier outside
+            ``[0, commit_ts)``, or an ``extra`` naming the record's own
+            tid.  Nothing else is raised.
     """
-    if doc.get("kind") != "commit":
-        raise FormatError(
-            f"expected a commit frame, got {doc.get('kind')!r}"
-        )
     try:
-        commit_ts = int(doc["commit_ts"])
-        snapshot = doc["snapshot"]
-        extra = doc["extra"]
-        if type(snapshot) is not int or not 0 <= snapshot < commit_ts:
-            raise FormatError(
-                f"malformed commit frame: snapshot {snapshot!r} is not "
-                f"an int in [0, {commit_ts})"
-            )
-        if not isinstance(extra, list) or not all(
-            isinstance(tid, str) for tid in extra
-        ):
-            raise FormatError(
-                f"malformed commit frame: extra {extra!r} is not a list "
-                f"of tids"
-            )
-        if doc["tid"] in extra:
-            raise FormatError(
-                f"malformed commit frame: {doc['tid']!r} lists itself "
-                f"in extra"
-            )
-        return CommitRecord(
-            tid=doc["tid"],
-            session=doc["session"],
-            commit_ts=commit_ts,
-            events=tuple(op_from_wire(op) for op in doc["events"]),
-            snapshot=snapshot,
-            extra=frozenset(extra),
+        return _decode_commit(payload)
+    except FormatError:
+        raise
+    except (IndexError, TypeError, ValueError, struct.error) as exc:
+        raise FormatError(f"malformed commit frame: {exc!r}") from None
+
+
+def _decode_commit(payload: bytes) -> CommitRecord:
+    scalars, n_ints, n_strs, n_floats, table_at, shape_at, text_at = _plan(
+        payload[:_HEADER_SIZES[payload[1] >> 4 & 1]]
+    )
+    # One table of scalars: ints, then string lengths, then floats.
+    table = scalars.unpack_from(payload, table_at)
+    shape = payload[shape_at:text_at]
+    if len(shape) != text_at - shape_at:
+        raise FormatError("malformed commit frame: truncated shape")
+    text = payload[text_at:].decode("utf-8", "surrogatepass")
+    strs = []
+    at = 0
+    for size in table[n_ints:n_ints + n_strs]:
+        strs.append(text[at:at + size])
+        at += size
+    if at != len(text):
+        raise FormatError(
+            f"malformed commit frame: string table holds {at} "
+            f"characters, the text {len(text)}"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed commit frame: {exc!r}")
+    commit_ts, snapshot, n_extra = table[:3]
+    if not 0 <= snapshot < commit_ts:
+        raise FormatError(
+            f"malformed commit frame: snapshot {snapshot!r} is not an "
+            f"int in [0, {commit_ts})"
+        )
+    if not 0 <= n_extra <= n_strs - 2 or n_ints < 3:
+        raise FormatError(f"malformed commit frame: {n_extra} extra tids")
+    tid, session = strs[0], strs[1]
+    extra = frozenset(strs[2:2 + n_extra])
+    if tid in extra:
+        raise FormatError(
+            f"malformed commit frame: {tid!r} lists itself in extra"
+        )
+    # Cursors into the table's ints and the strings, advanced in shape
+    # order; an entry read past a table's end shows in the final check.
+    i, s = 3, 2 + n_extra
+    cursor = [i, s, n_ints + n_strs]
+    events = []
+    pos = 0
+    end = len(shape)
+    while pos < end:
+        kind = _OP_KINDS.get(shape[pos])
+        if kind is None:
+            raise FormatError(
+                f"malformed commit frame: unknown op tag {shape[pos]}"
+            )
+        obj = strs[s]
+        s += 1
+        tag = shape[pos + 1]
+        if tag == _INT:
+            events.append(Op(kind, obj, table[i]))
+            i += 1
+            pos += 2
+            continue
+        if tag == _TUPLE:
+            # The service's tagged values: a tuple of ints is one slice.
+            size = table[i]
+            if 0 < size <= end - pos - 2 and (
+                shape.count(_INT, pos + 2, pos + 2 + size) == size
+            ):
+                events.append(Op(kind, obj, table[i + 1:i + 1 + size]))
+                i += 1 + size
+                pos += 2 + size
+                continue
+        cursor[0], cursor[1] = i, s
+        value, pos = _read_value(shape, pos + 1, table, strs, cursor, 0)
+        i, s = cursor[0], cursor[1]
+        events.append(Op(kind, obj, value))
+    if (i, s, cursor[2]) != (n_ints, n_strs, len(table)):
+        raise FormatError("malformed commit frame: unused table entries")
+    return CommitRecord(tid, session, commit_ts, tuple(events), snapshot,
+                        extra)
+
+
+def _read_value(
+    shape: bytes,
+    pos: int,
+    table: Tuple[Any, ...],
+    strs: List[str],
+    cursor: List[int],
+    depth: int,
+) -> Tuple[Any, int]:
+    """The value whose tags start at ``shape[pos]``, and the position
+    after its last tag.  ``cursor`` holds the next int, string and
+    float to read (indexes into ``table``, ``strs`` and ``table``) and
+    is advanced past the value's entries."""
+    tag = shape[pos]
+    pos += 1
+    if tag == _INT:
+        cursor[0] += 1
+        return table[cursor[0] - 1], pos
+    if tag == _STR:
+        cursor[1] += 1
+        return strs[cursor[1] - 1], pos
+    if tag == _TUPLE or tag == _LIST or tag == _DICT:
+        if depth >= MAX_VALUE_DEPTH:
+            raise FormatError(
+                f"malformed commit frame: value nests deeper than "
+                f"{MAX_VALUE_DEPTH} containers"
+            )
+        size = table[cursor[0]]
+        cursor[0] += 1
+        # Every item takes at least one tag byte.
+        if not 0 <= size <= len(shape) - pos:
+            raise FormatError(
+                f"malformed commit frame: container of {size} items"
+            )
+        if tag == _DICT:
+            items: Any = {}
+            for _ in range(size):
+                key, pos = _read_value(
+                    shape, pos, table, strs, cursor, depth + 1
+                )
+                items[key], pos = _read_value(
+                    shape, pos, table, strs, cursor, depth + 1
+                )
+            return items, pos
+        if shape.count(_INT, pos, pos + size) == size:
+            # A run of ints is one slice of the table.
+            items = table[cursor[0]:cursor[0] + size]
+            cursor[0] += size
+            pos += size
+        else:
+            items = []
+            for _ in range(size):
+                item, pos = _read_value(
+                    shape, pos, table, strs, cursor, depth + 1
+                )
+                items.append(item)
+        return (tuple(items) if tag == _TUPLE else list(items)), pos
+    if tag == _TRUE:
+        return True, pos
+    if tag == _FALSE:
+        return False, pos
+    if tag == _NONE:
+        return None, pos
+    if tag == _FLOAT:
+        cursor[2] += 1
+        return table[cursor[2] - 1], pos
+    if tag == _BYTES:
+        cursor[1] += 1
+        return strs[cursor[1] - 1].encode("latin-1"), pos
+    if tag == _BIGINT:
+        cursor[1] += 1
+        big = int.from_bytes(
+            strs[cursor[1] - 1].encode("latin-1"), "little", signed=True
+        )
+        if _INT_MIN <= big <= _INT_MAX:
+            raise FormatError(
+                f"malformed commit frame: big int {big} fits the int table"
+            )
+        return big, pos
+    raise FormatError(f"malformed commit frame: unknown value tag {tag}")

@@ -36,7 +36,7 @@ from .format import (
     MAX_FRAME_BYTES,
     SEGMENT_MAGIC,
     LogMeta,
-    commit_record_from_doc,
+    commit_record_from_payload,
     meta_from_doc,
     payload_to_doc,
     scan_frames,
@@ -217,7 +217,7 @@ class LogScan:
                 return
             for payload in payloads[1:]:
                 try:
-                    record = commit_record_from_doc(payload_to_doc(payload))
+                    record = commit_record_from_payload(payload)
                 except FormatError as exc:
                     self._stop(names, position, name, -1,
                                f"undecodable commit frame: {exc}")

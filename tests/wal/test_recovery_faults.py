@@ -8,12 +8,11 @@ the live run's prefix — bit-identical commit records, consistent
 engine state, damage accounted for.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.core.events import write as write_op
+from repro.core.events import read as read_op, write as write_op
 from repro.mvcc import SIEngine
 from repro.mvcc.engine import CommitRecord
 from repro.mvcc.runtime import ReadOp, WriteOp
@@ -26,8 +25,23 @@ from repro.wal.format import (
     meta_to_payload,
     segment_name,
 )
+from tests.wal.frames import forge_commit_payload
 
 COMMITS = 40
+
+
+def write_segment(directory, meta, payloads, meta_payload=None, index=1,
+                  first_ts=1):
+    """Write segment ``index`` of a log by hand: the magic, a meta frame
+    (the encoding of ``meta`` unless ``meta_payload`` is given) and one
+    frame per commit payload."""
+    if meta_payload is None:
+        meta_payload = meta_to_payload(meta, index, first_ts=first_ts)
+    (directory / segment_name(index)).write_bytes(
+        SEGMENT_MAGIC
+        + encode_frame(meta_payload)
+        + b"".join(encode_frame(payload) for payload in payloads)
+    )
 
 
 @pytest.fixture
@@ -41,7 +55,7 @@ def logged_run(tmp_path):
     wal = WriteAheadLog(
         directory,
         fsync_policy="none",
-        segment_max_bytes=1200,
+        segment_max_bytes=400,
         meta={"engine": "SI", "init": dict(engine.initial),
               "init_tid": engine.init_tid, "model": "SI"},
     )
@@ -129,11 +143,13 @@ class TestCorruption:
         result = assert_prefix_recovery(directory, engine)
         assert any("magic" in d.reason for d in result.damage)
 
-    @pytest.mark.parametrize("version", [b"SIWAL001", b"SIWAL002"])
+    @pytest.mark.parametrize("version",
+                             [b"SIWAL001", b"SIWAL002", b"SIWAL003"])
     def test_previous_format_version_is_damage(self, logged_run, version):
         # A segment written by an earlier format (SIWAL001 frames list
         # every visible tid; SIWAL002 frames also carry a writes map and
-        # a start_ts) must be refused by name, never misdecoded.
+        # a start_ts; SIWAL003 frames are JSON) must be refused by name,
+        # never misdecoded.
         engine, directory, segments = logged_run
         with open(segments[-1], "r+b") as f:
             f.write(version)
@@ -144,31 +160,24 @@ class TestCorruption:
         assert "magic" in reason
 
     def test_events_decide_the_writes_a_frame_recovers(self, tmp_path):
-        # A CRC-valid frame whose ``writes`` member disagrees with its
-        # events: the events are the record, so recovery installs what
-        # they wrote, and the audit certifies the same history.
+        # A frame holds no writes beside its events: a commit that
+        # writes x twice installs its last write, and the audit
+        # certifies the same history.
         directory = tmp_path / "wal"
         directory.mkdir()
         meta = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
                 "model": "SI"}
-        writer = {
-            "kind": "commit", "tid": "t1", "session": "s1",
-            "start_ts": 0, "commit_ts": 1, "snapshot": 0, "extra": [],
-            "events": [["write", "x", 1]], "writes": {"x": 2},
-        }
-        reader = {
-            "kind": "commit", "tid": "t2", "session": "s2",
-            "start_ts": 1, "commit_ts": 2, "snapshot": 1, "extra": [],
-            "events": [["read", "x", 1]], "writes": {},
-        }
-        (directory / segment_name(1)).write_bytes(
-            SEGMENT_MAGIC
-            + encode_frame(meta_to_payload(meta, 1, first_ts=1))
-            + b"".join(
-                encode_frame(json.dumps(doc).encode())
-                for doc in (writer, reader)
-            )
+        writer = CommitRecord(
+            tid="t1", session="s1", commit_ts=1,
+            events=(write_op("x", 2), write_op("x", 1)), snapshot=0,
         )
+        reader = CommitRecord(
+            tid="t2", session="s2", commit_ts=2,
+            events=(read_op("x", 1),), snapshot=1,
+        )
+        write_segment(directory, meta, [
+            commit_record_to_payload(r) for r in (writer, reader)
+        ])
         result = recover(str(directory))
         assert result.records_recovered == 2 and not result.truncated
         assert result.engine.store.value_at("x", 2) == 1
@@ -185,21 +194,48 @@ class TestCorruption:
             tid="t1", session="s", commit_ts=1,
             events=(write_op("x", 1),), snapshot=0,
         )
-        bad = commit_record_to_payload(good).replace(
-            b'"snapshot":0', b'"snapshot":2'
-        ).replace(b'"commit_ts":1', b'"commit_ts":2').replace(
-            b'"tid":"t1"', b'"tid":"t2"'
-        )
-        (directory / segment_name(1)).write_bytes(
-            SEGMENT_MAGIC
-            + encode_frame(meta_to_payload(meta, 1, first_ts=1))
-            + encode_frame(commit_record_to_payload(good))
-            + encode_frame(bad)
-        )
+        # Commit #2 claiming to see itself: frontier 2 is not below 2.
+        bad = forge_commit_payload([2, 2, 0, 1], ["t2", "s", "x"], b"wi")
+        write_segment(directory, meta, [commit_record_to_payload(good), bad])
         result = recover(str(directory))
         assert result.records_recovered == 1
         assert result.truncated
         assert "snapshot 2" in result.damage[0].reason
+
+    @pytest.mark.parametrize("frame", ["meta", "commit"])
+    def test_deeply_nested_frame_is_damage(self, tmp_path, frame):
+        # A CRC-valid frame nesting 100,000 levels deep, in segment 2,
+        # is damage for recovery and audit alike, never a RecursionError.
+        directory = tmp_path / "wal"
+        directory.mkdir()
+        meta = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
+                "model": "SI"}
+        depth = 100_000
+
+        def record(ts):
+            return commit_record_to_payload(CommitRecord(
+                tid=f"t{ts}", session="s", commit_ts=ts,
+                events=(write_op("x", ts),), snapshot=ts - 1,
+            ))
+
+        write_segment(directory, meta, [record(1)])
+        if frame == "meta":
+            nested = b"[" * depth + b"]" * depth
+            deep_meta = meta_to_payload(meta, 2, first_ts=2).replace(
+                b'"init":{"x":0}', b'"init":{"x":' + nested + b"}"
+            )
+            write_segment(directory, meta, [record(2)], index=2, first_ts=2,
+                          meta_payload=deep_meta)
+        else:
+            write_segment(directory, meta, [forge_commit_payload(
+                [2, 1, 0] + [1] * depth + [0], ["t2", "s", "x"],
+                b"w" + b"l" * depth + b"i",
+            )], index=2, first_ts=2)
+        result = recover(str(directory))
+        assert result.records_recovered == 1 and result.truncated
+        assert result.damage[0].segment == segment_name(2)
+        audit = audit_log(str(directory))
+        assert audit.commits_observed == 1 and audit.damage
 
     def test_corrupted_meta_frame(self, logged_run):
         engine, directory, segments = logged_run

@@ -104,6 +104,32 @@ class TestRoundTrip:
             assert (recovered.store.snapshot_at(ts)
                     == engine.store.snapshot_at(ts))
 
+    def test_typed_values_recover_as_written(self, tmp_path):
+        # Dict keys keep their type and bytes values are logged: a JSON
+        # frame turned {1: "a"} into {"1": "a"} and could not hold bytes.
+        engine = SIEngine({"x": 0, "y": 0})
+        wal = WriteAheadLog(
+            str(tmp_path / "wal"), fsync_policy="none",
+            meta={"engine": "SI", "init": {"x": 0, "y": 0},
+                  "init_tid": engine.init_tid, "model": "SI"},
+        )
+        for writes in (
+            {"x": {1: "a", (2, 3): 4}, "y": b"\x00\xffraw"},
+            {"x": {(1, (2,)): [b"z", 1.5], None: True}, "y": 1 << 80},
+        ):
+            txn = engine.begin("s")
+            engine.read(txn, "x")
+            for obj, value in writes.items():
+                engine.write(txn, obj, value)
+            wal.append(engine.commit(txn))
+        wal.close()
+        recovered = recover(wal.directory).engine
+        assert recovered.committed == engine.committed
+        assert recovered.committed[1].events[0].value == {1: "a", (2, 3): 4}
+        for ts in range(engine._clock + 1):
+            assert (recovered.store.snapshot_at(ts)
+                    == engine.store.snapshot_at(ts))
+
     def test_abstract_execution_reconstructs(self, tmp_path):
         engine, wal, _, _ = run_with_wal(tmp_path, "SI", workers=2, txns=5)
         recovered = recover(wal.directory).engine
