@@ -114,14 +114,14 @@ def test_service_report():
 
 
 # ----------------------------------------------------------------------
-# E25 — engine scaling: lock-free reads under in-commit certification
+# E25 — engine scaling: lock-free reads, certification off the commit path
 # ----------------------------------------------------------------------
 #
 # The fine-grained concurrency work (per-object lock stripes, lock-free
 # O(log n) snapshot reads) should let throughput grow with worker
 # threads for closed-loop clients (per-transaction think time models
-# the client round trip), even though every commit is certified inside
-# the commit critical section.  The sweep crosses workers x engine on
+# the client round trip), with every commit handed off to the service's
+# certifier process inside the commit critical section.  The sweep crosses workers x engine on
 # read-heavy and write-heavy SmallBank mixes and records
 # ``BENCH_engine_scaling.json``.  ``E25_MAX_SECONDS`` caps the sweep
 # (CI smoke); the scaling gate — 4-worker read-heavy SI strictly
@@ -183,7 +183,7 @@ def _e25_drive(model, mix_name, workers):
 
 def test_bench_engine_scaling():
     """E25: throughput scales with workers once reads are lock-free,
-    with every commit certified in the commit critical section."""
+    with every commit certified by the service's certifier process."""
     budget = float(os.environ.get("E25_MAX_SECONDS", "0")) or None
     cells = _e25_cells()
     mandatory = set(cells[:4])  # the gate curve always runs

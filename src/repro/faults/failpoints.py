@@ -15,9 +15,10 @@ points of :data:`~repro.faults.plan.FAILPOINTS`:
                      models a descheduled writer pinning a stripe).
 ``store.read``       :meth:`~repro.mvcc.store.MVStore.read_at` (slow
                      snapshot reads).
-``monitor.observe``  :meth:`TransactionService._observe`, before each
-                     certification, **inside the commit critical
-                     section** (a slow certifier stalls every committer).
+``monitor.observe``  :meth:`ServiceSession.commit`, before each hand-off
+                     to the certifier process, **inside the commit
+                     critical section** (a slow hand-off stalls every
+                     committer).
 ``service.admit``    :meth:`TransactionService._admit`, before the
                      admission semaphore (admission spikes).
 ``service.commit``   :meth:`ServiceSession.commit`, before the engine

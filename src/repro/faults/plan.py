@@ -332,8 +332,8 @@ def preset(
       batch leader (durability latency without data loss);
     * ``contention`` — injected commit-time aborts plus thread pauses
       inside the store's lock stripes (write-conflict storms);
-    * ``overload`` — admission spikes plus a slow certifier stalling
-      the commit critical section;
+    * ``overload`` — admission spikes plus a slow certifier hand-off
+      stalling the commit critical section;
     * ``mixed`` — all of the above at once;
     * ``poison`` — a ``mixed`` storm that additionally kills the log
       with one injected I/O error partway through (exercises the

@@ -264,6 +264,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             "throughput_tps": round(result.throughput, 1),
             "abort_rate": round(service.metrics.abort_rate, 4),
             "latency_seconds": metrics["latency_seconds"],
+            # After close(): every acknowledged commit was certified.
+            "certified_ts": metrics["gauges"]["certified_ts"],
+            "certifier_lag": metrics["gauges"]["certifier_lag"],
         }
         if wal is not None:
             report["engines"][key]["wal"] = {

@@ -6,11 +6,14 @@ step at a time; here the reproduction serves real concurrent traffic:
 sessions, bounded retry-with-backoff, an admission limit, online
 certification via an attached (typically windowed) monitor, and
 JSON-exportable metrics.  :mod:`~repro.service.loadgen` drives
-SmallBank/TPC-C-style mixes over worker threads.  The monitor certifies
-each commit inside the commit critical section, so every commit's
-outcome carries its verdict.
+SmallBank/TPC-C-style mixes over worker threads.  The monitor runs in
+a forked certifier process (:mod:`~repro.service.certifier`) fed each
+commit's encoded payload in commit order; the committer only hands the
+payload off, and :meth:`TransactionService.drain` waits for the
+verdicts.
 """
 
+from .certifier import Certifier, CertifierError
 from .health import HEALTH_STATES, HealthPolicy, HealthTracker
 from .loadgen import (
     MIXES,
@@ -32,6 +35,8 @@ from .service import (
 )
 
 __all__ = [
+    "Certifier",
+    "CertifierError",
     "HEALTH_STATES",
     "HealthPolicy",
     "HealthTracker",

@@ -117,26 +117,42 @@ class HealthTracker:
     def note_attempt(self, aborted: bool) -> None:
         """One transaction attempt finished (commit or abort)."""
         with self._lock:
-            if len(self._attempts) == self._attempts.maxlen:
-                if self._attempts[0]:
-                    self._abort_count -= 1
-            self._attempts.append(aborted)
-            if aborted:
-                self._abort_count += 1
+            self._note_attempt_locked(aborted)
             self._evaluate_locked()
 
     def note_wal_latency(self, seconds: float) -> None:
         """One durable append completed in ``seconds``."""
         with self._lock:
-            if not self._wal_latency_seen:
-                self._wal_latency_ewma = seconds
-                self._wal_latency_seen = True
-            else:
-                a = self.policy.wal_latency_alpha
-                self._wal_latency_ewma = (
-                    a * seconds + (1 - a) * self._wal_latency_ewma
-                )
+            self._note_wal_latency_locked(seconds)
             self._evaluate_locked()
+
+    def note_commit(self, wal_latency: Optional[float] = None) -> None:
+        """One attempt committed, its durable append (if any) having
+        taken ``wal_latency`` seconds: both gauge feeds in one locked
+        update and one evaluation."""
+        with self._lock:
+            self._note_attempt_locked(False)
+            if wal_latency is not None:
+                self._note_wal_latency_locked(wal_latency)
+            self._evaluate_locked()
+
+    def _note_attempt_locked(self, aborted: bool) -> None:
+        if len(self._attempts) == self._attempts.maxlen:
+            if self._attempts[0]:
+                self._abort_count -= 1
+        self._attempts.append(aborted)
+        if aborted:
+            self._abort_count += 1
+
+    def _note_wal_latency_locked(self, seconds: float) -> None:
+        if not self._wal_latency_seen:
+            self._wal_latency_ewma = seconds
+            self._wal_latency_seen = True
+        else:
+            a = self.policy.wal_latency_alpha
+            self._wal_latency_ewma = (
+                a * seconds + (1 - a) * self._wal_latency_ewma
+            )
 
     def note_wal_failure(self) -> None:
         """The write-ahead log failed; the state floor is degraded
@@ -250,11 +266,14 @@ class HealthTracker:
         Always True unless the policy enforces and the state is
         ``shedding``; while shedding, one probe per ``probe_interval``
         is still allowed so the gauges keep moving and recovery is
-        observable.
+        observable.  An observe-only policy answers without evaluating
+        (the gauge feeds and :attr:`state` evaluate).
         """
+        if not self.policy.enforce:
+            return True
         with self._lock:
             self._evaluate_locked()
-            if not self.policy.enforce or self._level < 2:
+            if self._level < 2:
                 return True
             now = self._clock()
             if now - self._last_probe >= self.policy.probe_interval:

@@ -8,7 +8,9 @@ transaction latency (including retries), admission-queue gauges, and —
 when a write-ahead log is attached — durability counters
 (appends/fsyncs/bytes) plus a group-commit batch-size histogram, so
 the cost of each fsync policy is visible in the same snapshot as the
-throughput it bought.  Everything is thread-safe, snapshot-able as
+throughput it bought — and, when a monitor is attached, how far the
+certifier process trails the commits (``certified_ts`` and
+``certifier_lag``).  Everything is thread-safe, snapshot-able as
 plain dicts, and JSON exportable so benches and CI can track the
 numbers across PRs.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
 
@@ -116,6 +119,7 @@ class ServiceMetrics:
         self.wal_batch = LatencyHistogram(
             buckets=[float(2**i) for i in range(13)]
         )
+        self._certifier: Optional[weakref.ref] = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -203,6 +207,12 @@ class ServiceMetrics:
             self.wal_fsyncs += fsyncs
         self.wal_batch.record(float(batch_size))
 
+    def attach_certifier(self, certifier) -> None:
+        """Export ``certifier``'s progress (a
+        :class:`~repro.service.certifier.Certifier`, held weakly) as the
+        ``certified_ts`` and ``certifier_lag`` gauges."""
+        self._certifier = weakref.ref(certifier)
+
     def enter_admission_queue(self) -> None:
         """A client started waiting for an admission slot."""
         with self._lock:
@@ -252,6 +262,12 @@ class ServiceMetrics:
                 "bytes": self.wal_bytes,
                 "failures": self.wal_failures,
             }
+        certifier = self._certifier() if self._certifier else None
+        if certifier is not None:
+            certifier.poll()
+            # Commits acknowledged but not yet certified.
+            gauges["certified_ts"] = certifier.certified_ts
+            gauges["certifier_lag"] = certifier.lag
         batch = self.wal_batch.snapshot()
         append_latency = self.wal_append_latency.snapshot()
         return {

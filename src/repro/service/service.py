@@ -13,27 +13,33 @@ session handles with:
   :class:`~repro.core.errors.RetryExhausted` instead of livelocking;
 * an **admission limit**: at most ``max_concurrent`` transactions in
   flight, the rest queueing on a semaphore (queue depth is metered);
-* optional **online certification**: an attached
+* optional **online certification** off the commit path: an attached
   :class:`~repro.monitor.online.ConsistencyMonitor` (typically with a
-  commit ``window``) observes every commit *in true commit order* inside
-  the commit critical section — the engine lock is held across
-  commit + observation, so the commit's outcome carries the verdict;
+  commit ``window``) runs in a forked certifier process
+  (:mod:`repro.service.certifier`).  Inside the commit critical section
+  the service only encodes the commit's ``SIWAL004`` payload and hands
+  it off, so the certifier sees *true commit order*; it certifies on
+  the second core while committers go on.  Verdicts arrive in
+  :attr:`TransactionService.violations` and are complete after
+  :meth:`TransactionService.drain`;
 * optional **durability**: with ``wal=`` a
   :class:`~repro.wal.log.WriteAheadLog` receives every commit record
-  *off the engine lock*, sequenced by the engine's gapless commit
+  (with the payload already encoded for the certifier) *off the engine
+  lock*, sequenced by the engine's gapless commit
   timestamps — the log's reorder buffer restores true commit order, so
   the on-disk log is always a prefix of the commit history and a killed
   service recovers to a prefix-consistent state via
   :func:`repro.wal.recovery.recover`.  Under
   ``fsync_policy="always"``/``"group"`` the commit call returns only
   once its record is durable; a WAL failure is surfaced to the
-  committer *after* the in-memory commit stands (same contract as a
-  monitor error).  Call :meth:`TransactionService.drain` to flush the
-  log and :meth:`TransactionService.close` at the end of the service's
-  life;
+  committer *after* the in-memory commit stands.
+  :meth:`TransactionService.drain` makes everything so far durable and
+  certified, and :meth:`TransactionService.close` ends the service's
+  life (it closes the log and reaps the certifier);
 * :class:`~repro.service.metrics.ServiceMetrics` counting commits,
   aborts, retries and latency histograms (plus WAL durability counters
-  when a log is attached), JSON-exportable.
+  when a log is attached and the certifier's lag when a monitor is),
+  JSON-exportable.
 
 Sessions map 1:1 onto engine sessions: a handle is meant to be driven
 by one thread at a time (the engines enforce one active transaction per
@@ -48,7 +54,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..core.errors import (
     DeadlineExceeded,
@@ -64,6 +70,8 @@ from ..faults import FAULTS
 from ..monitor.online import ConsistencyMonitor, Violation
 from ..mvcc.engine import BaseEngine, CommitRecord, TxContext
 from ..mvcc.runtime import ReadOp, TxProgram, WriteOp
+from ..wal.format import commit_record_to_payload
+from .certifier import Certifier
 from .health import HealthPolicy, HealthTracker
 from .metrics import ServiceMetrics
 
@@ -86,14 +94,30 @@ class TxOutcome:
     Attributes:
         record: the engine's commit record.
         attempts: how many attempts were needed (1 = no retry).
-        violation: the monitor's verdict on this commit, if a monitor is
-            attached and flagged it (the commit itself stands — the
-            monitor certifies, it does not veto).
+
+    A certified commit's verdict is not on its outcome: the certifier
+    reports it to :attr:`TransactionService.violations` (complete after
+    :meth:`TransactionService.drain`).  The commit stands either way —
+    the monitor certifies, it does not veto.
     """
 
     record: CommitRecord
     attempts: int
-    violation: Optional[Violation] = None
+
+
+def _violation_sink(
+    violations: List[Violation], metrics: ServiceMetrics, lock
+) -> Callable[[Violation], None]:
+    """Where the certifier reports a violation: the service's list and
+    metrics.  Holds no reference to the service, so a service that is
+    never closed is still freed, and its certifier reaped, at once."""
+
+    def note(violation: Violation) -> None:
+        metrics.record_violation()
+        with lock:
+            violations.append(violation)
+
+    return note
 
 
 class TransactionService:
@@ -102,10 +126,13 @@ class TransactionService:
     Args:
         engine: any :class:`BaseEngine`; the service relies on its
             operation-level locking.
-        monitor: optional online monitor fed every commit in commit
-            order inside the commit critical section; its verdict is
-            returned on the committing :class:`TxOutcome` (give it a
-            ``window`` for sustained load).
+        monitor: optional online monitor, moved into a forked certifier
+            process that is fed every commit in commit order
+            (:class:`~repro.service.certifier.Certifier`); the service's
+            :attr:`monitor` is then the certifier handle, and the
+            object passed here holds the certifier's state as of the
+            last :meth:`drain` (give it a ``window`` for sustained
+            load).
         max_concurrent: admission limit — at most this many
             transactions in flight at once (``None`` = unlimited).
         max_retries: resubmissions allowed per transaction before
@@ -170,8 +197,18 @@ class TransactionService:
                 f"default_deadline must be positive, got {default_deadline}"
             )
         self.engine = engine
-        self.monitor = monitor
         self.metrics = metrics or ServiceMetrics()
+        self._lock = threading.Lock()
+        self.violations: List[Violation] = []
+        """Every violation the certifier has reported (complete after
+        :meth:`drain`)."""
+        self.monitor: Optional[Certifier] = None
+        if monitor is not None:
+            self.monitor = Certifier(
+                monitor,
+                _violation_sink(self.violations, self.metrics, self._lock),
+            )
+            self.metrics.attach_certifier(self.monitor)
         self.health = HealthTracker(health_policy)
         self.wal = wal
         self.on_wal_failure = on_wal_failure
@@ -187,14 +224,12 @@ class TransactionService:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.backoff_seed = backoff_seed
-        self.violations: List[Violation] = []
         self._admission = (
             threading.Semaphore(max_concurrent)
             if max_concurrent is not None
             else None
         )
         self._session_counter = itertools.count(1)
-        self._lock = threading.Lock()
 
     @classmethod
     def certified(
@@ -299,24 +334,52 @@ class TransactionService:
             self._admission.release()
 
     def drain(self) -> None:
-        """Wait until the write-ahead log has flushed every in-sequence
-        frame (no-op without a log); re-raises a captured I/O error."""
+        """Make every commit so far durable and certified: wait until
+        the write-ahead log has flushed every in-sequence frame and the
+        certifier has certified every commit handed to it, so that
+        :attr:`violations` and ``metrics.violations`` are complete.
+
+        Raises (after both waits) a captured I/O error of the log, else
+        a :class:`~repro.monitor.online.MonitorError` the certifier's
+        monitor raised since the last drain, or a
+        :class:`~repro.service.certifier.CertifierError` once a commit
+        could not be handed off (an unencodable value) or the certifier
+        died."""
+        error: Optional[BaseException] = None
         if self.wal is not None and not self.read_only:
-            self.wal.flush()
+            try:
+                self.wal.flush()
+            except BaseException as exc:
+                error = exc
+        if self.monitor is not None:
+            try:
+                self.monitor.drain()
+            except BaseException as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
     def close(self) -> None:
-        """Shut the service down: drain and close the write-ahead log
-        (re-raising any captured I/O error).  Idempotent; no-op without
-        a log."""
+        """Shut the service down: close the write-ahead log and the
+        certifier (draining both first, re-raising as :meth:`drain`
+        does).  Idempotent."""
+        error: Optional[BaseException] = None
         if self.wal is not None:
             try:
                 self.wal.close()
-            except BaseException:
+            except BaseException as exc:
                 # In read-only degraded mode the log's poisoning was
                 # already absorbed and surfaced through the health
                 # state; closing it again must not re-raise.
                 if not self.read_only:
-                    raise
+                    error = exc
+        if self.monitor is not None:
+            try:
+                self.monitor.close()
+            except BaseException as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
     def __enter__(self) -> "TransactionService":
         return self
@@ -330,22 +393,6 @@ class TransactionService:
                 self.close()
             except Exception:
                 pass
-
-    def _observe(self, record: CommitRecord) -> Optional[Violation]:
-        """Certify a commit (the caller holds the engine lock, so the
-        monitor sees true commit order)."""
-        if self.monitor is None:
-            return None
-        if FAULTS.armed:
-            FAULTS.fire("monitor.observe", tid=record.tid)
-        violation = self.monitor.observe_commit(
-            record.tid, record.session, record.events
-        )
-        if violation is not None:
-            self.metrics.record_violation()
-            with self._lock:
-                self.violations.append(violation)
-        return violation
 
 
 class ServiceSession:
@@ -460,19 +507,20 @@ class ServiceSession:
         raise ServiceReadOnly(self.name) from self.service.wal_error
 
     def commit(self) -> TxOutcome:
-        """Commit.  An attached monitor certifies the commit while the
-        engine lock is still held, so it observes true commit order and
-        the outcome carries the verdict.  With an attached write-ahead
-        log the record is then appended off the engine lock — under a
-        durable fsync policy the call returns only once the record is on
-        disk."""
+        """Commit.  With a monitor attached, the commit's payload is
+        encoded and handed to the certifier while the engine lock is
+        still held, so the certifier sees true commit order; it
+        certifies off this path (see :meth:`TransactionService.drain`).
+        With a write-ahead log the record, with the same payload, is
+        then appended off the engine lock — under a durable fsync
+        policy the call returns only once the record is on disk."""
         ctx = self._open_ctx()
         if self.service.read_only and ctx.write_buffer:
             self._refuse_read_only()
         engine = self.service.engine
         wal = self.service.wal
-        violation: Optional[Violation] = None
-        monitor_error: Optional[BaseException] = None
+        payload: Optional[bytes] = None
+        commit_error: Optional[BaseException] = None
         if FAULTS.armed:
             try:
                 FAULTS.fire(
@@ -489,51 +537,62 @@ class ServiceSession:
         try:
             with engine.lock:
                 record = engine.commit(ctx)
-                try:
-                    violation = self.service._observe(record)
-                except Exception as exc:
-                    # Monitor misuse must not leak the admission slot;
-                    # the commit itself stands.
-                    monitor_error = exc
+                if self.service.monitor is not None:
+                    try:
+                        payload = self._hand_off(record)
+                    except Exception as exc:
+                        # The hand-off must not leak the admission
+                        # slot; the commit itself stands.
+                        commit_error = exc
             # Durability runs off the engine lock: concurrent committers
             # deposit into the log's reorder buffer while earlier ones
             # fsync (that is the group-commit batch).
+            wal_latency: Optional[float] = None
             if wal is not None and not self.service.read_only:
                 append_started = time.perf_counter()
                 try:
-                    wal.append(record)
+                    wal.append(record, payload)
                 except Exception as exc:
                     # The in-memory commit stands; durability failed.
                     # The policy decides whether the committer sees it
                     # (fail_stop) or the service degrades (read_only).
                     if not self.service._note_wal_failure(exc):
-                        if monitor_error is None:
-                            monitor_error = exc
+                        commit_error = commit_error or exc
                 else:
-                    append_latency = (
-                        time.perf_counter() - append_started
-                    )
+                    wal_latency = time.perf_counter() - append_started
                     self.service.metrics.record_wal_append_latency(
-                        append_latency
+                        wal_latency
                     )
-                    self.service.health.note_wal_latency(append_latency)
         except TransactionAborted:
             self._finish_aborted()
             raise
         latency = time.perf_counter() - (
             self._txn_started or time.perf_counter()
         )
-        outcome = TxOutcome(
-            record=record, attempts=self._attempts, violation=violation
-        )
+        outcome = TxOutcome(record=record, attempts=self._attempts)
         self._ctx = None
         self._reset_logical()
         self.service._release()
         self.service.metrics.record_commit(latency)
-        self.service.health.note_attempt(aborted=False)
-        if monitor_error is not None:
-            raise monitor_error
+        self.service.health.note_commit(wal_latency)
+        if commit_error is not None:
+            raise commit_error
         return outcome
+
+    def _hand_off(self, record: CommitRecord) -> Optional[bytes]:
+        """Encode ``record`` and hand it to the certifier (the caller
+        holds the engine lock).  Returns the payload for the log, or
+        None when the record does not encode — the certifier is then
+        poisoned, and the log, encoding it again, poisons itself."""
+        if FAULTS.armed:
+            FAULTS.fire("monitor.observe", tid=record.tid)
+        try:
+            payload = commit_record_to_payload(record)
+        except (TypeError, ValueError) as exc:
+            self.service.monitor.poison(exc)
+            return None
+        self.service.monitor.observe_commit(payload)
+        return payload
 
     def abort(self, reason: str = "client abort") -> None:
         """Deliberately abort the open transaction (no retry implied)."""

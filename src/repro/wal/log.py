@@ -37,6 +37,11 @@ arrivals join its next batch — so N concurrent committers share one
   current leader; a crash may lose the tail beyond the last OS
   write-back.
 
+Under ``"always"`` and ``"group"`` the log also syncs its directory
+whenever it creates a segment, so that the new file's directory entry,
+and with it every acknowledged commit in the segment, survives a power
+loss.
+
 Failure model.  An I/O error poisons the log: the leader writes
 nothing more (frames queued behind the failed one are dropped, and
 ``durable_ts`` stays below the first failure), and the leader that hit
@@ -243,8 +248,15 @@ class WriteAheadLog:
     # Producer side (committers)
     # ------------------------------------------------------------------
 
-    def append(self, record: CommitRecord) -> None:
+    def append(
+        self, record: CommitRecord, payload: Optional[bytes] = None
+    ) -> None:
         """Append one committed transaction.
+
+        ``payload`` is the record's commit payload when the caller has
+        already encoded it (a certified service encodes each commit
+        once, for its certifier and this log); it is encoded here when
+        None.
 
         Thread-safe; callers may arrive in any order — the record is
         held until every earlier commit sequence number has arrived.
@@ -261,7 +273,9 @@ class WriteAheadLog:
             self._appenders += 1  # visible to the group-commit window
         try:
             try:
-                frame = encode_frame(commit_record_to_payload(record))
+                if payload is None:
+                    payload = commit_record_to_payload(record)
+                frame = encode_frame(payload)
             except Exception as exc:
                 # An unencodable record would leave a permanent gap at
                 # its sequence number, so the whole log is poisoned.
@@ -482,6 +496,15 @@ class WriteAheadLog:
         self._file.flush()
         os.fsync(self._file.fileno())
 
+    def _sync_directory(self) -> None:
+        """Sync the log directory (not counted in ``WalStats.fsyncs``,
+        which counts syncs of commit frames)."""
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
     def _rotate(self, next_ts: int) -> None:
         """Close the current segment and open the next (leader only)."""
         self._file.flush()
@@ -498,6 +521,11 @@ class WriteAheadLog:
             self._meta_encoder.payload(self._segment, first_ts)
         )
         self._file.write(header)
+        if self.fsync_policy != "none":
+            # A new file's directory entry is durable only once the
+            # directory is synced; without it a power loss can drop the
+            # segment, and the acknowledged commits in it, whole.
+            self._sync_directory()
         self._segment_commit_bytes = 0
         self._segment_records = 0
         self.stats.segments_created += 1

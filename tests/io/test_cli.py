@@ -173,6 +173,19 @@ class TestServeBench:
         assert engine_report["committed"] > 0
         assert "p99" in engine_report["latency_seconds"]
 
+    def test_json_carries_certifier_progress(self, tmp_path, capsys):
+        report_path = tmp_path / "metrics.json"
+        status = main(
+            ["serve-bench", "--engine", "SI", "--workers", "2",
+             "--txns", "20", "--seed", "4", "--json", str(report_path)]
+        )
+        capsys.readouterr()
+        assert status == 0
+        engine_report = json.loads(report_path.read_text())["engines"]["SI"]
+        # Closed, so drained: every commit certified, none behind.
+        assert engine_report["certified_ts"] == engine_report["committed"]
+        assert engine_report["certifier_lag"] == 0
+
     def test_all_engines_and_tpcc_mix(self, capsys):
         status = main(
             [

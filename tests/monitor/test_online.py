@@ -250,4 +250,6 @@ class TestLazyTables:
 
         engine = SIEngine({"x": 0})
         service = TransactionService.certified(engine)
-        assert service.monitor._initial is engine.initial
+        # The certifier process inherits this monitor by fork.
+        assert service.monitor.monitor._initial is engine.initial
+        service.close()

@@ -255,7 +255,9 @@ class TestServiceDrivenStreams:
             service, mix, workers=4, transactions_per_worker=10, seed=7
         ).run()
         assert result.violations == 0
+        service.drain()  # the run drained already; verdicts are complete
         assert service.monitor.consistent
+        service.close()
 
 
 class TestAnomalyCatalogStreams:

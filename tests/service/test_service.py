@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.core.errors import StoreError, TransactionAborted
-from repro.monitor import ConsistencyMonitor
+from repro.monitor import ConsistencyMonitor, MonitorError
 from repro.mvcc import SIEngine, SerializableEngine
 from repro.mvcc.runtime import ReadOp, WriteOp
 from repro.service import ServiceMetrics, TransactionService
@@ -28,7 +28,8 @@ class TestExplicitControl:
         session.write("x", 7)
         outcome = session.commit()
         assert outcome.attempts == 1
-        assert outcome.violation is None
+        service.drain()
+        assert service.violations == []
         assert outcome.record.session == "alice"
         assert service.metrics.commits == 1
         assert service.metrics.in_flight == 0
@@ -129,6 +130,7 @@ class TestMonitorIntegration:
         service = TransactionService(SIEngine({"x": 0, "y": 0}), monitor)
         for obj in ("x", "y", "x"):
             service.run(incr(obj))
+        service.drain()  # the monitor holds the certifier's state
         assert monitor.commit_count == 3
         assert monitor.consistent
         assert service.violations == []
@@ -143,10 +145,10 @@ class TestMonitorIntegration:
         bob.read("a"), bob.read("b")
         alice.write("a", -30)
         bob.write("b", -20)
-        first = alice.commit()
+        alice.commit()
         second = bob.commit()
-        assert first.violation is None
-        assert second.violation is not None
+        service.drain()
+        assert [v.tid for v in service.violations] == [second.record.tid]
         assert service.metrics.violations == 1
         assert len(service.violations) == 1
         # The commit itself stood: the engine accepted both.
@@ -162,13 +164,16 @@ class TestMonitorIntegration:
         session = service.session()
         session.begin()
         session.read("x")
-        with pytest.raises(Exception):
-            session.commit()
+        session.commit()  # the commit stands; the certifier objects
+        with pytest.raises(MonitorError, match="matches no committed write"):
+            service.drain()
         # Slot free and session reusable despite the monitor blow-up.
         fresh = service.session()
         fresh.begin()
         fresh.write("x", 1)
         fresh.commit()
+        service.drain()  # each monitor error is raised once
+        service.close()
 
 
 class TestConcurrentUse:
@@ -215,3 +220,41 @@ class TestConcurrentUse:
         assert snapshot["counters"]["commits"] == 1
         assert snapshot["latency_seconds"]["count"] == 1
         assert snapshot["abort_rate"] == 0.0
+
+
+class TestHealthFeeds:
+    @pytest.mark.parametrize("with_wal", [False, True])
+    @pytest.mark.parametrize("enforce", [False, True])
+    def test_one_evaluation_per_committed_attempt(
+        self, tmp_path, with_wal, enforce
+    ):
+        from repro.service import HealthPolicy
+        from repro.wal import WriteAheadLog
+
+        wal = None
+        if with_wal:
+            wal = WriteAheadLog(
+                str(tmp_path / "wal"), fsync_policy="group",
+                meta={"engine": "SI", "init": {"x": 0},
+                      "init_tid": "t_init", "model": "SI"},
+            )
+        service = TransactionService(
+            SIEngine({"x": 0}), wal=wal,
+            health_policy=HealthPolicy(enforce=enforce),
+        )
+        tracker = service.health
+        evaluations = []
+        evaluate = tracker._evaluate_locked
+
+        def counting():
+            evaluations.append(None)
+            evaluate()
+
+        tracker._evaluate_locked = counting
+        for _ in range(10):
+            service.run(incr("x"))
+        # An enforcing breaker evaluates at admission too.
+        assert len(evaluations) == 10 * (2 if enforce else 1)
+        if with_wal:
+            assert tracker.wal_latency() > 0
+        service.close()

@@ -2,6 +2,7 @@
 and close semantics."""
 
 import os
+import stat
 import threading
 import time
 
@@ -231,6 +232,38 @@ class TestRotationAndRetention:
         for path, size in before.items():
             assert os.path.getsize(path) == size
         assert [r.commit_ts for r in scan(log.directory)] == [1, 2, 3, 4]
+
+
+class TestDirectorySync:
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
+    def test_directory_synced_when_a_segment_is_created(
+        self, tmp_path, monkeypatch, policy
+    ):
+        # A new segment's directory entry must be durable before a
+        # commit in it is acknowledged, under every durable policy.
+        real = os.fsync
+        synced = []
+
+        def recording(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        log = make_log(tmp_path, fsync_policy=policy, segment_max_bytes=600)
+        for ts in range(1, 31):
+            log.append(make_record(ts))
+        log.flush()
+        assert log.stats.segments_created > 1  # rotation happened
+        directory_syncs = synced.count(True)
+        if policy == "none":
+            assert directory_syncs == 0
+        else:
+            assert directory_syncs == log.stats.segments_created
+        # WalStats.fsyncs counts the syncs of commit frames only.
+        assert log.stats.fsyncs == synced.count(False) - (
+            log.stats.segments_created - 1 if policy != "none" else 0
+        )
+        log.close()
 
 
 class TestConcurrency:
