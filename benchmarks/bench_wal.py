@@ -4,10 +4,11 @@ The write-ahead log (``repro.wal``) makes the service's commit order
 durable.  Its central performance claim is classic group commit: with N
 concurrent committers, batching their frames into one ``fsync`` should
 beat syncing per record by roughly the mean batch size.  This bench
-measures append throughput per fsync policy with 4 striped appender
-threads (worker *i* owns commit numbers congruent to *i*, exactly the
-arrival pattern the service produces off the engine lock), then times
-``recover()`` across growing log sizes, and records the
+measures append throughput per fsync policy with 4 committer threads
+that each allocate a commit number and write its frame under one
+shared lock, then sync outside it (exactly the arrival pattern the
+service produces: frames written under the engine lock, syncs off it),
+then times ``recover()`` across growing log sizes, and records the
 machine-readable ``BENCH_wal.json`` that CI gates on:
 group-commit throughput must be >= 3x the per-record-fsync policy at
 4 workers.
@@ -23,6 +24,7 @@ the bench from there with ``python -m pytest``.
 (``always`` and ``group`` at 4 workers) always run.
 """
 
+import itertools
 import os
 import shutil
 import tempfile
@@ -62,18 +64,22 @@ def _record(ts):
 
 
 def _append_run(directory, policy, total, workers=E26_WORKERS):
-    """Append ``total`` records from ``workers`` striped threads; return
+    """Commit ``total`` records from ``workers`` threads, each writing
+    under one shared lock and syncing outside it; return
     ``(elapsed_seconds, stats)``."""
     log = WriteAheadLog(directory, fsync_policy=policy, meta=E26_META)
     per_worker = total // workers
+    commit_mutex = threading.Lock()
+    sequence = itertools.count(1)
 
-    def run(worker):
-        for n in range(per_worker):
-            log.append(_record(1 + worker + n * workers))
+    def run():
+        for _ in range(per_worker):
+            with commit_mutex:
+                ts = next(sequence)
+                log.write(_record(ts))
+            log.sync(ts)
 
-    threads = [
-        threading.Thread(target=run, args=(w,)) for w in range(workers)
-    ]
+    threads = [threading.Thread(target=run) for _ in range(workers)]
     started = time.perf_counter()
     for t in threads:
         t.start()
@@ -143,7 +149,7 @@ def test_bench_wal_group_commit():
     finally:
         shutil.rmtree(base, ignore_errors=True)
     print_table(
-        f"E26a — WAL append throughput ({E26_WORKERS} appender threads, "
+        f"E26a — WAL append throughput ({E26_WORKERS} committer threads, "
         f"{E26_RECORDS} records, best of {len(pair_ratios)} runs)",
         ["fsync policy", "records/s", "fsyncs", "mean batch"],
         rows,
@@ -160,8 +166,9 @@ def test_bench_wal_group_commit():
 
     # Structural facts that make the ratio meaningful: "always" syncs
     # once per record, "group" amortises (strictly fewer syncs than
-    # records; the in-flight window gathers most of a round of
-    # E26_WORKERS committers into each batch).
+    # records; the committers that write while one syncs share the
+    # next sync, so most of a round of E26_WORKERS lands in each
+    # batch).
     assert always["fsyncs"] == E26_RECORDS
     assert group["fsyncs"] < E26_RECORDS
     assert group["mean_batch_records"] >= 3.0

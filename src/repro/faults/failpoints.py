@@ -5,11 +5,16 @@ armed it costs one attribute read.  The stack is instrumented at the
 points of :data:`~repro.faults.plan.FAILPOINTS`:
 
 ===================  ==================================================
-``wal.write``        WAL batch leader, before writing each frame (an
-                     ``io_error`` here poisons the log like a dead disk).
-``wal.fsync``        WAL batch leader, before each ``fsync`` (stalls
-                     model a congested device; latency is visible to
-                     committers waiting for durability).
+``wal.write``        :meth:`WriteAheadLog.write`, before writing each
+                     frame, **inside the commit critical section** (an
+                     ``io_error`` here poisons the log like a dead disk;
+                     a delay stalls every committer).
+``wal.fsync``        :meth:`WriteAheadLog.sync`, before each ``fsync``,
+                     holding the log's sync lock (stalls model a
+                     congested device; latency is visible to committers
+                     waiting for durability; under ``"always"`` the
+                     sync runs inside ``write``, so in the commit
+                     critical section).
 ``store.install``    :meth:`~repro.mvcc.store.MVStore.install`, per
                      object, **while holding the stripe lock** (a delay
                      models a descheduled writer pinning a stripe).

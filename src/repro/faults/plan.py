@@ -328,8 +328,9 @@ def preset(
 
     Profiles:
 
-    * ``disk`` — fsync stalls and slow segment writes in the WAL's
-      batch leader (durability latency without data loss);
+    * ``disk`` — fsync stalls in the WAL's syncs (durability latency
+      without data loss) and slow segment writes, which stall the
+      commit critical section;
     * ``contention`` — injected commit-time aborts plus thread pauses
       inside the store's lock stripes (write-conflict storms);
     * ``overload`` — admission spikes plus a slow certifier hand-off

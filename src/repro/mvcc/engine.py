@@ -47,7 +47,6 @@ import enum
 import re
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..core.errors import StoreError, TransactionAborted
@@ -95,6 +94,20 @@ class TxContext:
             )
 
 
+class _DerivedWrites:
+    """:attr:`CommitRecord.writes`: computed from ``events`` on the first
+    read and stored in the record's ``__dict__``, which shadows this
+    non-data descriptor, so every later read is a plain attribute
+    lookup.  (``functools.cached_property`` does the same, but before
+    Python 3.12 under one lock shared by every instance.)"""
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        writes = record.__dict__["writes"] = final_writes(record.events)
+        return writes
+
+
 @dataclass(frozen=True)
 class CommitRecord:
     """What the engine remembers about a committed transaction.
@@ -121,11 +134,9 @@ class CommitRecord:
     extra: frozenset = frozenset()
     """Tids of the commits above the frontier that are also visible."""
 
-    @cached_property
-    def writes(self) -> Dict[Obj, Value]:
-        """The final value written to each object (``T ⊢ write(x, n)``),
-        derived from ``events`` on first use."""
-        return final_writes(self.events)
+    writes = _DerivedWrites()
+    """The final value written to each object (``T ⊢ write(x, n)``),
+    derived from ``events`` on first use."""
 
 
 @dataclass

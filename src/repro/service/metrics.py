@@ -5,14 +5,15 @@ concurrent traffic, so it carries its own instrumentation: per-service
 counters (commits, aborts, retries, retry exhaustions, monitor
 violations), a fixed-bucket latency histogram for end-to-end
 transaction latency (including retries), admission-queue gauges, and —
-when a write-ahead log is attached — durability counters
-(appends/fsyncs/bytes) plus a group-commit batch-size histogram, so
-the cost of each fsync policy is visible in the same snapshot as the
-throughput it bought — and, when a monitor is attached, how far the
-certifier process trails the commits (``certified_ts`` and
-``certifier_lag``).  Everything is thread-safe, snapshot-able as
-plain dicts, and JSON exportable so benches and CI can track the
-numbers across PRs.
+when a write-ahead log is attached — its durability counters
+(appends/fsyncs/bytes, read from the log's own
+:class:`~repro.wal.log.WalStats` at snapshot time) plus a group-commit
+batch-size histogram, so the cost of each fsync policy is visible in
+the same snapshot as the throughput it bought — and, when a monitor is
+attached, how far the certifier process trails the commits
+(``certified_ts`` and ``certifier_lag``).  Everything is thread-safe,
+snapshot-able as plain dicts, and JSON exportable so benches and CI
+can track the numbers across PRs.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ class LatencyHistogram:
         self.total = 0.0
         self.max = 0.0
 
-    def record(self, seconds: float) -> None:
-        """Record one duration."""
+    def record(self, seconds: float, times: int = 1) -> None:
+        """Record one duration (``times`` times)."""
         index = bisect_left(self._bounds, seconds)
         with self._lock:
-            self._counts[index] += 1
-            self.count += 1
-            self.total += seconds
+            self._counts[index] += times
+            self.count += times
+            self.total += seconds * times
             if seconds > self.max:
                 self.max = seconds
 
@@ -108,18 +109,10 @@ class ServiceMetrics:
         self.peak_in_flight = 0
         self.peak_admission_waiting = 0
         self.txn_latency = LatencyHistogram()
-        self.wal_appends = 0
-        self.wal_flushes = 0
-        self.wal_fsyncs = 0
-        self.wal_bytes = 0
         self.wal_failures = 0
         self.wal_append_latency = LatencyHistogram()
-        # Batch sizes are small integers, so reuse the histogram's
-        # fixed-bound machinery with power-of-two record-count bounds.
-        self.wal_batch = LatencyHistogram(
-            buckets=[float(2**i) for i in range(13)]
-        )
         self._certifier: Optional[weakref.ref] = None
+        self._wal: Optional[weakref.ref] = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -181,15 +174,9 @@ class ServiceMetrics:
         with self._lock:
             self.violations += 1
 
-    def record_wal_append(self, nbytes: int) -> None:
-        """One commit record appended to the write-ahead log."""
-        with self._lock:
-            self.wal_appends += 1
-            self.wal_bytes += nbytes
-
     def record_wal_append_latency(self, seconds: float) -> None:
         """End-to-end latency of one durable append as seen by the
-        committer (deposit + group-commit wait); the health tracker's
+        committer (frame write + group-commit wait); the health tracker's
         WAL-latency gauge feeds from the same measurement."""
         self.wal_append_latency.record(seconds)
 
@@ -200,18 +187,18 @@ class ServiceMetrics:
         with self._lock:
             self.wal_failures += 1
 
-    def record_wal_flush(self, batch_size: int, fsyncs: int) -> None:
-        """One group-commit batch written (``fsyncs`` syncs for it)."""
-        with self._lock:
-            self.wal_flushes += 1
-            self.wal_fsyncs += fsyncs
-        self.wal_batch.record(float(batch_size))
-
     def attach_certifier(self, certifier) -> None:
         """Export ``certifier``'s progress (a
         :class:`~repro.service.certifier.Certifier`, held weakly) as the
         ``certified_ts`` and ``certifier_lag`` gauges."""
         self._certifier = weakref.ref(certifier)
+
+    def attach_wal(self, wal) -> None:
+        """Export ``wal``'s counters and batch sizes (a
+        :class:`~repro.wal.log.WriteAheadLog`, held weakly; its
+        :class:`~repro.wal.log.WalStats` are read at each snapshot).
+        ``bytes`` counts commit frames only, not segment headers."""
+        self._wal = weakref.ref(wal)
 
     def enter_admission_queue(self) -> None:
         """A client started waiting for an admission slot."""
@@ -255,20 +242,28 @@ class ServiceMetrics:
                 "peak_in_flight": self.peak_in_flight,
                 "peak_admission_waiting": self.peak_admission_waiting,
             }
-            wal = {
-                "appends": self.wal_appends,
-                "flushes": self.wal_flushes,
-                "fsyncs": self.wal_fsyncs,
-                "bytes": self.wal_bytes,
-                "failures": self.wal_failures,
-            }
         certifier = self._certifier() if self._certifier else None
         if certifier is not None:
             certifier.poll()
             # Commits acknowledged but not yet certified.
             gauges["certified_ts"] = certifier.certified_ts
             gauges["certifier_lag"] = certifier.lag
-        batch = self.wal_batch.snapshot()
+        wal = {"appends": 0, "flushes": 0, "fsyncs": 0, "bytes": 0}
+        # Batch sizes are small integers, so reuse the histogram's
+        # fixed-bound machinery with power-of-two record-count bounds.
+        batch = LatencyHistogram(buckets=[float(2**i) for i in range(13)])
+        log = self._wal() if self._wal else None
+        if log is not None:
+            stats = log.stats
+            wal = {
+                "appends": stats.appends,
+                "flushes": stats.flushes,
+                "fsyncs": stats.fsyncs,
+                "bytes": stats.commit_bytes,
+            }
+            for records, syncs in dict(stats.batches).items():
+                batch.record(float(records), syncs)
+        wal["failures"] = self.wal_failures
         append_latency = self.wal_append_latency.snapshot()
         return {
             "counters": counters,
@@ -277,7 +272,7 @@ class ServiceMetrics:
             "latency_seconds": self.txn_latency.snapshot(),
             "wal": {
                 **wal,
-                "batch_records": batch,
+                "batch_records": batch.snapshot(),
                 "append_latency_seconds": append_latency,
             },
         }

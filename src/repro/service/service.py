@@ -24,12 +24,14 @@ session handles with:
   :meth:`TransactionService.drain`;
 * optional **durability**: with ``wal=`` a
   :class:`~repro.wal.log.WriteAheadLog` receives every commit record
-  (with the payload already encoded for the certifier) *off the engine
-  lock*, sequenced by the engine's gapless commit
-  timestamps — the log's reorder buffer restores true commit order, so
-  the on-disk log is always a prefix of the commit history and a killed
-  service recovers to a prefix-consistent state via
-  :func:`repro.wal.recovery.recover`.  Under
+  (with the payload already encoded for the certifier).  The frame is
+  written *inside* the commit critical section, so the engine lock is
+  the log's only sequencer and the on-disk log is always a prefix of
+  the commit history: a killed service recovers to a prefix-consistent
+  state via :func:`repro.wal.recovery.recover`.  Under ``"group"``
+  the sync runs *off* the lock, so committers arriving meanwhile write
+  their frames and share the next ``fsync`` (group commit); under
+  ``"always"`` each write syncs its own frame.  Under
   ``fsync_policy="always"``/``"group"`` the commit call returns only
   once its record is durable; a WAL failure is surfaced to the
   committer *after* the in-memory commit stands.
@@ -144,8 +146,9 @@ class TransactionService:
         backoff_seed: seed for the jitter streams.
         metrics: share an existing :class:`ServiceMetrics` (one is
             created otherwise).
-        wal: optional :class:`~repro.wal.log.WriteAheadLog` appended to
-            on every commit, outside the engine lock.  Its ``start_seq``
+        wal: optional :class:`~repro.wal.log.WriteAheadLog` written to
+            on every commit, under the engine lock, and synced outside
+            it.  Its ``start_seq``
             must be one past the engine's last commit timestamp (1 for
             a fresh engine); the service adopts it — :meth:`drain`
             flushes it and :meth:`close` closes it.
@@ -218,8 +221,8 @@ class TransactionService:
         (``on_wal_failure="read_only"`` only)."""
         self.wal_error: Optional[BaseException] = None
         """The first WAL failure absorbed or surfaced, if any."""
-        if wal is not None and wal.metrics is None:
-            wal.metrics = self.metrics
+        if wal is not None:
+            self.metrics.attach_wal(wal)
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -511,15 +514,19 @@ class ServiceSession:
         encoded and handed to the certifier while the engine lock is
         still held, so the certifier sees true commit order; it
         certifies off this path (see :meth:`TransactionService.drain`).
-        With a write-ahead log the record, with the same payload, is
-        then appended off the engine lock — under a durable fsync
-        policy the call returns only once the record is on disk."""
+        With a write-ahead log the record's frame, from the same
+        payload, is written under the engine lock too, and synced off
+        it (under ``"always"`` the write itself syncs, so per-record
+        syncs stay serial) — under a durable fsync policy the call
+        returns only once the record is on disk."""
         ctx = self._open_ctx()
         if self.service.read_only and ctx.write_buffer:
             self._refuse_read_only()
         engine = self.service.engine
         wal = self.service.wal
         payload: Optional[bytes] = None
+        logged = False
+        wal_error: Optional[BaseException] = None
         commit_error: Optional[BaseException] = None
         if FAULTS.armed:
             try:
@@ -544,25 +551,35 @@ class ServiceSession:
                         # The hand-off must not leak the admission
                         # slot; the commit itself stands.
                         commit_error = exc
-            # Durability runs off the engine lock: concurrent committers
-            # deposit into the log's reorder buffer while earlier ones
-            # fsync (that is the group-commit batch).
+                if wal is not None and not self.service.read_only:
+                    # Written under the lock, so frames reach the log
+                    # in commit order.
+                    logged = True
+                    append_started = time.perf_counter()
+                    try:
+                        wal.write(record, payload)
+                    except Exception as exc:
+                        wal_error = exc
+            # The sync runs off the engine lock: committers arriving
+            # meanwhile write their frames and share the next fsync
+            # (that is the group-commit batch).
             wal_latency: Optional[float] = None
-            if wal is not None and not self.service.read_only:
-                append_started = time.perf_counter()
-                try:
-                    wal.append(record, payload)
-                except Exception as exc:
-                    # The in-memory commit stands; durability failed.
-                    # The policy decides whether the committer sees it
-                    # (fail_stop) or the service degrades (read_only).
-                    if not self.service._note_wal_failure(exc):
-                        commit_error = commit_error or exc
-                else:
+            if logged:
+                if wal_error is None:
+                    try:
+                        wal.sync(record.commit_ts)
+                    except Exception as exc:
+                        wal_error = exc
+                if wal_error is None:
                     wal_latency = time.perf_counter() - append_started
                     self.service.metrics.record_wal_append_latency(
                         wal_latency
                     )
+                elif not self.service._note_wal_failure(wal_error):
+                    # The in-memory commit stands; durability failed.
+                    # The policy decides whether the committer sees it
+                    # (fail_stop) or the service degrades (read_only).
+                    commit_error = commit_error or wal_error
         except TransactionAborted:
             self._finish_aborted()
             raise

@@ -23,7 +23,6 @@ from .format import (
     segment_name,
 )
 from .log import (
-    DEFAULT_GROUP_WINDOW,
     DEFAULT_SEGMENT_BYTES,
     FSYNC_POLICIES,
     WalClosed,
@@ -46,7 +45,6 @@ __all__ = [
     "scan_frames",
     "segment_index",
     "segment_name",
-    "DEFAULT_GROUP_WINDOW",
     "DEFAULT_SEGMENT_BYTES",
     "FSYNC_POLICIES",
     "WalClosed",

@@ -221,6 +221,33 @@ class TestConcurrentUse:
         assert snapshot["latency_seconds"]["count"] == 1
         assert snapshot["abort_rate"] == 0.0
 
+    def test_wal_metrics_are_read_from_the_log(self, tmp_path):
+        from repro.wal import WriteAheadLog
+
+        engine = SIEngine({"x": 0})
+        wal = WriteAheadLog(
+            str(tmp_path / "wal"), fsync_policy="none",
+            segment_max_bytes=64,
+            meta={"engine": "SI", "init": {"x": 0},
+                  "init_tid": engine.init_tid, "model": "SI"},
+        )
+        service = TransactionService(engine, wal=wal)
+        for _ in range(6):
+            service.run(incr("x"))
+        wal.flush()
+        snapshot = service.metrics.snapshot()["wal"]
+        stats = wal.stats
+        assert stats.segments_created > 1
+        # Commit frames only: segment headers are not commit bytes.
+        assert 0 < snapshot["bytes"] == stats.commit_bytes
+        assert stats.commit_bytes < stats.bytes_written
+        assert snapshot["appends"] == stats.appends == 6
+        assert snapshot["batch_records"]["count"] == stats.flushes
+        assert snapshot["batch_records"]["mean"] == pytest.approx(
+            stats.records_flushed / stats.flushes
+        )
+        service.close()
+
 
 class TestHealthFeeds:
     @pytest.mark.parametrize("with_wal", [False, True])

@@ -1,6 +1,7 @@
 """WriteAheadLog behaviour: policies, ordering, rotation, concurrency,
 and close semantics."""
 
+import itertools
 import os
 import stat
 import threading
@@ -11,7 +12,7 @@ import pytest
 from repro.mvcc.engine import CommitRecord
 from repro.core.events import write as write_op
 from repro.faults import FaultPlan, FaultRule, armed
-from repro.wal.format import meta_from_doc
+from repro.wal.format import meta_from_doc, payload_to_doc
 from repro.wal import (
     FSYNC_POLICIES,
     SEGMENT_MAGIC,
@@ -41,6 +42,40 @@ def make_log(tmp_path, **kwargs):
     return WriteAheadLog(str(tmp_path / "wal"), **kwargs)
 
 
+def commit_through_mutex(log, workers, per_worker, on_error=None):
+    """What a service does: each of ``workers`` threads allocates its
+    commit number and writes its frame under one shared mutex, then
+    syncs outside it.  Returns the acknowledged commit numbers;
+    ``on_error(ts, exc)`` receives a write's or a sync's WalError
+    (without it the error fails the thread)."""
+    mutex = threading.Lock()
+    sequence = itertools.count(1)
+    acknowledged = []
+
+    def run():
+        for _ in range(per_worker):
+            with mutex:
+                ts = next(sequence)
+                try:
+                    log.write(make_record(ts))
+                except WalError as exc:
+                    on_error(ts, exc)
+                    continue
+            try:
+                log.sync(ts)
+            except WalError as exc:
+                on_error(ts, exc)
+                continue
+            acknowledged.append(ts)
+
+    threads = [threading.Thread(target=run) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return sorted(acknowledged)
+
+
 class TestAppendAndScan:
     @pytest.mark.parametrize("policy", FSYNC_POLICIES)
     def test_in_order_appends_scan_back(self, tmp_path, policy):
@@ -52,29 +87,22 @@ class TestAppendAndScan:
         result = list(scan(log.directory))
         assert result == records
 
-    def test_out_of_order_appends_are_reordered(self, tmp_path):
-        # Deposit 2 and 3 from helper threads first; they must block
-        # (durability waits for the gap at 1) until 1 arrives.
+    def test_out_of_sequence_write_raises_and_writes_nothing(
+        self, tmp_path
+    ):
+        # The caller's commit mutex is the only sequencer: a frame that
+        # is not the next one is refused, not held back.
         log = make_log(tmp_path, fsync_policy="group")
-        done = []
-
-        def deposit(ts):
-            log.append(make_record(ts))
-            done.append(ts)
-
-        threads = [
-            threading.Thread(target=deposit, args=(ts,)) for ts in (2, 3)
-        ]
-        for t in threads:
-            t.start()
-        while len(log.pending_gap) < 2:
-            pass  # both deposited, blocked behind the gap
-        assert done == []
-        log.append(make_record(1))
-        for t in threads:
-            t.join()
+        log.write(make_record(1))
+        with pytest.raises(WalError, match="out of sequence") as info:
+            log.write(make_record(3))
+        assert not isinstance(info.value, WalPoisoned)
+        assert log.stats.appends == 1
+        # The refusal does not poison: the next in-sequence write lands.
+        log.write(make_record(2))
+        log.sync(2)
         log.close()
-        assert [r.commit_ts for r in scan(log.directory)] == [1, 2, 3]
+        assert [r.commit_ts for r in scan(log.directory)] == [1, 2]
 
     def test_stale_sequence_rejected(self, tmp_path):
         with make_log(tmp_path) as log:
@@ -96,20 +124,56 @@ class TestPolicies:
                 log.append(make_record(ts))
         assert log.stats.fsyncs == 5
 
+    def test_always_syncs_each_frame_alone_under_concurrency(
+        self, tmp_path, monkeypatch
+    ):
+        # Every fsync of a commit frame must find exactly one frame
+        # written since the last: "always" is the unbatched baseline,
+        # even with committers arriving while another syncs.
+        real = os.fsync
+        new_frames = []
+        log = make_log(tmp_path, fsync_policy="always")
+
+        def counting_fsync(fd):
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                new_frames.append(log._next_seq - 1 - log.durable_ts)
+                time.sleep(0.0005)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        acknowledged = commit_through_mutex(log, workers=4, per_worker=10)
+        log.close()
+        assert sorted(acknowledged) == list(range(1, 41))
+        assert new_frames == [1] * 40
+        assert log.stats.fsyncs == log.stats.appends == 40
+        assert log.stats.batches == {1: 40}
+
     def test_group_syncs_per_batch(self, tmp_path):
         log = make_log(tmp_path, fsync_policy="group")
-        threads = [
-            threading.Thread(target=log.append, args=(make_record(ts),))
-            for ts in range(1, 9)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        assert commit_through_mutex(log, workers=8, per_worker=1) == list(
+            range(1, 9)
+        )
         log.close()
-        # One fsync per leader batch, never per record.
+        # One fsync per batch, never more than one per record.
         assert log.stats.fsyncs == log.stats.flushes <= 8
         assert log.stats.records_flushed == 8
+
+    def test_one_sync_covers_every_frame_written_before_it(self, tmp_path):
+        log = make_log(tmp_path, fsync_policy="group")
+        for ts in range(1, 4):
+            log.write(make_record(ts))
+        assert log.durable_ts == 0
+        log.sync(1)
+        assert log.durable_ts == 3
+        log.sync(3)  # already durable: no second sync
+        assert (log.stats.fsyncs, log.stats.records_flushed) == (1, 3)
+        log.close()
+
+    def test_sync_of_an_unwritten_commit_raises(self, tmp_path):
+        with make_log(tmp_path) as log:
+            log.write(make_record(1))
+            with pytest.raises(WalError, match="never written"):
+                log.sync(2)
 
     def test_none_never_syncs_and_returns_immediately(self, tmp_path):
         with make_log(tmp_path, fsync_policy="none") as log:
@@ -119,29 +183,19 @@ class TestPolicies:
         assert log.stats.fsyncs == 0
         assert [r.commit_ts for r in scan(log.directory)] == [1, 2, 3, 4, 5]
 
-    def test_none_frame_deposited_under_a_leader_is_written_by_it(
+    def test_none_sync_hands_every_written_frame_to_the_os(
         self, tmp_path
     ):
-        # #1's write is held, so its committer leads while #2 and #3
-        # are deposited.  The leader drains them before returning: no
-        # flush(), no close(), no timer.
-        plan = FaultPlan([FaultRule("wal.write", "delay", limit=1,
-                                    delay=0.2)])
+        # #1's committer syncs after #2 and #3 were written behind it:
+        # its flush hands all three to the OS, with no flush(), no
+        # close() and no timer, and never fsyncs.
         log = make_log(tmp_path, fsync_policy="none")
-        with armed(plan):
-            leader = threading.Thread(
-                target=log.append, args=(make_record(1),)
-            )
-            leader.start()
-            deadline = time.monotonic() + 5
-            while not plan.hit_counts().get("wal.write"):
-                assert time.monotonic() < deadline, "leader never wrote"
-                time.sleep(0.001)
-            log.append(make_record(2))
-            log.append(make_record(3))
-            leader.join()
+        for ts in range(1, 4):
+            log.write(make_record(ts))
+        log.sync(1)
         assert log.durable_ts == 3
         assert [r.commit_ts for r in scan(log.directory)] == [1, 2, 3]
+        assert log.stats.fsyncs == 0
         log.close()
 
 
@@ -267,30 +321,72 @@ class TestDirectorySync:
 
 
 class TestConcurrency:
-    @pytest.mark.parametrize("policy", ["always", "group", "none"])
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
     def test_many_threads_striped_sequences(self, tmp_path, policy):
+        # The commit numbers are striped across the threads in whatever
+        # order they win the mutex, which orders the writes; the syncs,
+        # outside it, arrive in any order and each returns once its own
+        # commit is durable.
         log = make_log(tmp_path, fsync_policy=policy)
         workers, per_worker = 4, 25
-
-        def run(worker):
-            # Worker i owns commit numbers congruent to i — arrivals
-            # interleave arbitrarily, the log restores total order.
-            for n in range(per_worker):
-                log.append(make_record(1 + worker + n * workers))
-
-        threads = [
-            threading.Thread(target=run, args=(w,)) for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        log.close()
         total = workers * per_worker
-        assert log.stats.appends == total
-        assert [r.commit_ts for r in scan(log.directory)] == list(
-            range(1, total + 1)
+        acknowledged = commit_through_mutex(log, workers, per_worker)
+        assert acknowledged == list(range(1, total + 1))
+        assert log.durable_ts == total
+        log.close()
+        assert log.stats.appends == log.stats.records_flushed == total
+        if policy == "always":
+            assert log.stats.fsyncs == total
+        assert [r.commit_ts for r in scan(log.directory)] == acknowledged
+
+    def test_rotation_waits_for_a_sync_in_flight(self, tmp_path,
+                                                  monkeypatch):
+        # Syncs are slowed so that writers keep rotating segments while
+        # another committer is inside fsync; a rotation must never
+        # close (and so free for reuse) the file descriptor under it.
+        real = os.fsync
+        swapped = []
+
+        def slow_fsync(fd):
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                inode = os.fstat(fd).st_ino
+                time.sleep(0.002)
+                try:
+                    swapped.append(os.fstat(fd).st_ino != inode)
+                except OSError:
+                    swapped.append(True)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        log = make_log(tmp_path, fsync_policy="group",
+                       segment_max_bytes=200)
+        rotate = log._rotate
+        during_sync = []
+
+        def rotate_and_note(next_ts):
+            during_sync.append(log._sync_lock.locked())
+            rotate(next_ts)
+
+        log._rotate = rotate_and_note
+        acknowledged = commit_through_mutex(log, workers=8, per_worker=25)
+        log.close()
+        assert acknowledged == list(range(1, 201))
+        assert any(during_sync), "no rotation overlapped a sync"
+        assert not any(swapped), "a rotation closed the file under fsync"
+        result = recover(log.directory)
+        assert not result.truncated
+        assert [r.commit_ts for r in result.engine.committed] == (
+            acknowledged
         )
+        for index, path in enumerate(log.segments(), start=1):
+            with open(path, "rb") as f:
+                data = f.read()
+            assert data.startswith(SEGMENT_MAGIC)
+            payloads, damage, _ = scan_frames(data, len(SEGMENT_MAGIC))
+            assert damage is None
+            meta = meta_from_doc(payload_to_doc(payloads[0]))
+            assert (meta.engine, meta.segment) == ("SI", index)
+        assert len(log.segments()) == log.stats.segments_created > 2
 
 
 class TestCloseSemantics:
@@ -307,13 +403,14 @@ class TestCloseSemantics:
         log.close()
         log.close()
 
-    def test_close_with_sequence_gap_raises(self, tmp_path):
+    def test_close_after_a_refused_write_keeps_the_prefix(self, tmp_path):
         log = make_log(tmp_path, fsync_policy="none")
         log.append(make_record(1))
-        log.append(make_record(3))  # 2 never arrives
-        with pytest.raises(WalError, match="sequence gap"):
-            log.close()
-        # The durable prefix survives.
+        with pytest.raises(WalError, match="out of sequence"):
+            log.append(make_record(3))  # 2 never arrives
+        # No gap can form, so close has nothing to complain about.
+        log.close()
+        assert log.durable_ts == 1
         assert [r.commit_ts for r in scan(log.directory)] == [1]
 
     def test_close_flushes_writable_tail(self, tmp_path):
@@ -356,36 +453,67 @@ class TestValidation:
 
 class TestPoisoning:
     def test_poisoned_log_writes_nothing_behind_the_failure(self, tmp_path):
-        # #1's write stalls, then fails; #2 and #3 are deposited behind
-        # it during the stall.  Writing them would leave a hole at #1.
+        # #1's write stalls, then fails; #2 tries to write during the
+        # stall.  Writing it would leave a hole at #1.
         plan = FaultPlan(
             [FaultRule("wal.write", "io_error", limit=1, delay=0.2)]
         )
         log = make_log(tmp_path, fsync_policy="none")
-        leader_errors = []
+        first_errors = []
 
-        def lead_first():
+        def write_first():
             try:
                 log.append(make_record(1))
             except WalPoisoned as exc:
-                leader_errors.append(exc)
+                first_errors.append(exc)
 
         with armed(plan):
-            leader = threading.Thread(target=lead_first)
-            leader.start()
+            first = threading.Thread(target=write_first)
+            first.start()
             deadline = time.monotonic() + 5
             while not plan.hit_counts().get("wal.write"):
-                assert time.monotonic() < deadline, "leader never wrote"
+                assert time.monotonic() < deadline, "#1 never wrote"
                 time.sleep(0.001)
-            log.append(make_record(2))
-            log.append(make_record(3))
+            with pytest.raises(WalPoisoned) as behind:
+                log.append(make_record(2))
             with pytest.raises(WalPoisoned) as info:
                 log.close()
-            leader.join()
-        assert [e.first_failed_seq for e in leader_errors] == [1]
+            first.join()
+        assert [e.first_failed_seq for e in first_errors] == [1]
+        assert behind.value.first_failed_seq == 1
         assert info.value.first_failed_seq == 1
         assert log.durable_ts == 0
         assert list(scan(log.directory)) == []
+
+    def test_write_failure_on_commit_k_keeps_the_prefix_below_k(
+        self, tmp_path
+    ):
+        k = 10
+        plan = FaultPlan([FaultRule("wal.write", "io_error", start=k - 1,
+                                    limit=1, detail="dead disk")])
+        log = make_log(tmp_path, fsync_policy="group")
+        errors = {}
+        with armed(plan):
+            acknowledged = commit_through_mutex(
+                log, workers=4, per_worker=10,
+                on_error=lambda ts, exc: errors.setdefault(ts, exc),
+            )
+        assert log.durable_ts < k
+        assert set(errors) | set(acknowledged) == set(range(1, 41))
+        assert all(ts < k for ts in acknowledged)
+        # Every committer from k on was refused, chained to the root.
+        assert set(range(k, 41)) <= set(errors)
+        for exc in errors.values():
+            assert isinstance(exc, WalPoisoned)
+            assert exc.first_failed_seq == k
+            assert isinstance(exc.root, OSError)
+        with pytest.raises(WalPoisoned) as info:
+            log.close()
+        assert info.value.first_failed_seq == k
+        result = recover(log.directory)
+        assert [r.commit_ts for r in result.engine.committed] == list(
+            range(1, k)
+        )
 
     def test_none_append_whose_write_fails_raises(self, tmp_path):
         plan = FaultPlan([FaultRule("wal.write", "io_error", limit=1)])
