@@ -127,45 +127,6 @@ def history_from_json(data: Dict[str, Any]) -> Tuple[History, Optional[str]]:
 
 
 # ----------------------------------------------------------------------
-# Wire values (type-preserving)
-# ----------------------------------------------------------------------
-#
-# Plain JSON maps tuples and lists to the same array syntax, but the
-# operational stack distinguishes them: the service's value tagger
-# writes ``(logical, seq)`` tuples and `ValueTagger.logical` detects
-# them with an isinstance check.  The write-ahead log's JSON meta frame
-# encodes its initial values through these tagged codecs instead of raw
-# JSON.  Dict keys become strings here; commit frames use the binary
-# codec of :mod:`repro.wal.format`, which keeps them.
-
-
-def value_to_wire(value: Any) -> Any:
-    """Encode an arbitrary engine value for JSON transport, preserving
-    the Python container type: tuples, lists and dicts each get their
-    own one-key wrapper, scalars pass through unchanged."""
-    if isinstance(value, tuple):
-        return {"t": [value_to_wire(v) for v in value]}
-    if isinstance(value, list):
-        return {"l": [value_to_wire(v) for v in value]}
-    if isinstance(value, dict):
-        return {"d": {str(k): value_to_wire(v) for k, v in value.items()}}
-    return value
-
-
-def value_from_wire(data: Any) -> Any:
-    """Inverse of :func:`value_to_wire`."""
-    if isinstance(data, dict):
-        if set(data) == {"t"}:
-            return tuple(value_from_wire(v) for v in data["t"])
-        if set(data) == {"l"}:
-            return [value_from_wire(v) for v in data["l"]]
-        if set(data) == {"d"}:
-            return {k: value_from_wire(v) for k, v in data["d"].items()}
-        raise FormatError(f"malformed wire value: {data!r}")
-    return data
-
-
-# ----------------------------------------------------------------------
 # Dependency graphs
 # ----------------------------------------------------------------------
 

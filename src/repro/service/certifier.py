@@ -10,7 +10,7 @@ built, so the monitor's initial state — a shared read-only mapping that
 may hold millions of objects — is inherited, never pickled.
 
 The feed.  Inside the commit critical section the service encodes each
-commit's ``SIWAL004`` payload once (:mod:`repro.wal.format`; the
+commit's binary payload once (:mod:`repro.wal.format`; the
 write-ahead log reuses the same bytes) and hands it to
 :meth:`Certifier.observe_commit`, which appends it to a buffer.  Every
 :data:`BATCH` commits the buffer is written to the child's feed pipe.

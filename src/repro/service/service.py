@@ -17,7 +17,7 @@ session handles with:
   :class:`~repro.monitor.online.ConsistencyMonitor` (typically with a
   commit ``window``) runs in a forked certifier process
   (:mod:`repro.service.certifier`).  Inside the commit critical section
-  the service only encodes the commit's ``SIWAL004`` payload and hands
+  the service only encodes the commit's binary payload and hands
   it off, so the certifier sees *true commit order*; it certifies on
   the second core while committers go on.  Verdicts arrive in
   :attr:`TransactionService.violations` and are complete after

@@ -3,7 +3,7 @@
 A log is a directory of *segments* (``wal-00000001.seg``,
 ``wal-00000002.seg``, ...).  Each segment is::
 
-    SIWAL004                                  8-byte magic
+    SIWAL005                                  8-byte magic
     frame*                                    zero or more frames
 
 and each frame is::
@@ -11,16 +11,19 @@ and each frame is::
     <u32 payload-length> <u32 crc32(payload)> <payload bytes>
 
 with little-endian header fields.  The first frame of every segment
-carries a JSON **meta** payload describing the log (engine key, initial
-object values, init tid, segment index, first expected commit sequence
-number), so every segment is self-describing.  Every later frame is
-one **commit** payload: a :class:`~repro.mvcc.engine.CommitRecord` in
-a ``struct``-packed binary layout.  It carries exactly the record's
-fields: ``tid``, ``session``, ``commit_ts``, the op list ``events``
-(the record's writes are derived from it, so no second copy can
-disagree), and the constant-size snapshot descriptor ``snapshot`` (the
-frontier) and ``extra`` (the tids visible above it), so frames stay the
-same size however long the log grows.
+carries a JSON **meta** payload describing the log (engine key, init
+tid, model, segment index, first expected commit sequence number).
+The first segment a writer opens then carries one binary **state**
+payload: the initial value of every object, the paper's
+initialisation transaction, written once per log rather than once per
+segment.  Every later frame is one **commit** payload: a
+:class:`~repro.mvcc.engine.CommitRecord` in a ``struct``-packed binary
+layout.  It carries exactly the record's fields: ``tid``,
+``session``, ``commit_ts``, the op list ``events`` (the record's
+writes are derived from it, so no second copy can disagree), and the
+constant-size snapshot descriptor ``snapshot`` (the frontier) and
+``extra`` (the tids visible above it), so frames stay the same size
+however long the log grows.
 
 A commit payload is a header and four tables (``docs/WAL.md`` has the
 byte layout)::
@@ -42,17 +45,34 @@ width that holds its entries, named by the layout byte.  Decoding is
 one ``unpack_from``, one UTF-8 decode, and a walk of the shape that
 takes a run of ints as one slice of the int table.
 
+A state payload holds two columns (``docs/WAL.md`` has the byte
+layout)::
+
+    "S" <layout byte> <counts: objects, name bytes, ints, strings,
+                       floats, shape bytes>
+    <names: NUL-joined, UTF-8>
+    <the value tables of a commit payload: one struct, shape, text>
+
+The names decode with one ``split``.  When every value is an int64
+int, as in a freshly loaded table, the value column is one ``struct``
+slice with no shape and the map is ``dict(zip(names, values))``;
+otherwise each value is tagged exactly as in a commit payload, so it
+keeps its type (dict keys included).  A name containing ``"\0"``
+switches the names to a length table.
+
 The magic names the format version.  Segments of an earlier version —
 ``SIWAL001`` (which listed every visible tid in each frame),
-``SIWAL002`` (which also stored a ``writes`` map and a ``start_ts``)
-and ``SIWAL003`` (whose commit frames were JSON) — are not read: the
-scanner reports such a segment as damage naming both versions rather
-than misdecode it.  Frames are input from outside the program, so
-:func:`commit_record_from_payload` raises nothing but
-:class:`FormatError`: it checks truncation, unknown tags, bad UTF-8,
-unused table entries, nesting deeper than :data:`MAX_VALUE_DEPTH` and
-the descriptor.  The encoder refuses what the decoder would reject, so
-every frame the log writes reads back.
+``SIWAL002`` (which also stored a ``writes`` map and a ``start_ts``),
+``SIWAL003`` (whose commit frames were JSON) and ``SIWAL004`` (whose
+meta frame repeated every initial value as JSON in every segment) —
+are not read: the scanner reports such a segment as damage naming both
+versions rather than misdecode it.  Frames are input from outside the
+program, so :func:`commit_record_from_payload` and
+:func:`state_from_payload` raise nothing but :class:`FormatError`:
+they check truncation, unknown tags, bad UTF-8, unused table entries,
+nesting deeper than :data:`MAX_VALUE_DEPTH`, the descriptor, and (for
+a state) duplicate names.  The encoders refuse what the decoders would
+reject, so every frame the log writes reads back.
 
 The framing is what makes recovery torn-tail tolerant: a crash mid
 ``write`` leaves a frame whose header promises more bytes than exist or
@@ -70,10 +90,10 @@ from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.events import Obj, Op, OpKind, Value
-from ..io.json_format import FormatError, value_from_wire, value_to_wire
+from ..io.json_format import FormatError
 from ..mvcc.engine import CommitRecord
 
-SEGMENT_MAGIC = b"SIWAL004"
+SEGMENT_MAGIC = b"SIWAL005"
 """Leading bytes of every segment file (8 bytes, version included)."""
 
 FRAME_HEADER = struct.Struct("<II")
@@ -175,14 +195,17 @@ def scan_frames(
 
 @dataclass(frozen=True)
 class LogMeta:
-    """The log description carried by every segment's first frame.
+    """The log description: a segment's meta frame, plus the initial
+    state from the log's state frame.
 
     Attributes:
         engine: engine key the log was produced under (``"SI"``,
             ``"SER"``, ``"PSI"``, ``"2PL"``, or ``None`` when unknown).
         init: initial object values (the recovered engine's seed), a
             read-only mapping that a recovered engine, its store and an
-            audit monitor share without copying.
+            audit monitor share without copying.  It comes from the
+            state frame of the log's first segment; a meta decoded
+            without one has an empty ``init``.
         init_tid: tid of the implied initialisation transaction.
         model: consistency model the producer certified against, if any.
         segment: the segment's index.
@@ -199,76 +222,36 @@ class LogMeta:
     extra: Mapping[str, Any] = field(default_factory=dict, compare=False)
 
 
-_SEGMENT_FIELDS = ("segment", "first_ts")
-"""The meta frame fields that differ from segment to segment."""
+_NO_STATE: Mapping[Obj, Value] = MappingProxyType({})
 
-_CONTAINERS = (tuple, list, dict)
-"""The value types :func:`value_to_wire` wraps; every other value is
-its own wire form."""
-
-
-class MetaEncoder:
-    """Serialises the meta frames of one log.
-
-    The log-level description — ``engine``, ``init``, ``init_tid``,
-    ``model`` and any free-form keys — is the same in every segment, so
-    each of its fields is serialised once, here; :meth:`payload` adds
-    the per-segment fields and joins the pieces in sorted key order.
-    The bytes are those of one ``json.dumps`` of the whole document
-    with sorted keys, so a log's meta frames do not depend on how they
-    were built.
-    """
-
-    def __init__(self, meta: Mapping[str, Any]):
-        doc: Dict[str, Any] = {
-            "kind": "meta",
-            "engine": meta.get("engine"),
-            "init_tid": meta.get("init_tid", "t_init"),
-            "model": meta.get("model"),
-            "init": {
-                str(obj): (
-                    value_to_wire(value)
-                    if isinstance(value, _CONTAINERS) else value
-                )
-                for obj, value in (meta.get("init") or {}).items()
-            },
-        }
-        for key, value in meta.items():
-            if key not in doc and key not in _SEGMENT_FIELDS:
-                doc[key] = value
-        self._fields: Dict[str, bytes] = {
-            key: _dump_field(key, value) for key, value in doc.items()
-        }
-
-    def payload(self, segment: int, first_ts: int) -> bytes:
-        """The meta frame payload of segment ``segment``, whose first
-        commit is ``first_ts``."""
-        fields = dict(self._fields)
-        fields["segment"] = _dump_field("segment", segment)
-        fields["first_ts"] = _dump_field("first_ts", first_ts)
-        return b"{" + b",".join(fields[key] for key in sorted(fields)) + b"}"
+_META_FIELDS = ("kind", "engine", "init_tid", "model", "segment",
+                "first_ts")
+"""The meta frame fields :class:`LogMeta` names; any other key of the
+document lands in ``extra``."""
 
 
 def meta_to_payload(
     meta: Mapping[str, Any], segment: int, first_ts: int
 ) -> bytes:
-    """Serialise a segment meta frame.
+    """Serialise a segment meta frame: one JSON object with sorted keys.
 
-    ``meta`` carries the log-level description (``engine``, ``init``,
+    ``meta`` carries the log-level description (``engine``,
     ``init_tid``, ``model``, plus free-form keys); the per-segment
-    fields are supplied by the writer.  A writer of many segments
-    keeps one :class:`MetaEncoder` instead.
+    fields are supplied by the writer.  Its ``init`` is not part of the
+    meta frame: :func:`state_to_payload` writes it once per log.
     """
-    return MetaEncoder(meta).payload(segment, first_ts)
-
-
-def _dump(doc: Any) -> bytes:
+    doc: Dict[str, Any] = {
+        key: value for key, value in meta.items() if key != "init"
+    }
+    doc.update(
+        kind="meta",
+        engine=meta.get("engine"),
+        init_tid=meta.get("init_tid", "t_init"),
+        model=meta.get("model"),
+        segment=segment,
+        first_ts=first_ts,
+    )
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
-
-
-def _dump_field(key: str, value: Any) -> bytes:
-    """One ``"key":value`` member of a document :func:`_dump` writes."""
-    return _dump(key) + b":" + _dump(value)
 
 
 def payload_to_doc(payload: bytes) -> Dict[str, Any]:
@@ -288,33 +271,20 @@ def payload_to_doc(payload: bytes) -> Dict[str, Any]:
 
 
 def meta_from_doc(doc: Mapping[str, Any]) -> LogMeta:
-    """Deserialise a meta frame document."""
+    """Deserialise a meta frame document (with an empty ``init``: the
+    initial state is the state frame's, :func:`state_from_payload`)."""
     if doc.get("kind") != "meta":
         raise FormatError(f"expected a meta frame, got {doc.get('kind')!r}")
     try:
-        init = doc["init"]
-        if not isinstance(init, dict):
-            raise TypeError(f"init is {type(init).__name__}, not an object")
         return LogMeta(
             engine=doc.get("engine"),
-            init=MappingProxyType({
-                obj: (
-                    value_from_wire(value)
-                    if type(value) is dict else value
-                )
-                for obj, value in init.items()
-            }),
+            init=_NO_STATE,
             init_tid=doc["init_tid"],
             model=doc.get("model"),
             segment=int(doc["segment"]),
             first_ts=int(doc["first_ts"]),
             extra={
-                k: v
-                for k, v in doc.items()
-                if k not in (
-                    "kind", "engine", "init", "init_tid", "model",
-                    "segment", "first_ts",
-                )
+                k: v for k, v in doc.items() if k not in _META_FIELDS
             },
         )
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -326,7 +296,8 @@ def meta_from_doc(doc: Mapping[str, Any]) -> LogMeta:
 # ----------------------------------------------------------------------
 
 COMMIT_KIND = b"C"
-"""Leading byte of a commit payload (a meta payload starts with ``{``)."""
+"""Leading byte of a commit payload (a meta payload starts with ``{``,
+a state payload with :data:`STATE_KIND`)."""
 
 MAX_VALUE_DEPTH = 64
 """Deepest container nesting a committed value may have.  The encoder
@@ -542,16 +513,7 @@ def _decode_commit(payload: bytes) -> CommitRecord:
     if len(shape) != text_at - shape_at:
         raise FormatError("malformed commit frame: truncated shape")
     text = payload[text_at:].decode("utf-8", "surrogatepass")
-    strs = []
-    at = 0
-    for size in table[n_ints:n_ints + n_strs]:
-        strs.append(text[at:at + size])
-        at += size
-    if at != len(text):
-        raise FormatError(
-            f"malformed commit frame: string table holds {at} "
-            f"characters, the text {len(text)}"
-        )
+    strs = _cut(text, table[n_ints:n_ints + n_strs])
     commit_ts, snapshot, n_extra = table[:3]
     if not 0 <= snapshot < commit_ts:
         raise FormatError(
@@ -630,7 +592,7 @@ def _read_value(
     if tag == _TUPLE or tag == _LIST or tag == _DICT:
         if depth >= MAX_VALUE_DEPTH:
             raise FormatError(
-                f"malformed commit frame: value nests deeper than "
+                f"malformed frame: value nests deeper than "
                 f"{MAX_VALUE_DEPTH} containers"
             )
         size = table[cursor[0]]
@@ -638,7 +600,7 @@ def _read_value(
         # Every item takes at least one tag byte.
         if not 0 <= size <= len(shape) - pos:
             raise FormatError(
-                f"malformed commit frame: container of {size} items"
+                f"malformed frame: container of {size} items"
             )
         if tag == _DICT:
             items: Any = {}
@@ -682,7 +644,185 @@ def _read_value(
         )
         if _INT_MIN <= big <= _INT_MAX:
             raise FormatError(
-                f"malformed commit frame: big int {big} fits the int table"
+                f"malformed frame: big int {big} fits the int table"
             )
         return big, pos
-    raise FormatError(f"malformed commit frame: unknown value tag {tag}")
+    raise FormatError(f"malformed frame: unknown value tag {tag}")
+
+
+def _cut(text: str, lengths: Tuple[int, ...]) -> List[str]:
+    """``text`` cut into consecutive strings of ``lengths`` characters,
+    which must cover it exactly."""
+    strs = []
+    at = 0
+    for size in lengths:
+        strs.append(text[at:at + size])
+        at += size
+    if at != len(text):
+        raise FormatError(
+            f"malformed frame: string table holds {at} characters, the "
+            f"text {len(text)}"
+        )
+    return strs
+
+
+# ----------------------------------------------------------------------
+# State payloads (binary)
+# ----------------------------------------------------------------------
+
+STATE_KIND = b"S"
+"""Leading byte of a state payload: the log's initial state, written
+once per log, right after the meta frame of its first segment."""
+
+_STATE_HEADER = struct.Struct("<cB6I")
+"""Kind, layout, then the counts: objects, name bytes, ints, string
+lengths, floats, shape bytes."""
+
+# State layout bits beside a commit layout's int and length widths
+# (bits 0-3).
+_NAME_LENGTHS = 1 << 4  # names are cut by a length table, not by NULs
+_ALL_INTS = 1 << 5      # every value is an int64 int: no shape
+
+
+def state_to_payload(init: Mapping[Obj, Value]) -> bytes:
+    """Serialise a log's initial state, every object's name and initial
+    value, in ``init``'s order.
+
+    Raises:
+        TypeError: an object name is not a str, or a value is of a
+            type the codec does not carry.
+        ValueError: a value nests deeper than :data:`MAX_VALUE_DEPTH`,
+            or the payload would exceed :data:`MAX_FRAME_BYTES` (which
+            the scanner would read as a corrupt frame).
+    """
+    names = list(init)
+    values = list(init.values())
+    joined = "\0".join(names)
+    strs: List[str] = []
+    floats: List[float] = []
+    shape = bytearray()
+    if all(type(value) is int for value in values) and (
+        not values or _INT_MIN <= min(values) and max(values) <= _INT_MAX
+    ):
+        ints = values
+        layout = _ALL_INTS
+    else:
+        ints = []
+        for value in values:
+            _put_value(value, shape, ints, strs, floats, 0)
+        layout = 0
+    lengths = [len(s) for s in strs]
+    if joined.count("\0") != max(len(names) - 1, 0):
+        # A name holds a NUL, so NULs cannot separate the names.
+        layout |= _NAME_LENGTHS
+        lengths[:0] = [len(name) for name in names]
+        joined = "".join(names)
+    if ints:
+        layout |= _INT_CODE_BY_BITS[max(max(ints), ~min(ints)).bit_length()]
+    if lengths:
+        layout |= _LEN_CODE_BY_BITS[max(lengths).bit_length()] << 2
+    int_code, len_code = _LAYOUTS[layout & 0xF]
+    name_bytes = joined.encode("utf-8", "surrogatepass")
+    payload = b"".join((
+        _STATE_HEADER.pack(STATE_KIND, layout, len(names), len(name_bytes),
+                           len(ints), len(lengths), len(floats), len(shape)),
+        name_bytes,
+        struct.pack(f"<{len(ints)}{int_code}{len(lengths)}{len_code}"
+                    f"{len(floats)}d", *ints, *lengths, *floats),
+        shape,
+        "".join(strs).encode("utf-8", "surrogatepass"),
+    ))
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"initial state of {len(names)} objects takes {len(payload)} "
+            f"bytes, over the {MAX_FRAME_BYTES}-byte frame bound"
+        )
+    return payload
+
+
+def state_from_payload(payload: bytes) -> Mapping[Obj, Value]:
+    """Deserialise a state payload into a read-only map, inverse of
+    :func:`state_to_payload` (bit-identical round trip, in order).
+
+    Raises:
+        FormatError: on anything but a well-formed payload: a wrong
+            kind byte, unknown layout or tag, truncated or unused
+            entries, bad UTF-8, a name count that does not match the
+            names, or a name given twice.  Nothing else is raised.
+    """
+    try:
+        return _decode_state(payload)
+    except FormatError:
+        raise
+    except (IndexError, KeyError, TypeError, ValueError,
+            struct.error) as exc:
+        raise FormatError(f"malformed state frame: {exc!r}") from None
+
+
+def _decode_state(payload: bytes) -> Mapping[Obj, Value]:
+    if payload[:1] != STATE_KIND:
+        raise FormatError(
+            f"malformed state frame: kind byte {payload[:1]!r}, not "
+            f"{STATE_KIND!r}"
+        )
+    (_, layout, n_objects, n_name_bytes, n_ints, n_strs, n_floats,
+     n_shape) = _STATE_HEADER.unpack_from(payload)
+    if layout >> 6 or layout & 0xF not in _LAYOUTS:
+        raise FormatError(f"malformed state frame: layout byte {layout}")
+    # Every entry takes at least one byte, and so does every object:
+    # counts beyond the payload are truncation, not a huge table.
+    if max(n_objects, n_name_bytes + n_ints + n_strs + n_floats
+           + n_shape) > len(payload):
+        raise FormatError("malformed state frame: counts exceed the payload")
+    int_code, len_code = _LAYOUTS[layout & 0xF]
+    names_at = _STATE_HEADER.size
+    table_at = names_at + n_name_bytes
+    names_text = payload[names_at:table_at].decode("utf-8", "surrogatepass")
+    scalars = struct.Struct(
+        f"<{n_ints}{int_code}{n_strs}{len_code}{n_floats}d"
+    )
+    table = scalars.unpack_from(payload, table_at)
+    shape_at = table_at + scalars.size
+    text_at = shape_at + n_shape
+    if text_at > len(payload):
+        raise FormatError("malformed state frame: truncated shape")
+    lengths = table[n_ints:n_ints + n_strs]
+    if layout & _NAME_LENGTHS:
+        names = _cut(names_text, lengths[:n_objects])
+        lengths = lengths[n_objects:]
+    else:
+        names = names_text.split("\0") if n_objects else []
+    if len(names) != n_objects:
+        raise FormatError(
+            f"malformed state frame: {len(names)} names for {n_objects} "
+            f"objects"
+        )
+    strs = _cut(payload[text_at:].decode("utf-8", "surrogatepass"),
+                lengths)
+    if layout & _ALL_INTS:
+        if (n_ints, len(strs), n_floats, n_shape) != (n_objects, 0, 0, 0):
+            raise FormatError(
+                "malformed state frame: an int-only state holds other "
+                "entries"
+            )
+        values: Any = table[:n_ints]
+    else:
+        shape = payload[shape_at:text_at]
+        cursor = [0, 0, n_ints + n_strs]
+        values = []
+        pos = 0
+        for _ in range(n_objects):
+            value, pos = _read_value(shape, pos, table, strs, cursor, 0)
+            values.append(value)
+        if (pos, cursor[0], cursor[1], cursor[2]) != (
+            n_shape, n_ints, len(strs), len(table)
+        ):
+            raise FormatError("malformed state frame: unused table entries")
+    state = dict(zip(names, values))
+    if len(state) != n_objects:
+        raise FormatError(
+            f"malformed state frame: {n_objects - len(state)} object "
+            f"name(s) given twice"
+        )
+    return MappingProxyType(state)
+

@@ -70,11 +70,12 @@ from ..faults import FAULTS
 from ..mvcc.engine import CommitRecord
 from .format import (
     SEGMENT_MAGIC,
-    MetaEncoder,
     commit_record_to_payload,
     encode_frame,
+    meta_to_payload,
     segment_index,
     segment_name,
+    state_to_payload,
 )
 
 FSYNC_POLICIES = ("always", "group", "none")
@@ -166,13 +167,20 @@ class WriteAheadLog:
         segment_max_bytes: rotate to a new segment once the commit
             frames in the current one would exceed this (every segment
             keeps at least one record).  Only commit frames count: the
-            segment's magic and meta frame are a fixed header, however
-            large the initial state makes it.
+            segment's magic, meta frame and (in the first segment this
+            log opens) state frame are a fixed header, however large
+            the initial state makes it.
         start_seq: first commit sequence number expected (one past the
             engine's last commit at attach time; 1 for a fresh engine).
-        meta: log description written into every segment header —
-            ``engine`` key, ``init`` values, ``init_tid``, ``model``
-            (see :class:`~repro.wal.format.LogMeta`).
+        meta: log description — ``engine`` key, ``init`` values,
+            ``init_tid``, ``model`` (see
+            :class:`~repro.wal.format.LogMeta`).  Every segment's meta
+            frame carries all of it but ``init``, which is written once,
+            as the state frame of the first segment this log opens.
+
+    Raises:
+        TypeError / ValueError: ``init`` holds a value the state frame
+            cannot carry, or a name that is not a str.
     """
 
     def __init__(
@@ -196,8 +204,10 @@ class WriteAheadLog:
         self.fsync_policy = fsync_policy
         self.segment_max_bytes = segment_max_bytes
         self.meta: Dict[str, Any] = dict(meta or {})
-        # Every segment repeats the meta: serialise it once per log.
-        self._meta_encoder = MetaEncoder(self.meta)
+        # Written after the first segment's meta frame, then dropped.
+        self._state_frame: Optional[bytes] = encode_frame(
+            state_to_payload(self.meta.get("init") or {})
+        )
         self.stats = WalStats()
 
         # `_lock` guards the write side (the caller's commit mutex
@@ -433,8 +443,11 @@ class WriteAheadLog:
         path = os.path.join(self.directory, segment_name(self._segment))
         self._file = open(path, "wb")
         header = SEGMENT_MAGIC + encode_frame(
-            self._meta_encoder.payload(self._segment, first_ts)
+            meta_to_payload(self.meta, self._segment, first_ts)
         )
+        if self._state_frame is not None:
+            header += self._state_frame
+            self._state_frame = None
         self._file.write(header)
         if self.fsync_policy != "none":
             # A new file's directory entry is durable only once the

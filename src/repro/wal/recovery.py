@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Tuple
 
 from ..core.errors import StoreError
@@ -35,6 +35,7 @@ from .format import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     SEGMENT_MAGIC,
+    STATE_KIND,
     LogMeta,
     commit_record_from_payload,
     meta_from_doc,
@@ -42,6 +43,7 @@ from .format import (
     scan_frames,
     segment_index,
     segment_magic_damage,
+    state_from_payload,
 )
 
 
@@ -72,15 +74,18 @@ class LogScan:
     (or during) iteration the summary attributes describe what was seen.
     Each ``iter()`` call rescans from the start.
 
-    Construction reads only the first segment's meta frame, so callers
-    can configure themselves (seed an engine or a monitor) before
-    streaming; iteration reuses that decoded meta for the first segment
-    when its frame is byte-identical, so a meta frame is decoded once
-    per segment.
+    Construction reads only the first segment's meta and state frames,
+    so callers can configure themselves (seed an engine or a monitor)
+    before streaming; iteration reuses what they decoded to when the
+    first segment still holds the same frames, so a meta frame is
+    decoded once per segment and the state frame once per scan.  Only
+    the first segment's state frame is decoded: a later one (written
+    by a log reopened over the directory) is CRC-checked and skipped.
 
     Attributes:
-        meta: the log description (from the first readable segment
-            header; ``None`` when no segment header decodes).
+        meta: the log description (from the first segment's meta and
+            state frames; ``None`` when they do not decode, or the
+            first segment has no state frame).
         damage: where scanning stopped, if anywhere.
         records_scanned: commit records yielded.
         segments_scanned: segments fully or partially read.
@@ -102,17 +107,18 @@ class LogScan:
         self.bytes_scanned = 0
         self.first_ts = 0
         self.last_ts = 0
-        # The first segment's name, meta payload and decoded meta.
-        self._head: Optional[Tuple[str, bytes, LogMeta]] = None
+        # The first segment's name, meta and state payloads, and the
+        # meta they decode to.
+        self._head: Optional[Tuple[str, List[bytes], LogMeta]] = None
         names = self._segments()
         if names:
-            data = self._read_meta_frame(names)
+            data = self._read_head(names)
             found = None if data is None else self._segment_head(
                 names, 0, data
             )
             if found is not None:
                 self.meta = found[0]
-                self._head = (names[0], found[1][0], found[0])
+                self._head = (names[0], found[1], found[0])
 
     @property
     def truncated(self) -> bool:
@@ -126,20 +132,23 @@ class LogScan:
         )
         return names
 
-    def _read_meta_frame(self, names: List[str]) -> Optional[bytes]:
-        """The magic and first frame of segment ``names[0]`` — only
-        as many bytes as its frame header promises — or ``None`` (with
-        the damage recorded) when the file cannot be read."""
-        head = len(SEGMENT_MAGIC) + FRAME_HEADER.size
+    def _read_head(self, names: List[str]) -> Optional[bytes]:
+        """The magic and first two frames (meta and state) of segment
+        ``names[0]`` — only as many bytes as their frame headers
+        promise — or ``None`` (with the damage recorded) when the file
+        cannot be read."""
         try:
             with open(os.path.join(self.directory, names[0]), "rb") as f:
-                data = f.read(head)
-                if len(data) == head:
-                    length, _ = FRAME_HEADER.unpack_from(
-                        data, len(SEGMENT_MAGIC)
-                    )
-                    if length <= MAX_FRAME_BYTES:
-                        data += f.read(length)
+                data = f.read(len(SEGMENT_MAGIC))
+                for _ in range(2):
+                    header = f.read(FRAME_HEADER.size)
+                    data += header
+                    if len(header) < FRAME_HEADER.size:
+                        break
+                    length, _ = FRAME_HEADER.unpack(header)
+                    if length > MAX_FRAME_BYTES:
+                        break
+                    data += f.read(length)
         except OSError as exc:
             self._stop(names, 0, names[0], -1, f"unreadable segment: {exc}")
             return None
@@ -147,11 +156,16 @@ class LogScan:
 
     def _segment_head(
         self, names: List[str], position: int, data: bytes
-    ) -> Optional[Tuple[LogMeta, List[bytes], Optional[str], int]]:
+    ) -> Optional[
+        Tuple[LogMeta, List[bytes], List[bytes], Optional[str], int]
+    ]:
         """Check segment ``names[position]``'s magic and frames and
-        decode its meta frame.  Returns ``(meta, payloads, frame_damage,
-        damage_offset)`` as :func:`scan_frames` reports them, or
-        ``None`` with the damage recorded."""
+        decode its meta frame, and for the log's first segment its
+        state frame.  Returns ``(meta, header, commits, frame_damage,
+        damage_offset)``: the header payloads (meta, then state if
+        present), the commit payloads after them, and the damage as
+        :func:`scan_frames` reports it; or ``None`` with the damage
+        recorded."""
         name = names[position]
         bad_magic = segment_magic_damage(data)
         if bad_magic is not None:
@@ -165,19 +179,39 @@ class LogScan:
                        damage_offset if frame_damage else len(data),
                        frame_damage or "segment has no meta frame")
             return None
+        stated = len(payloads) > 1 and payloads[1][:1] == STATE_KIND
+        header = 2 if stated else 1
         if (
             self._head is not None
             and self._head[0] == name
-            and self._head[1] == payloads[0]
+            and self._head[1] == payloads[:2]
         ):
-            return self._head[2], payloads, frame_damage, damage_offset
+            return (self._head[2], payloads[:header], payloads[header:],
+                    frame_damage, damage_offset)
+        state_at = len(SEGMENT_MAGIC) + FRAME_HEADER.size + len(payloads[0])
+        if position == 0 and not stated:
+            torn = frame_damage is not None and len(payloads) == 1
+            self._stop(names, position, name,
+                       damage_offset if torn else state_at,
+                       "first segment has no state frame"
+                       + (f" ({frame_damage})" if torn else ""))
+            return None
         try:
             meta = meta_from_doc(payload_to_doc(payloads[0]))
         except FormatError as exc:
             self._stop(names, position, name, len(SEGMENT_MAGIC),
                        f"bad meta frame: {exc}")
             return None
-        return meta, payloads, frame_damage, damage_offset
+        if position == 0:
+            # Only the log's first state is its initial state.
+            try:
+                meta = replace(meta, init=state_from_payload(payloads[1]))
+            except FormatError as exc:
+                self._stop(names, position, name, state_at,
+                           f"bad state frame: {exc}")
+                return None
+        return (meta, payloads[:header], payloads[header:], frame_damage,
+                damage_offset)
 
     def __iter__(self) -> Iterator[CommitRecord]:
         self.damage = []
@@ -203,7 +237,7 @@ class LogScan:
             found = self._segment_head(names, position, data)
             if found is None:
                 return
-            meta, payloads, frame_damage, damage_offset = found
+            meta, _, payloads, frame_damage, damage_offset = found
             if expected_ts is None:
                 # The first segment fixes where the log starts.
                 self.meta = meta
@@ -215,7 +249,7 @@ class LogScan:
                     f"log's next is #{expected_ts} (missing segment?)",
                 )
                 return
-            for payload in payloads[1:]:
+            for payload in payloads:
                 try:
                     record = commit_record_from_payload(payload)
                 except FormatError as exc:

@@ -20,7 +20,6 @@ from repro.wal.format import (
     MAX_FRAME_BYTES,
     MAX_VALUE_DEPTH,
     LogMeta,
-    MetaEncoder,
     commit_record_from_payload,
     commit_record_to_payload,
     encode_frame,
@@ -30,8 +29,10 @@ from repro.wal.format import (
     scan_frames,
     segment_index,
     segment_name,
+    state_from_payload,
+    state_to_payload,
 )
-from tests.wal.frames import forge_commit_payload
+from tests.wal.frames import forge_commit_payload, forge_state_payload
 
 
 def make_record(ts=1, tid=None, values=(0, 1)):
@@ -185,6 +186,8 @@ class TestCommitPayloads:
                                         1, 1)
         with pytest.raises(FormatError, match="expected a commit frame"):
             commit_record_from_payload(meta_payload)
+        with pytest.raises(FormatError, match="expected a commit frame"):
+            commit_record_from_payload(state_to_payload({"x": 0}))
         with pytest.raises(FormatError):
             meta_from_doc(payload_to_doc(
                 commit_record_to_payload(make_record())
@@ -398,17 +401,19 @@ record: a changed commit encoding needs a new segment magic."""
 
 class TestMetaPayloads:
     def test_round_trip(self):
-        meta = meta_from_doc(payload_to_doc(meta_to_payload(
-            {"engine": "PSI", "init": {"x": (0, 0), "y": 1},
-             "init_tid": "t_zero", "model": "PSI", "note": "hi"},
-            segment=3, first_ts=17,
-        )))
+        log = {"engine": "PSI", "init": {"x": (0, 0), "y": 1},
+               "init_tid": "t_zero", "model": "PSI", "note": "hi"}
+        doc = payload_to_doc(meta_to_payload(log, segment=3, first_ts=17))
+        assert "init" not in doc  # the state frame carries it
+        meta = meta_from_doc(doc)
         assert meta == LogMeta(
-            engine="PSI", init={"x": (0, 0), "y": 1}, init_tid="t_zero",
-            model="PSI", segment=3, first_ts=17,
+            engine="PSI", init={}, init_tid="t_zero", model="PSI",
+            segment=3, first_ts=17,
         )
-        assert meta.extra["note"] == "hi"
-        assert isinstance(meta.init["x"], tuple)
+        assert meta.extra == {"note": "hi"}
+        state = state_from_payload(state_to_payload(log["init"]))
+        assert state == {"x": (0, 0), "y": 1}
+        assert isinstance(state["x"], tuple)
 
     def test_defaults(self):
         meta = meta_from_doc(payload_to_doc(
@@ -417,35 +422,51 @@ class TestMetaPayloads:
         assert meta.engine is None
         assert meta.model is None
         assert meta.init_tid == "t_init"
+        assert meta.init == {}  # no state frame decoded
 
-    # sha256 of meta frames as ``json.dumps(doc, sort_keys=True)`` of
-    # the whole document writes them; the per-field encoder must not
-    # change a byte of any log.
+    # sha256 of the meta and state frame payloads of a log's first
+    # segment.  The meta frame is ``json.dumps(doc, sort_keys=True)``
+    # of the document without ``init``; a changed encoding of either
+    # needs a new segment magic.
     PINNED = [
-        (
+        pytest.param(
             {"engine": "SI", "init_tid": "t_init", "model": "SI",
              "init": {f"{kind}{n}": 100 for n in range(1000)
                       for kind in ("savings", "checking")}},
-            1, 1, 34876,
-            "7e8c6ecceff62bd3a5ee7425f14ec020e01b61eba14dbac352c6d6b30fd74fef",
+            1, 1,
+            87,
+            "a85ff2b0093391d2f0f6389b054298ba1abeffa626ff364cbb3a4c20f1273ac3",
+            24805,
+            "259c4b29b7c9ede5ae720dd81b4eda335f9d4326b0b272b7fa59ee3dccf673d3",
+            id="smallbank",
         ),
-        (
+        pytest.param(
             {"engine": "PSI", "init_tid": "t0", "model": None,
              "init": {"x": (0, "a"), "y": [1, (2, 3)], "z": {"k": (1,)},
                       "\u00e9": "\u00fc", "n": None, "f": 1.5, "b": True},
              "note": "hi", "zeta": [1, 2], "aardvark": {"q": 1},
              "segment": 99},
-            7, 123, 253,
-            "76f09ae3fb9eb435851c4d08e551b62e809052e3833abae2112f1e8b80c17cd9",
+            7, 123,
+            130,
+            "4e63e3bb213b7fb2dbada91321b251f7baf74089d0d1a7eaff678a03ae60b0e9",
+            81,
+            "d5a02c42463abd3c2e66ec86b19c7ae6c8fb76056c1e423edd36f5dba31ca149",
+            id="mixed",
         ),
     ]
 
-    @pytest.mark.parametrize("meta, segment, first_ts, size, digest", PINNED)
+    @pytest.mark.parametrize(
+        "meta, segment, first_ts, meta_size, meta_digest, state_size, "
+        "state_digest", PINNED,
+    )
     def test_meta_frame_bytes_are_pinned(self, meta, segment, first_ts,
-                                         size, digest):
-        encoder = MetaEncoder(meta)
-        for payload in (encoder.payload(segment, first_ts),
-                        meta_to_payload(meta, segment, first_ts)):
+                                         meta_size, meta_digest, state_size,
+                                         state_digest):
+        for payload, size, digest in (
+            (meta_to_payload(meta, segment, first_ts), meta_size,
+             meta_digest),
+            (state_to_payload(meta["init"]), state_size, state_digest),
+        ):
             assert len(payload) == size
             assert hashlib.sha256(payload).hexdigest() == digest
 
@@ -463,26 +484,145 @@ class TestMetaPayloads:
         assert hashlib.sha256(frame).hexdigest() == PINNED_COMMIT_DIGEST
 
     def test_decoded_init_is_read_only(self):
-        meta = meta_from_doc(payload_to_doc(
-            meta_to_payload({"init": {"x": 0}}, 1, 1)
-        ))
-        assert isinstance(meta.init, MappingProxyType)
+        for init in ({"x": 0}, {"x": (0, 1), "y": None}):
+            assert isinstance(state_from_payload(state_to_payload(init)),
+                              MappingProxyType)
 
     def test_deeply_nested_meta_frame_is_format_error(self):
         # The meta frame is JSON; a CRC-valid one nested past the
         # parser's recursion limit is damage, not a RecursionError.
         depth = 100_000
-        payload = (b'{"kind":"meta","init":{"x":' + b"[" * depth
-                   + b"]" * depth + b'},"init_tid":"t","segment":1,'
+        payload = (b'{"kind":"meta","model":' + b"[" * depth
+                   + b"]" * depth + b',"init_tid":"t","segment":1,'
                    b'"first_ts":1}')
         with pytest.raises(FormatError):
             meta_from_doc(payload_to_doc(payload))
 
     def test_missing_init_rejected(self):
-        doc = payload_to_doc(meta_to_payload({"init": {"x": 0}}, 1, 1))
-        del doc["init"]
-        with pytest.raises(FormatError):
-            meta_from_doc(doc)
+        # The meta frame carries no initial state, and a payload that
+        # is not a state frame is damage where one must be.
+        meta_payload = meta_to_payload({"init": {"x": 0}}, 1, 1)
+        assert "init" not in payload_to_doc(meta_payload)
+        for payload in (b"", meta_payload,
+                        commit_record_to_payload(make_record())):
+            with pytest.raises(FormatError, match="malformed state frame"):
+                state_from_payload(payload)
+
+
+def state_items(state):
+    """A state's items in order, each value spelled out by
+    :func:`canonical`."""
+    return [(name, canonical(value)) for name, value in state.items()]
+
+
+state_names = st.text(max_size=8) | st.sampled_from(
+    ["\0", "a\0b", "\ud800x", "\U0001f600", "kéy"]
+)
+int64s = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+
+
+class TestStatePayloads:
+    """The state payload carries a log's initial values in order,
+    bit-exactly, and decodes damage only ever to :class:`FormatError`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(init=st.dictionaries(state_names, any_values, max_size=8)
+           | st.dictionaries(state_names, int64s, max_size=8))
+    def test_round_trip_bit_exact(self, init):
+        back = state_from_payload(state_to_payload(init))
+        assert isinstance(back, MappingProxyType)
+        assert state_items(back) == state_items(init)
+
+    def test_an_int_map_is_one_int_column(self):
+        # Names NUL-joined, then one int per value at the narrowest
+        # width (here one byte), and no shape.
+        init = {f"savings{n}": 100 for n in range(1000)}
+        payload = state_to_payload(init)
+        names = sum(len(name) + 1 for name in init) - 1
+        assert len(payload) == 26 + names + len(init)
+        assert state_from_payload(payload) == init
+
+    @pytest.mark.parametrize("init", [
+        {"x": {1: "a"}, "y": 0},
+        {"t": True, "one": 1, "f": False, "zero": 0},
+        {"z": -0.0, "p": 0.0, "n": math.nan, "i": math.inf},
+        {"b": b"\x00\xff", "s": "\x00\xff"},
+        {"big": 1 << 63, "small": -(1 << 63) - 1, "max": (1 << 63) - 1},
+        {"t": (1, 2), "l": [1, 2], "nested": ([1], (2,), {3: (4,)})},
+        {"été": "\U0001f600", "nul\0name": 1, "": None},
+    ])
+    def test_value_types_survive(self, init):
+        assert state_items(state_from_payload(state_to_payload(init))) == (
+            state_items(init)
+        )
+
+    def test_forged_layout_reads_as_documented(self):
+        assert state_from_payload(
+            forge_state_payload(["x", "yé"], [5, -7])
+        ) == {"x": 5, "yé": -7}
+        forged = forge_state_payload(["x", "y", "z"], [2, 1], strs=["a"],
+                                     shape=b"tisFN")
+        assert state_items(state_from_payload(forged)) == state_items(
+            {"x": (1, "a"), "y": False, "z": None}
+        )
+        assert len(state_to_payload({"x": 5, "yé": -7})) < len(
+            forge_state_payload(["x", "yé"], [5, -7])
+        )
+
+    @pytest.mark.parametrize("names, ints, shape, objects, reason", [
+        (["x", "x"], [1, 2], b"", None, "given twice"),
+        (["x", "y"], [1, 2], b"", 3, "2 names for 3 objects"),
+        (["x", "y"], [1, 2, 3], b"", None, "int-only"),
+        (["x", "y"], [1], b"", None, "int-only"),
+        (["x"], [1], b"ii", None, "unused"),
+        (["x", "y"], [1], b"i", None, "index out of range"),
+        (["x"], [], b"q", None, "unknown value tag"),
+        (["x"], [1 << 40], b"", 1 << 30, "counts exceed"),
+    ])
+    def test_malformed_tables_rejected(self, names, ints, shape, objects,
+                                      reason):
+        with pytest.raises(FormatError, match=reason):
+            state_from_payload(forge_state_payload(
+                names, ints, shape=shape, objects=objects
+            ))
+
+    def test_unknown_layout_rejected(self):
+        payload = forge_state_payload(["x"], [1])
+        for layout in (0x40, 0x80, 0x0C):
+            with pytest.raises(FormatError, match="layout"):
+                state_from_payload(payload[:1] + bytes([layout])
+                                   + payload[2:])
+
+    PAYLOADS = [
+        {f"obj{n}": n * 1000 for n in range(20)},
+        {"x": {1: "a", (2, "k"): b"\xff"}, "nul\0": [1.5, None, True],
+         "é": (1 << 70, -3), "y": "\ud800"},
+    ]
+
+    @pytest.mark.parametrize("init", PAYLOADS)
+    def test_truncated_payload_is_format_error(self, init):
+        payload = state_to_payload(init)
+        for end in range(len(payload)):
+            with pytest.raises(FormatError):
+                state_from_payload(payload[:end])
+
+    @pytest.mark.parametrize("init", PAYLOADS)
+    def test_flipped_byte_is_format_error_or_decodes(self, init):
+        payload = state_to_payload(init)
+        for at in range(len(payload)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(payload)
+                damaged[at] ^= mask
+                try:
+                    state_from_payload(bytes(damaged))
+                except FormatError:
+                    pass
+
+    def test_unloggable_state_refused(self):
+        with pytest.raises(TypeError):
+            state_to_payload({1: 0})  # names are strings
+        with pytest.raises(TypeError, match="cannot log"):
+            state_to_payload({"x": object()})
 
 
 class TestSnapshotDescriptor:

@@ -9,11 +9,18 @@ import time
 
 import pytest
 
+from repro.core.errors import StoreError
 from repro.mvcc.engine import CommitRecord
-from repro.core.events import write as write_op
+from repro.core.events import read as read_op, write as write_op
 from repro.faults import FaultPlan, FaultRule, armed
-from repro.wal.format import meta_from_doc, payload_to_doc
+from repro.wal.format import (
+    STATE_KIND,
+    meta_from_doc,
+    payload_to_doc,
+    state_from_payload,
+)
 from repro.wal import (
+    DEFAULT_SEGMENT_BYTES,
     FSYNC_POLICIES,
     SEGMENT_MAGIC,
     WalClosed,
@@ -218,13 +225,31 @@ class TestRotationAndRetention:
             for ts in range(1, 31):
                 log.append(make_record(ts))
             log.flush()
-        # Delete all but the final segment: recovery must still read
-        # meta (engine/init) from the survivor.
+        # Every segment's meta frame alone names the engine, the model,
+        # its index and its first commit; only the first segment holds
+        # the initial state.
+        expected_ts = 1
+        for index, path in enumerate(log.segments(), start=1):
+            with open(path, "rb") as f:
+                payloads, damage, _ = scan_frames(f.read(),
+                                                  len(SEGMENT_MAGIC))
+            assert damage is None
+            meta = meta_from_doc(payload_to_doc(payloads[0]))
+            assert (meta.engine, meta.model, meta.segment,
+                    meta.first_ts) == ("SI", "SI", index, expected_ts)
+            stated = payloads[1][:1] == STATE_KIND
+            assert stated == (index == 1)
+            expected_ts += len(payloads) - 1 - stated
+        assert expected_ts == 31
+        # A suffix without the first segment has no initial state to
+        # replay onto: recovery refuses it rather than guess one.
         for path in log.segments()[:-1]:
             os.unlink(path)
-        result = recover(log.directory)
-        assert result.meta.engine == "SI"
-        assert result.records_recovered > 0
+        log_scan = scan(log.directory)
+        assert log_scan.meta is None
+        assert "no state frame" in log_scan.damage[0].reason
+        with pytest.raises(StoreError, match="no state frame"):
+            recover(log.directory)
 
     def test_large_meta_frame_does_not_count_against_rotation(
         self, tmp_path
@@ -239,12 +264,15 @@ class TestRotationAndRetention:
                 log.append(make_record(ts))
             log.flush()
         per_segment = []
-        for path in log.segments():
+        for index, path in enumerate(log.segments()):
             with open(path, "rb") as f:
                 payloads, damage, _ = scan_frames(f.read(),
                                                   len(SEGMENT_MAGIC))
-            assert damage is None and len(payloads[0]) > 2000
-            per_segment.append(len(payloads) - 1)
+            assert damage is None
+            # The first segment's header holds the state frame.
+            header = 1 + (index == 0)
+            assert (len(payloads[1]) > 2000) == (index == 0)
+            per_segment.append(len(payloads) - header)
         assert sum(per_segment) == 50
         assert len(per_segment) <= 6, per_segment
         assert all(n > 1 for n in per_segment[:-1]), per_segment
@@ -255,6 +283,8 @@ class TestRotationAndRetention:
     @pytest.mark.parametrize("segment_max_bytes", [600, 1 << 22])
     def test_each_meta_frame_decoded_once(self, tmp_path, monkeypatch,
                                           segment_max_bytes):
+        # A recovery decodes each segment's meta frame once, and the
+        # initial state once, however many segments the log has.
         import repro.wal.recovery as recovery
 
         with make_log(tmp_path, fsync_policy="none",
@@ -262,16 +292,66 @@ class TestRotationAndRetention:
             for ts in range(1, 31):
                 log.append(make_record(ts))
             log.flush()
-        decoded = []
+        decoded, states = [], []
 
         def counting(doc):
             decoded.append(doc["segment"])
             return meta_from_doc(doc)
 
+        def counting_states(payload):
+            states.append(len(payload))
+            return state_from_payload(payload)
+
         monkeypatch.setattr(recovery, "meta_from_doc", counting)
+        monkeypatch.setattr(recovery, "state_from_payload", counting_states)
         result = recover(log.directory)
         assert result.records_recovered == 30
+        assert dict(result.meta.init) == META["init"]
         assert sorted(decoded) == list(range(1, len(log.segments()) + 1))
+        assert len(states) == 1
+
+    def test_segments_do_not_repeat_the_initial_state(self, tmp_path,
+                                                     monkeypatch):
+        # The initial state is written once per log, not once per
+        # segment: small segments over 40,000 objects used to cost 13x
+        # the bytes of one segment, each repeating every initial value.
+        import repro.wal.recovery as recovery
+
+        meta = dict(META, init={f"obj{i}": i for i in range(40_000)})
+
+        def record(ts):
+            return CommitRecord(
+                tid=f"t{ts}", session=f"client-{ts % 16}", commit_ts=ts,
+                events=tuple(
+                    op(f"obj{ts * 131 % 40_000 + k}", (ts, k))
+                    for k in range(3) for op in (read_op, write_op)
+                ),
+                snapshot=ts - 1,
+            )
+
+        logs = {}
+        for bound in (4000, DEFAULT_SEGMENT_BYTES):
+            with WriteAheadLog(str(tmp_path / f"wal-{bound}"), meta=meta,
+                               fsync_policy="none",
+                               segment_max_bytes=bound) as log:
+                for ts in range(1, 301):
+                    log.append(record(ts))
+            logs[bound] = log.segments()
+        small, one = logs[4000], logs[DEFAULT_SEGMENT_BYTES]
+        assert len(small) >= 10 and len(one) == 1
+        size = sum(os.path.getsize(path) for path in small)
+        assert size <= 1.1 * os.path.getsize(one[0])
+        states = []
+
+        def counting_states(payload):
+            states.append(len(payload))
+            return state_from_payload(payload)
+
+        monkeypatch.setattr(recovery, "state_from_payload", counting_states)
+        log_scan = scan(os.path.dirname(small[0]))
+        assert [r.commit_ts for r in log_scan] == list(range(1, 301))
+        assert log_scan.meta.init == meta["init"]
+        assert len(states) == 1
 
     def test_new_log_never_touches_existing_segments(self, tmp_path):
         with make_log(tmp_path, fsync_policy="none") as log:

@@ -9,9 +9,11 @@ engine state, damage accounted for.
 """
 
 import os
+import re
 
 import pytest
 
+from repro.core.errors import StoreError
 from repro.core.events import read as read_op, write as write_op
 from repro.mvcc import SIEngine
 from repro.mvcc.engine import CommitRecord
@@ -24,8 +26,9 @@ from repro.wal.format import (
     encode_frame,
     meta_to_payload,
     segment_name,
+    state_to_payload,
 )
-from tests.wal.frames import forge_commit_payload
+from tests.wal.frames import forge_commit_payload, forge_state_payload
 
 COMMITS = 40
 
@@ -33,13 +36,18 @@ COMMITS = 40
 def write_segment(directory, meta, payloads, meta_payload=None, index=1,
                   first_ts=1):
     """Write segment ``index`` of a log by hand: the magic, a meta frame
-    (the encoding of ``meta`` unless ``meta_payload`` is given) and one
-    frame per commit payload."""
+    (the encoding of ``meta`` unless ``meta_payload`` is given), in
+    segment 1 the state frame of ``meta["init"]``, and one frame per
+    commit payload."""
     if meta_payload is None:
         meta_payload = meta_to_payload(meta, index, first_ts=first_ts)
+    state = b""
+    if index == 1:
+        state = encode_frame(state_to_payload(meta["init"]))
     (directory / segment_name(index)).write_bytes(
         SEGMENT_MAGIC
         + encode_frame(meta_payload)
+        + state
         + b"".join(encode_frame(payload) for payload in payloads)
     )
 
@@ -143,12 +151,13 @@ class TestCorruption:
         result = assert_prefix_recovery(directory, engine)
         assert any("magic" in d.reason for d in result.damage)
 
-    @pytest.mark.parametrize("version",
-                             [b"SIWAL001", b"SIWAL002", b"SIWAL003"])
+    @pytest.mark.parametrize("version", [b"SIWAL001", b"SIWAL002",
+                                         b"SIWAL003", b"SIWAL004"])
     def test_previous_format_version_is_damage(self, logged_run, version):
         # A segment written by an earlier format (SIWAL001 frames list
         # every visible tid; SIWAL002 frames also carry a writes map and
-        # a start_ts; SIWAL003 frames are JSON) must be refused by name,
+        # a start_ts; SIWAL003 frames are JSON; SIWAL004 meta frames
+        # repeat the initial state as JSON) must be refused by name,
         # never misdecoded.
         engine, directory, segments = logged_run
         with open(segments[-1], "r+b") as f:
@@ -222,8 +231,9 @@ class TestCorruption:
         if frame == "meta":
             nested = b"[" * depth + b"]" * depth
             deep_meta = meta_to_payload(meta, 2, first_ts=2).replace(
-                b'"init":{"x":0}', b'"init":{"x":' + nested + b"}"
+                b'"model":"SI"', b'"model":' + nested
             )
+            assert len(deep_meta) > 2 * depth
             write_segment(directory, meta, [record(2)], index=2, first_ts=2,
                           meta_payload=deep_meta)
         else:
@@ -243,6 +253,96 @@ class TestCorruption:
             f.seek(len(SEGMENT_MAGIC) + 10)
             f.write(b"\x00\x00\x00")
         assert_prefix_recovery(directory, engine)
+
+
+class TestStateFrame:
+    """The initial state is the first segment's second frame; without
+    it there is nothing to replay onto."""
+
+    META = {"engine": "SI", "init": {"x": 0, "y": 7},
+            "init_tid": "t_init", "model": "SI"}
+
+    @staticmethod
+    def record(ts):
+        return commit_record_to_payload(CommitRecord(
+            tid=f"t{ts}", session="s", commit_ts=ts,
+            events=(write_op("x", ts),), snapshot=ts - 1,
+        ))
+
+    def assert_unrecoverable(self, directory, reason):
+        log_scan = scan(str(directory))
+        assert log_scan.meta is None
+        assert log_scan.damage[0].segment == segment_name(1)
+        assert reason in log_scan.damage[0].reason
+        assert list(log_scan) == [] and log_scan.segments_dropped == 1
+        with pytest.raises(StoreError, match=re.escape(reason)):
+            recover(str(directory))
+        with pytest.raises(StoreError, match=re.escape(reason)):
+            audit_log(str(directory))
+
+    def test_first_segment_without_a_state_frame(self, tmp_path):
+        # A meta frame followed directly by a commit, as SIWAL004 wrote
+        # it, is damage, not a log with an empty initial state.
+        (tmp_path / segment_name(1)).write_bytes(
+            SEGMENT_MAGIC
+            + encode_frame(meta_to_payload(self.META, 1, first_ts=1))
+            + encode_frame(self.record(1))
+        )
+        self.assert_unrecoverable(tmp_path, "no state frame")
+
+    def test_first_segment_torn_inside_its_state_frame(self, tmp_path):
+        write_segment(tmp_path, self.META, [self.record(1)])
+        path = tmp_path / segment_name(1)
+        header = len(SEGMENT_MAGIC) + len(
+            encode_frame(meta_to_payload(self.META, 1, first_ts=1))
+        )
+        path.write_bytes(path.read_bytes()[:header + 12])
+        self.assert_unrecoverable(tmp_path, "no state frame (truncated")
+
+    def test_malformed_state_frame(self, tmp_path):
+        # CRC-valid, but it names x twice.
+        write_segment(tmp_path, self.META, [self.record(1)])
+        path = tmp_path / segment_name(1)
+        good = encode_frame(state_to_payload(self.META["init"]))
+        path.write_bytes(path.read_bytes().replace(good, encode_frame(
+            forge_state_payload(["x", "x"], [0, 7])
+        )))
+        self.assert_unrecoverable(tmp_path, "bad state frame")
+
+    def test_a_later_state_frame_is_checked_not_decoded(self, tmp_path):
+        # A log reopened over the directory writes a state frame into
+        # its first segment; only its CRC is read.
+        write_segment(tmp_path, self.META, [self.record(1)])
+        later = (
+            SEGMENT_MAGIC
+            + encode_frame(meta_to_payload(self.META, 2, first_ts=2))
+            + encode_frame(b"S not a state payload")
+            + encode_frame(self.record(2))
+        )
+        (tmp_path / segment_name(2)).write_bytes(later)
+        result = recover(str(tmp_path))
+        assert result.records_recovered == 2 and not result.truncated
+        assert result.meta.init == self.META["init"]
+        (tmp_path / segment_name(2)).write_bytes(
+            later.replace(b"S not a", b"S NOT A")
+        )
+        result = recover(str(tmp_path))
+        assert result.records_recovered == 1
+        assert "CRC" in result.damage[0].reason
+
+    def test_reopened_log_recovers_whole(self, tmp_path):
+        engine = SIEngine(dict(self.META["init"]))
+        for first_ts in (1, 3):
+            wal = WriteAheadLog(str(tmp_path), fsync_policy="none",
+                                meta=self.META, start_seq=first_ts)
+            for _ in range(2):
+                txn = engine.begin("s")
+                engine.write(txn, "y", engine.read(txn, "y") + 1)
+                wal.append(engine.commit(txn))
+            wal.close()
+        result = recover(str(tmp_path))
+        assert result.segments_scanned == 2 and not result.truncated
+        assert result.engine.committed == engine.committed
 
 
 class TestMissingSegments:
@@ -278,12 +378,9 @@ class TestMissingSegments:
         directory.mkdir()
         meta = {"engine": "SI", "init": {"x": 0}, "init_tid": "t_init",
                 "model": "SI"}
-        (directory / segment_name(1)).write_bytes(
-            SEGMENT_MAGIC
-            + encode_frame(meta_to_payload(meta, 1, first_ts=1))
-            + encode_frame(commit_record_to_payload(record(2)))
-            + encode_frame(commit_record_to_payload(record(3)))
-        )
+        write_segment(directory, meta, [
+            commit_record_to_payload(record(ts)) for ts in (2, 3)
+        ])
         result = recover(str(directory))
         assert result.records_recovered == 0
         assert result.truncated

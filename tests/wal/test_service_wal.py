@@ -7,6 +7,7 @@ level (not just tid equality), recovered engines that keep serving, and
 live-vs-offline verdict parity.
 """
 
+import math
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from repro.mvcc.locking import TwoPhaseLockingEngine
 from repro.mvcc.runtime import ReadOp, WriteOp
 from repro.service import MIXES, LoadGenerator, TransactionService
 from repro.wal import FSYNC_POLICIES, WriteAheadLog, audit_log, recover
+from tests.wal.test_format import canonical
 
 ENGINES = {
     "SI": (SIEngine, "SI"),
@@ -129,6 +131,38 @@ class TestRoundTrip:
         for ts in range(engine._clock + 1):
             assert (recovered.store.snapshot_at(ts)
                     == engine.store.snapshot_at(ts))
+
+    def test_initial_values_recover_with_their_types(self, tmp_path):
+        # The initial state travels in the binary state frame: the JSON
+        # meta frame turned the initial {1: "a"} into {"1": "a"}.
+        initial = {
+            "x": {1: "a"}, "y": 0, "flag": True, "one": 1,
+            "neg_zero": -0.0, "nan": math.nan, "raw": b"\x00\xff",
+            "big": 1 << 64, "pair": (1, 2), "list": [1, 2],
+            "\u00e9t\u00e9": "\U0001f600", "none": None,
+        }
+        engine = SIEngine(initial)
+        wal = WriteAheadLog(
+            str(tmp_path / "wal"), fsync_policy="none",
+            meta={"engine": "SI", "init": engine.initial,
+                  "init_tid": engine.init_tid, "model": "SI"},
+        )
+        service = TransactionService(engine, wal=wal)
+
+        def bump():
+            y = yield ReadOp("y")
+            yield WriteOp("y", y + 1)
+
+        service.session().run(bump)
+        service.close()
+        result = recover(wal.directory)
+        assert result.records_recovered == 1
+        for recovered_initial in (result.meta.init,
+                                  result.engine.initial,
+                                  audit_log(wal.directory).meta.init):
+            assert canonical(dict(recovered_initial)) == canonical(initial)
+        assert result.engine.store.value_at("x", 1) == {1: "a"}
+        assert list(result.engine.store.value_at("x", 1)) == [1]
 
     def test_abstract_execution_reconstructs(self, tmp_path):
         engine, wal, _, _ = run_with_wal(tmp_path, "SI", workers=2, txns=5)
