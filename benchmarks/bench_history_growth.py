@@ -17,26 +17,37 @@ frame.  It then audits the log with ``audit_log()`` and feeds the same
 records through a full (unwindowed) SI monitor, timing each run's
 worth of commits.
 
+A second producer is shaped like perfbench's ``bank-large-read``
+(20,000 customers, ``SMALLBANK_READ_HEAVY``, 16 sessions in seeded
+order; ``fsync_policy="none"``): its 4,000-commit log is fed to a
+window-64 SI monitor, whose ``state_size()`` is taken at 1,000 and at
+4,000 commits.  A windowed monitor's state is bounded by its window,
+so it may not grow with the history.
+
 It writes ``BENCH_history_growth.json`` with the mean frame bytes of
 the first and last 100 commits, the commit rate of the first and last
 run, the full monitor's retained edges per commit (a deterministic
-count) and its certification rate over the first and last 1,000
-commits.  The CI gates (asserted here and re-asserted on the JSON):
-last-100 / first-100 mean frame bytes <= 1.5, a last-100 mean frame of
-at most 180 B (the binary ``SIWAL004`` commit frame; the JSON frames
-of ``SIWAL003`` read 227 B), and at most 8 monitor edges per commit.
+count), its certification rate over the first and last 1,000 commits,
+and the windowed monitor's state sizes.  The CI gates (asserted here
+and re-asserted on the JSON): last-100 / first-100 mean frame bytes
+<= 1.5, a last-100 mean frame of at most 180 B (the binary commit
+frame; the JSON frames of ``SIWAL003`` read 227 B), at most 8 monitor
+edges per commit, and every windowed state size but
+``written_objects`` (bounded by the keyspace, not the window) at most
+1.25x at 4,000 commits what it was at 1,000.
 
 ``perfbench`` is imported from the checkout root, so run the bench from
 there with ``python -m pytest benchmarks/bench_history_growth.py``.
 """
 
+import dataclasses
 import os
 import shutil
 import tempfile
 import time
 
 from perfbench.driver import InterleavedDriver
-from perfbench.workloads import WORKLOADS, build_stack
+from perfbench.workloads import MONITOR_WINDOW, WORKLOADS, build_stack
 from repro.monitor import ConsistencyMonitor
 from repro.wal import audit_log, scan
 from repro.wal.format import commit_record_to_payload, encode_frame
@@ -52,6 +63,12 @@ E28_WINDOW = 100  # commits per frame-size sample
 E28_MAX_FRAME_RATIO = 1.5
 E28_MAX_LAST_FRAME_BYTES = 180
 E28_MAX_EDGES_PER_COMMIT = 8
+# A bank-large-read producer whose log has no fsync to wait for.
+E28_READ_HEAVY = dataclasses.replace(WORKLOADS["bank-large-read"],
+                                     kind="audit")
+E28_STATE_AT = (1000, E28_COMMITS)
+E28_MAX_STATE_RATIO = 1.25
+E28_STATE_EXEMPT = ("written_objects",)
 
 
 def _produce(directory):
@@ -84,11 +101,34 @@ def _certify(log_scan):
         chunk = records[start : start + E28_RATE_WINDOW]
         started = time.perf_counter()
         for record in chunk:
-            assert monitor.observe_commit(
-                record.tid, record.session, list(record.events)
-            ) is None
+            assert monitor.observe_commit(record) is None
         rates.append(len(chunk) / (time.perf_counter() - started))
     return monitor, rates
+
+
+def _windowed_state(directory):
+    """Drive the read-heavy producer for ``E28_COMMITS`` transactions,
+    then feed its log to a window-64 SI monitor; returns the monitor's
+    ``state_size()`` at each of ``E28_STATE_AT`` commits."""
+    mix, service = build_stack(E28_READ_HEAVY, directory)
+    result = InterleavedDriver(
+        service, mix, transactions=E28_COMMITS, sessions=E28_SESSIONS,
+        seed=0,
+    ).run()
+    service.close()
+    assert result.commits == E28_COMMITS and result.failed == 0
+    assert service.violations == []
+    log_scan = scan(directory)
+    monitor = ConsistencyMonitor(
+        "SI", log_scan.meta.init, init_tid=log_scan.meta.init_tid,
+        window=MONITOR_WINDOW,
+    )
+    sizes = {}
+    for record in log_scan:
+        assert monitor.observe_commit(record) is None
+        if monitor.commit_count in E28_STATE_AT:
+            sizes[monitor.commit_count] = monitor.state_size()
+    return sizes
 
 
 def _mean(values):
@@ -106,6 +146,7 @@ def test_bench_history_growth():
         ]
         audit = audit_log(directory)
         monitor, cert_rates = _certify(scan(directory))
+        states = _windowed_state(os.path.join(work, "wal-read-heavy"))
     finally:
         shutil.rmtree(work)
     assert len(frames) == E28_COMMITS
@@ -136,6 +177,20 @@ def test_bench_history_growth():
     print(f"full monitor edges after {E28_COMMITS} commits: "
           f"{monitor.state_size()['edges']} "
           f"({edges_per_commit:.2f} per commit)")
+    first, last = (states[at] for at in E28_STATE_AT)
+    state_ratios = {
+        key: last[key] / max(first[key], 1)
+        for key in first if key not in E28_STATE_EXEMPT
+    }
+    print_table(
+        f"E28 — window-{MONITOR_WINDOW} SI monitor state over the "
+        f"{E28_READ_HEAVY.name} producer's log "
+        f"({E28_READ_HEAVY.customers} customers)",
+        ["entry"] + [f"at {at}" for at in E28_STATE_AT] + ["ratio"],
+        [(key, first[key], last[key],
+          f"{state_ratios[key]:.2f}" if key in state_ratios else "exempt")
+         for key in first],
+    )
     write_bench_json(
         "history_growth",
         {"commits": E28_COMMITS, "customers": E28_WORKLOAD.customers,
@@ -152,6 +207,14 @@ def test_bench_history_growth():
                              "last_1000": cert_rates[-1],
                              "last_over_first":
                                  cert_rates[-1] / cert_rates[0]},
+            "windowed_monitor_state": {
+                "window": MONITOR_WINDOW,
+                "workload": E28_READ_HEAVY.name,
+                "customers": E28_READ_HEAVY.customers,
+                "at": {str(at): states[at] for at in E28_STATE_AT},
+                "exempt": list(E28_STATE_EXEMPT),
+                "ratio": state_ratios,
+            },
         },
     )
     assert frame_ratio <= E28_MAX_FRAME_RATIO, (
@@ -163,4 +226,10 @@ def test_bench_history_growth():
     )
     assert edges_per_commit <= E28_MAX_EDGES_PER_COMMIT, (
         f"the full monitor holds {edges_per_commit:.1f} edges per commit"
+    )
+    grown = {key: ratio for key, ratio in state_ratios.items()
+             if ratio > E28_MAX_STATE_RATIO}
+    assert not grown, (
+        f"windowed monitor state grew from {E28_STATE_AT[0]} to "
+        f"{E28_STATE_AT[1]} commits: {grown}"
     )

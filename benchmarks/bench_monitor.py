@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.core.events import read, write
-from repro.monitor import ConsistencyMonitor, watch_engine
+from repro.monitor import ConsistencyMonitor, sourced_commits, watch_engine
 from repro.mvcc import PSIEngine, Scheduler, SIEngine
 from repro.mvcc.workloads import (
     long_fork_sessions,
@@ -68,20 +68,18 @@ def test_bench_violation_detection_latency(benchmark):
 
 
 def pad_stream(length):
-    """A long, violation-free commit stream over 8 objects."""
-    from repro.core.events import write
-
+    """A long, violation-free commit stream over 8 objects, sourced."""
     initial = {f"p{i}": 0 for i in range(8)}
     events = [
         (f"t{i}", f"s{i % 6}", [write(f"p{i % 8}", i + 1)])
         for i in range(length)
     ]
-    return initial, events
+    return initial, list(sourced_commits(events, initial))
 
 
-def feed(monitor, events):
-    for tid, session, ops in events:
-        assert monitor.observe_commit(tid, session, ops) is None
+def feed(monitor, commits):
+    for commit in commits:
+        assert monitor.observe_commit(commit) is None
     return monitor
 
 
@@ -227,7 +225,8 @@ E24_SIZES = {"SI": (100, 200, 400, 800), "SER": (100, 200, 400, 800),
 
 
 def certification_stream(length, session_span=4):
-    """A violation-free commit stream with bounded per-commit degree.
+    """A violation-free commit stream with bounded per-commit degree,
+    its reads sourced by value.
 
     Transaction ``i`` reads the object the previous transaction wrote
     and writes its own; every third transaction also overwrites an
@@ -247,15 +246,15 @@ def certification_stream(length, session_span=4):
         if i >= 2 and i % 3 == 0:
             ops.append(write(f"o{i - 2}", ("w", i)))
         events.append((f"t{i}", f"s{i // session_span}", ops))
-    return initial, events
+    return initial, list(sourced_commits(events, initial))
 
 
 def timed_feed(checker, model, initial, events):
     """Feed the stream through a fresh monitor; return elapsed seconds."""
     monitor = ConsistencyMonitor(model, dict(initial), checker=checker)
     started = time.perf_counter()
-    for tid, session, ops in events:
-        assert monitor.observe_commit(tid, session, ops) is None
+    for commit in events:
+        assert monitor.observe_commit(commit) is None
     return time.perf_counter() - started
 
 

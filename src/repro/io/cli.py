@@ -16,7 +16,7 @@ Usage (also available as ``python -m repro``)::
                           [--recovery-window S] [--json FILE]
     repro-si replay WAL_DIR [--engine SI|SER|PSI|2PL] [--json FILE]
     repro-si audit-log WAL_DIR [--model SI|SER|PSI] [--window W]
-                               [--checker incremental|rebuild] [--lenient]
+                               [--checker incremental|rebuild]
     repro-si demo [case]
 
 ``check-history`` decides membership of a captured transaction log in the
@@ -114,7 +114,7 @@ def _cmd_check_robustness(args: argparse.Namespace) -> int:
 def _cmd_check_log(args: argparse.Namespace) -> int:
     import json as _json
 
-    from ..monitor import ConsistencyMonitor, MonitorError
+    from ..monitor import ConsistencyMonitor, MonitorError, sourced_commits
 
     with open(args.file) as f:
         data = _json.load(f)
@@ -124,28 +124,24 @@ def _cmd_check_log(args: argparse.Namespace) -> int:
         for i, session in enumerate(history.sessions)
         for t in session
     }
-    order = data.get("commit_order")
-    if order is None:
-        order = [
-            t.tid
-            for session in history.sessions
-            for t in session
-            if t.tid != (init_tid or "")
-        ]
+    order = data.get(
+        "commit_order", [tid for tid in session_of if tid != init_tid]
+    )
     initial = data.get("init") or {}
     monitor = ConsistencyMonitor(
         model=args.model,
         initial_values=initial,
-        strict_values=not args.lenient,
         init_tid=init_tid or "t_init",
         checker=args.checker,
     )
+    stream = (
+        (tid, f"s{session_of[tid]}",
+         [e.op for e in history.by_tid(tid).events])
+        for tid in order
+    )
     try:
-        for tid in order:
-            txn = history.by_tid(tid)
-            violation = monitor.observe_commit(
-                tid, f"s{session_of[tid]}", [e.op for e in txn.events]
-            )
+        for commit in sourced_commits(stream, initial, lenient=args.lenient):
+            violation = monitor.observe_commit(commit)
             if violation is not None:
                 print(violation)
                 return 1
@@ -422,7 +418,6 @@ def _cmd_audit_log(args: argparse.Namespace) -> int:
             model=args.model,
             window=args.window,
             checker=args.checker,
-            strict_values=not args.lenient,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -705,11 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checker", choices=["incremental", "rebuild"],
         default="incremental",
         help="certification back-end (as for check-log)",
-    )
-    p_audit.add_argument(
-        "--lenient", action="store_true",
-        help="attribute ambiguous read values to the latest writer "
-             "instead of aborting the audit",
     )
     p_audit.set_defaults(func=_cmd_audit_log)
 

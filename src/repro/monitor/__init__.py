@@ -14,7 +14,8 @@ costs amortised near-constant work, while
 ``"rebuild"`` re-derives the full condition each commit and serves as
 the differential-testing oracle.  With ``window=W`` the monitor
 garbage-collects transactions outside a sliding commit window so memory
-stays bounded under sustained service load.
+stays bounded under sustained service load.  :func:`sourced_commits`
+gives a black-box history the write-read an engine records.
 """
 
 from .incremental import (
@@ -29,7 +30,9 @@ from .incremental import (
 from .online import (
     ConsistencyMonitor,
     MonitorError,
+    SourcedCommit,
     Violation,
+    sourced_commits,
     watch_engine,
 )
 
@@ -42,7 +45,9 @@ __all__ = [
     "PsiIncrementalChecker",
     "SerIncrementalChecker",
     "SiIncrementalChecker",
+    "SourcedCommit",
     "Violation",
     "make_checker",
+    "sourced_commits",
     "watch_engine",
 ]

@@ -9,9 +9,9 @@ implementation internals like snapshot timestamps.
 :class:`ConsistencyMonitor` does exactly that.  It observes commits in
 commit order, incrementally maintains the dependency graph —
 
-* **WR** by attributing each external read to the writer of the value
-  (the monitor tracks, per object, which committed transaction wrote each
-  value; ambiguous duplicate values are rejected in strict mode);
+* **WR** as given: a read served from the store names its version by
+  ``commit_ts`` (its *source*, :attr:`CommitRecord.sources`), and the
+  monitor checks the value read against the writer's;
 * **WW** as the observed commit order restricted to each object's writers
   (Definition 5 with CO = real commit order);
 * **RW** derived incrementally: when ``T`` overwrites an object, the
@@ -21,7 +21,8 @@ commit order, incrementally maintains the dependency graph —
 
 and after every commit re-checks the model's graph condition
 (Theorem 9 for SI, Theorem 8 for SER, Theorem 21 for PSI).  On a
-violation it reports the offending cycle.
+violation it reports the offending cycle.  A black-box history, which
+has no sources, gets them by value from :func:`sourced_commits`.
 
 The graph it certifies is the dependency graph's *transitive
 reduction* along the total orders: SO and WW edges only from the
@@ -74,32 +75,30 @@ commit over the window stays until the next commit arrives, so
 anomaly horizon of interest (for the MVCC engines: the maximum number
 of commits overlapping any transaction's lifetime).
 
-Version attribution survives eviction.  The value table keeps each
-object's *current* version attributed even after its writer is evicted
-(a later reader of it gains anti-dependencies to every retained
-overwriter, but no WR edge to the dead node).  A *superseded* version
-stays attributed until the transaction that overwrote it is evicted
-too: a read's staleness is bounded by how long ago its version was
-overwritten, not written.  After that a strict monitor reports a read
-of the version as unattributable rather than misclassifying it.
+Commit timestamps rise, so a source below the oldest retained
+commit's names an evicted writer, older than every retained one: the
+read anti-depends on each retained writer of the object, unchecked.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple,
+)
 
 from ..core.errors import ReproError
-from ..core.events import Obj, Op, Value
+from ..core.events import Obj, Op, OpKind, Value
 from ..core.relations import Relation
-from ..core.transactions import footprint
-from ..mvcc.engine import BaseEngine
+from ..core.transactions import final_writes
+from ..mvcc.engine import BaseEngine, CommitRecord, store_reads
 from .incremental import IncrementalChecker, make_checker
 
 
 class MonitorError(ReproError):
-    """Misuse of the monitor (duplicate tids, unattributable reads, ...)."""
+    """Misuse of the monitor (duplicate tids, unknown sources, ...)."""
 
 
 @dataclass(frozen=True)
@@ -125,14 +124,18 @@ class Violation:
 @dataclass
 class _TxnRecord:
     session: str
-    # Its external reads as (object, version's writer) pairs and the
-    # objects it writes, sorted by object; eviction unhooks it from the
-    # fresh-reader and writer indexes.
-    reads: Tuple[Tuple[Obj, str], ...]
-    written_objects: Tuple[Obj, ...]
+    commit_ts: int
+    # Its external reads as (object, version's writer or None if
+    # evicted) pairs, sorted by object, and its final writes; eviction
+    # unhooks it from the fresh-reader and writer indexes.
+    reads: Tuple[Tuple[Obj, Optional[str]], ...]
+    writes: Dict[Obj, Value]
     # Reduced-graph edges whose older endpoint this transaction is;
     # they leave the graph with it (eviction is oldest first).
     edges: int = 0
+
+
+_UNWRITTEN = object()
 
 
 class ConsistencyMonitor:
@@ -143,12 +146,8 @@ class ConsistencyMonitor:
         initial_values: object → initial value; an implicit initialisation
             transaction owns these versions.  The mapping is shared,
             not copied, and must not change afterwards: an object's
-            writer and value tables are built from it when a commit
-            first writes the object, so construction costs nothing per
-            object.
-        strict_values: reject runs in which a read value cannot be
-            attributed to a unique writer (the default); with ``False``
-            the most recent writer of the value wins.
+            writer sequence is built from it when a commit first writes
+            the object, so construction costs nothing per object.
         init_tid: the tid used for the implicit initialisation writer.
         checker: ``"incremental"`` (default — dynamic-topological-order
             certification, amortised per-commit cost) or ``"rebuild"``
@@ -167,7 +166,6 @@ class ConsistencyMonitor:
         self,
         model: str = "SI",
         initial_values: Optional[Mapping[Obj, Value]] = None,
-        strict_values: bool = True,
         init_tid: str = "t_init",
         checker: str = "incremental",
         window: Optional[int] = None,
@@ -187,53 +185,42 @@ class ConsistencyMonitor:
             )
         self.model = model
         self.checker = checker
-        self.strict_values = strict_values
         self.init_tid = init_tid
         self.window = window
-        # The graph's nodes, in commit order (oldest first).
+        # The graph's nodes, in commit order (oldest first), and their
+        # tids by commit_ts, which is how sources name them.
         self._records: Dict[str, _TxnRecord] = {}
+        self._by_ts: Dict[int, str] = {}
+        self._last_ts = 0
         # Per session: its newest retained transaction.
         self._sessions: Dict[str, str] = {}
-        # The implicit initialisation transaction's writes.  The per-
-        # object tables below are built from them on an object's first
+        # The implicit initialisation transaction's writes.  An
+        # object's writer sequence is built from them on its first
         # write; until then the object has only its initial version.
         self._initial: Mapping[Obj, Value] = initial_values or {}
-        # Per object: the committed writer sequence and value attribution.
+        # Per object: the retained committed writer sequence.
         self._writers: Dict[Obj, List[str]] = {}
-        self._value_writer: Dict[Obj, Dict[Value, str]] = {}
-        # Initial attributions count from the start, built or not.
-        self._attribution_count = len(self._initial)
-        # How many objects of ``_initial`` have their tables built.
-        self._built_initial = 0
-        self._collided: Dict[Obj, Set[Value]] = {}
         # Per object: the readers observed since its newest write, the
         # only ones whose anti-dependency into the next writer is not
         # implied by an edge already in the graph.
         self._fresh_readers: Dict[Obj, Dict[str, None]] = {}
-        # Per object: the value of the newest committed version.
-        self._latest_value: Dict[Obj, Value] = {}
         # Edges fed to the certifier and not yet evicted.
         self._edge_count = 0
         self._core: Optional[IncrementalChecker] = (
             make_checker(model) if checker == "incremental" else None
         )
-        # Windowed mode: tombstones of garbage-collected tids (for the
-        # duplicate check) and, per retained commit, the (obj, value,
-        # writer) versions its writes superseded — their attributions
-        # expire with it.
         self.evicted_count = 0
-        self._evicted: Set[str] = set()
-        self._superseded_by: Dict[str, List[Tuple[Obj, Value, str]]] = {}
         self.violations: List[Violation] = []
 
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
 
-    def observe_commit(
-        self, tid: str, session: str, events: Sequence[Op]
-    ) -> Optional[Violation]:
+    def observe_commit(self, record: CommitRecord) -> Optional[Violation]:
         """Feed one committed transaction (in real commit order).
+
+        ``record`` is a :class:`CommitRecord` or a
+        :class:`SourcedCommit`.
 
         Returns a :class:`Violation` if the accumulated behaviour is no
         longer allowed by the model, else ``None``.  Monitoring continues
@@ -242,21 +229,33 @@ class ConsistencyMonitor:
         window — or one commit over it after a violation, so that
         :meth:`dependency_edges` still holds every step of the witness
         until the next commit.
+
+        Raises:
+            MonitorError: a retained tid, a ``commit_ts`` that does not
+                rise, or a source that is unknown, miscounted or did
+                not write the value read; nothing is recorded.
         """
-        if tid in self._records or tid in self._evicted:
+        tid = record.tid
+        commit_ts = record.commit_ts
+        if tid in self._records:
             raise MonitorError(f"transaction {tid!r} observed twice")
+        if commit_ts <= self._last_ts:
+            raise MonitorError(
+                f"{tid}: commit_ts {commit_ts} does not rise above the "
+                f"last observed #{self._last_ts}"
+            )
         if self.window is not None:
             # Only the commit over the window a violation left behind.
             while len(self._records) > self.window:
                 self._evict(next(iter(self._records)))
-        reads, writes = footprint(events)
-        # Attribute every read before touching any state, so that an
-        # unattributable read leaves the monitor as it was.
+        reads, writes = _sourced_footprint(record)
+        # Resolve every read before touching any state, so that a
+        # rejected commit leaves the monitor as it was.
+        oldest = next(iter(self._by_ts), commit_ts)
         read_versions = tuple(
-            (obj, self._attribute_read(tid, obj, reads[obj]))
+            (obj, self._writer_of(tid, obj, *reads[obj], oldest))
             for obj in sorted(reads)
         )
-        written_objects = tuple(sorted(writes))
 
         # This commit's edges of the transitive reduction, each once, in
         # discovery order: the tids with a dep edge into ``tid``, the
@@ -268,6 +267,7 @@ class ConsistencyMonitor:
 
         # SO: an edge from the session's previous retained transaction;
         # the earlier ones reach ``tid`` through it.
+        session = record.session
         last = self._sessions.get(session)
         if last is not None:
             deps_in[last] = None
@@ -288,32 +288,23 @@ class ConsistencyMonitor:
         # current last version of each object it writes.  Readers from
         # before the previous write already reach that writer, and WW
         # carries them on to ``tid``.
-        superseded: List[Tuple[Obj, Value, str]] = []
-        for obj in written_objects:
+        for obj in sorted(writes):
             seq = self._writers.get(obj)
             if seq is None:
-                seq = self._build_tables(obj)
+                seq = [self.init_tid] if obj in self._initial else []
+                self._writers[obj] = seq
             if seq and seq[-1] in self._records:
                 deps_in[seq[-1]] = None
             for reader in self._fresh_readers.pop(obj, ()):
                 if reader != tid:
                     rw_in[reader] = None
             seq.append(tid)
-            value = writes[obj]
-            table = self._value_writer[obj]
-            previous = self._latest_value.get(obj, value)
-            if self.window is not None and previous != value:
-                superseded.append((obj, previous, table[previous]))
-            if value not in table:
-                self._attribution_count += 1
-            elif table[value] != tid:
-                self._collided.setdefault(obj, set()).add(value)
-            table[value] = tid
-            self._latest_value[obj] = value
 
         self._records[tid] = _TxnRecord(
-            session, read_versions, written_objects
+            session, commit_ts, read_versions, writes
         )
+        self._by_ts[commit_ts] = tid
+        self._last_ts = commit_ts
         # Charge each edge to its older endpoint, the one that is not
         # ``tid``.
         for older in (deps_in, rw_out, rw_in):
@@ -329,38 +320,41 @@ class ConsistencyMonitor:
         if violation is not None:
             self.violations.append(violation)
         if self.window is not None:
-            if superseded:
-                self._superseded_by[tid] = superseded
             while len(self._records) > self.window + (violation is not None):
                 self._evict(next(iter(self._records)))
-            self._prune_evicted_set()
         return violation
 
-    def _build_tables(self, obj: Obj) -> List[str]:
-        """Build ``obj``'s writer sequence and value table on its first
-        write, holding its initial version if it has one; returns the
-        writer sequence."""
-        seq: List[str] = []
-        table: Dict[Value, str] = {}
-        if obj in self._initial:
-            value = self._initial[obj]
-            seq.append(self.init_tid)
-            table[value] = self.init_tid
-            self._latest_value[obj] = value
-            self._built_initial += 1
-        self._writers[obj] = seq
-        self._value_writer[obj] = table
-        return seq
+    def _writer_of(
+        self, tid: str, obj: Obj, value: Value, source: int, oldest: int
+    ) -> Optional[str]:
+        """The writer that ``source`` names (``None`` if evicted), after
+        checking that it wrote ``value`` to ``obj``."""
+        if source == 0:
+            writer = self.init_tid
+            wrote = self._initial.get(obj, _UNWRITTEN)
+        elif source in self._by_ts:
+            writer = self._by_ts[source]
+            wrote = self._records[writer].writes.get(obj, _UNWRITTEN)
+        elif 0 < source < oldest:
+            return None
+        else:
+            raise MonitorError(
+                f"{tid}: read of {obj} names commit #{source}, which "
+                f"the monitor has not observed"
+            )
+        if wrote is _UNWRITTEN or (value is not wrote and value != wrote):
+            did = (f"did not write {obj}" if wrote is _UNWRITTEN
+                   else f"wrote {wrote!r}")
+            raise MonitorError(
+                f"{tid}: read {obj}={value!r}, but its source {writer} "
+                f"(#{source}) {did}"
+            )
+        return writer
 
-    def _overwriters(self, obj: Obj, version: str) -> List[str]:
-        """The retained writers of ``obj`` that overwrote ``version``.
-
-        A version missing from the object's writer sequence was evicted,
-        or is an initial version the object never had (a non-strict
-        read of an unknown value): it precedes every retained writer
-        (eviction follows commit order), so all of them — but not the
-        initialisation writer — overwrote it.
-        """
+    def _overwriters(self, obj: Obj, version: Optional[str]) -> List[str]:
+        """The retained writers of ``obj`` that overwrote ``version``:
+        all but the initialisation writer for an evicted one (``None``),
+        which precedes them (eviction follows commit order)."""
         seq = self._writers.get(obj)
         if not seq or seq[-1] == version:
             return []
@@ -369,29 +363,6 @@ class ConsistencyMonitor:
                 return seq[i + 1 :]
         return [t for t in seq if t != self.init_tid]
 
-    def _attribute_read(self, tid: str, obj: Obj, value: Value) -> str:
-        table = self._value_writer.get(obj)
-        if table is None:
-            # Never written: only the initial version, if any, exists.
-            if obj in self._initial:
-                initial = self._initial[obj]
-                if value is initial or value == initial:
-                    return self.init_tid
-            table = {}
-        if self.strict_values and value in self._collided.get(obj, set()):
-            raise MonitorError(
-                f"{tid}: read of {obj}={value!r} is ambiguous — several "
-                f"transactions wrote that value (disable strict_values to "
-                f"attribute to the most recent one)"
-            )
-        if value in table:
-            return table[value]
-        if self.strict_values:
-            raise MonitorError(
-                f"{tid}: read of {obj}={value!r} matches no committed write"
-            )
-        return self.init_tid
-
     # ------------------------------------------------------------------
     # Garbage collection (windowed mode)
     # ------------------------------------------------------------------
@@ -399,7 +370,7 @@ class ConsistencyMonitor:
     def _evict(self, old: str) -> None:
         """Remove ``old`` and every incident edge from the graph."""
         record = self._records.pop(old)
-        self._evicted.add(old)
+        del self._by_ts[record.commit_ts]
         self.evicted_count += 1
         if self._core is not None:
             self._core.remove_node(old)
@@ -414,38 +385,8 @@ class ConsistencyMonitor:
                 readers.pop(old, None)
                 if not readers:
                     del self._fresh_readers[obj]
-        for obj in record.written_objects:
+        for obj in record.writes:
             self._writers[obj].remove(old)
-        # The versions ``old`` overwrote have now been stale for a full
-        # window: no attributable read can still return them.  Drop an
-        # attribution only while it still names the superseded writer —
-        # a later writer of the same value keeps its own.
-        for obj, value, writer in self._superseded_by.pop(old, ()):
-            table = self._value_writer[obj]
-            if table.get(value) == writer:
-                del table[value]
-                self._attribution_count -= 1
-                collided = self._collided.get(obj)
-                if collided is not None:
-                    collided.discard(value)
-                    if not collided:
-                        del self._collided[obj]
-
-    def _prune_evicted_set(self) -> None:
-        """Forget evicted tids nothing references any more, keeping the
-        tombstone set (and so total memory) bounded by the window."""
-        if len(self._evicted) <= self.window + self._attribution_count:
-            return
-        referenced = {
-            version
-            for record in self._records.values()
-            for _, version in record.reads
-        }
-        for table in self._value_writer.values():
-            # Every retained attribution keeps its writer's tombstone,
-            # so the duplicate check covers every tid still named.
-            referenced.update(table.values())
-        self._evicted &= referenced
 
     # ------------------------------------------------------------------
     # Checking
@@ -550,8 +491,8 @@ class ConsistencyMonitor:
 
         ``edges`` counts the transitive-reduction edges fed to the
         certifier that are still in the graph; ``written_objects`` the
-        objects whose writer and value tables have been built (those
-        written at least once).
+        objects whose writer sequence has been built (those written at
+        least once).
         """
         return {
             "records": len(self._records),
@@ -562,14 +503,33 @@ class ConsistencyMonitor:
             "fresh_readers": sum(
                 len(readers) for readers in self._fresh_readers.values()
             ),
-            # Initial attributions whose table is not built yet count
-            # too: they exist implicitly.
-            "value_attributions": sum(
-                len(t) for t in self._value_writer.values()
-            ) + len(self._initial) - self._built_initial,
-            "evicted_tombstones": len(self._evicted),
             "written_objects": len(self._writers),
         }
+
+
+def _sourced_footprint(
+    record: CommitRecord,
+) -> Tuple[Dict[Obj, Tuple[Value, int]], Dict[Obj, Value]]:
+    """``record``'s footprint, each external read with its source (the
+    sources follow :func:`~repro.mvcc.engine.store_reads`)."""
+    sources = record.sources
+    reads: Dict[Obj, Tuple[Value, int]] = {}
+    writes: Dict[Obj, Value] = {}
+    served = 0
+    for op in record.events:
+        obj = op.obj
+        if op.kind is OpKind.WRITE:
+            writes[obj] = op.value
+        elif obj not in writes:
+            if served < len(sources) and obj not in reads:
+                reads[obj] = (op.value, sources[served])
+            served += 1
+    if served != len(sources):
+        raise MonitorError(
+            f"{record.tid}: {len(sources)} source(s) for {served} "
+            f"read(s) served from the store"
+        )
+    return reads, writes
 
 
 def _chain_pairs(chain: Sequence[str]) -> List[Tuple[str, str]]:
@@ -654,18 +614,67 @@ def watch_engine(
     """Replay an engine's committed records through a fresh monitor.
 
     Returns the monitor and the list of violations found.  The engine's
-    initial values provide the implicit initialisation versions.
+    initial values provide the implicit initialisation versions, and its
+    records their own sources.
     """
     monitor = ConsistencyMonitor(
         model=model,
         initial_values=engine.initial,
         init_tid=engine.init_tid,
     )
-    violations: List[Violation] = []
     for record in sorted(engine.committed, key=lambda r: r.commit_ts):
-        violation = monitor.observe_commit(
-            record.tid, record.session, record.events
-        )
-        if violation is not None:
-            violations.append(violation)
-    return monitor, violations
+        monitor.observe_commit(record)
+    return monitor, list(monitor.violations)
+
+
+class SourcedCommit(NamedTuple):
+    """A black-box commit with sources, as :func:`sourced_commits`
+    gives it to the monitor."""
+
+    tid: str
+    session: str
+    commit_ts: int
+    events: Tuple[Op, ...]
+    sources: Tuple[int, ...]
+
+
+def sourced_commits(
+    history: Iterable[Tuple[str, str, Sequence[Op]]],
+    initial_values: Mapping[Obj, Value],
+    lenient: bool = False,
+) -> Iterator[SourcedCommit]:
+    """Source a commit-ordered black-box history's reads by value.
+
+    The ``i``-th ``(tid, session, events)`` becomes commit ``i``, and a
+    read's source is the latest earlier commit that wrote its value to
+    the object (0: the initial value).  Unwindowed and lazy.  Raises
+    :class:`MonitorError` for a value nobody wrote, or, unless
+    ``lenient``, several did.
+    """
+    tables: Dict[Obj, Dict[Value, int]] = {}  # the values commits wrote
+    ambiguous: Set[Tuple[Obj, Value]] = set()
+    for commit_ts, (tid, session, events) in enumerate(history, 1):
+        events = tuple(events)
+        sources = []
+        for op in store_reads(events):
+            obj, value = op.obj, op.value
+            if not lenient and (obj, value) in ambiguous:
+                raise MonitorError(
+                    f"{tid}: read of {obj}={value!r} is ambiguous — "
+                    f"several transactions wrote that value"
+                )
+            if value in tables.get(obj, ()):
+                sources.append(tables[obj][value])
+            elif initial_values.get(obj, _UNWRITTEN) == value:
+                sources.append(0)
+            else:
+                raise MonitorError(
+                    f"{tid}: read of {obj}={value!r} matches no "
+                    f"committed write"
+                )
+        for obj, value in final_writes(events).items():
+            table = tables.setdefault(obj, {})
+            if value in table or initial_values.get(obj, _UNWRITTEN) == value:
+                ambiguous.add((obj, value))
+            table[value] = commit_ts
+        yield SourcedCommit(tid, session, commit_ts, events, tuple(sources))

@@ -47,7 +47,7 @@ import enum
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..core.errors import StoreError, TransactionAborted
 from ..core.events import Obj, Op, Value, read as read_op, write as write_op
@@ -76,6 +76,7 @@ class TxContext:
         write_buffer: uncommitted writes (read-your-writes source).
         events: the operations performed, in program order, with the
             values actually read — the future transaction's event list.
+        sources: the future :attr:`CommitRecord.sources`.
         status: lifecycle state.
     """
 
@@ -84,6 +85,7 @@ class TxContext:
     start_ts: int
     write_buffer: Dict[Obj, Value] = field(default_factory=dict)
     events: List[Op] = field(default_factory=list)
+    sources: List[int] = field(default_factory=list)
     status: TxStatus = TxStatus.ACTIVE
 
     def ensure_active(self) -> None:
@@ -133,10 +135,26 @@ class CommitRecord:
     """The snapshot frontier: every commit at or below it is visible."""
     extra: frozenset = frozenset()
     """Tids of the commits above the frontier that are also visible."""
+    sources: Tuple[int, ...] = ()
+    """For each of :func:`store_reads`, the ``commit_ts`` of the
+    version it returned (0 for an initial version)."""
 
     writes = _DerivedWrites()
     """The final value written to each object (``T ⊢ write(x, n)``),
     derived from ``events`` on first use."""
+
+
+def store_reads(events: Iterable[Op]) -> List[Op]:
+    """The reads of ``events`` served from the store, not the write
+    buffer: those of an object not written before them."""
+    written: Set[Obj] = set()
+    served = []
+    for op in events:
+        if op.is_write:
+            written.add(op.obj)
+        elif op.obj not in written:
+            served.append(op)
+    return served
 
 
 @dataclass
@@ -268,8 +286,13 @@ class BaseEngine(abc.ABC):
         self.abort(ctx, reason)
         return TransactionAborted(ctx.tid, reason)
 
-    def _record_read(self, ctx: TxContext, obj: Obj, value: Value) -> Value:
+    def _record_read(self, ctx: TxContext, obj: Obj, value: Value,
+                     source: Optional[int] = None) -> Value:
+        """Record a read: of the write buffer, or of the store's version
+        committed at ``source`` (0 for an initial version)."""
         ctx.events.append(read_op(obj, value))
+        if source is not None:
+            ctx.sources.append(source)
         return value
 
     # ------------------------------------------------------------------

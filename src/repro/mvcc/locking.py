@@ -136,7 +136,7 @@ class TwoPhaseLockingEngine(BaseEngine):
         if not self.locks.acquire(ctx.tid, obj, LockMode.SHARED):
             raise self._lock_failure(ctx, obj, LockMode.SHARED)
         version = self.store.latest(obj)
-        return self._record_read(ctx, obj, version.value)
+        return self._record_read(ctx, obj, version.value, version.commit_ts)
 
     def write(self, ctx: TxContext, obj: Obj, value: Value) -> None:
         """Acquire an exclusive lock, then buffer the write."""
@@ -161,6 +161,7 @@ class TwoPhaseLockingEngine(BaseEngine):
                 # Under strict 2PL a committed transaction logically
                 # observed everything that committed before it.
                 snapshot=commit_ts - 1,
+                sources=tuple(ctx.sources),
             )
             self.locks.release_all(ctx.tid)
             self._finish_commit(ctx, record)

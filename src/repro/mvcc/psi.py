@@ -172,14 +172,18 @@ class PSIEngine(BaseEngine):
 
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Read from the write buffer, else from the replica snapshot
-        (lock-free: one bisect at the replica clock taken at begin)."""
+        (lock-free: one bisect at the replica clock taken at begin).
+        The source is the global ``commit_ts`` of the version's writer:
+        the replica stamps versions with its own apply counter."""
         ctx.ensure_active()
         if obj in ctx.write_buffer:
             return self._record_read(ctx, obj, ctx.write_buffer[obj])
         replica, clock = self._snapshots[ctx.tid][:2]
-        return self._record_read(
-            ctx, obj, replica.store.value_at(obj, clock)
-        )
+        version = replica.store.read_at(obj, clock)
+        source = 0
+        if version.commit_ts:
+            source = self._records_by_tid[version.writer].commit_ts
+        return self._record_read(ctx, obj, version.value, source)
 
     def commit(self, ctx: TxContext) -> CommitRecord:
         """Global NOCONFLICT validation, local apply, queue propagation."""
@@ -210,6 +214,7 @@ class PSIEngine(BaseEngine):
             events=tuple(ctx.events),
             snapshot=frontier,
             extra=extra,
+            sources=tuple(ctx.sources),
         )
         self._records_by_tid[ctx.tid] = record
         for obj in ctx.write_buffer:

@@ -80,10 +80,10 @@ class SIEngine(BaseEngine):
         if obj in ctx.write_buffer:
             return self._record_read(ctx, obj, ctx.write_buffer[obj])
         try:
-            value = self.store.value_at(obj, ctx.start_ts)
+            value, source = self.store.value_at(obj, ctx.start_ts)
         except SnapshotTooOld as exc:
             raise self._validation_failure(ctx, f"snapshot too old: {exc}")
-        return self._record_read(ctx, obj, value)
+        return self._record_read(ctx, obj, value, source)
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -143,6 +143,7 @@ class SIEngine(BaseEngine):
                 commit_ts=commit_ts,
                 events=tuple(ctx.events),
                 snapshot=ctx.start_ts,
+                sources=tuple(ctx.sources),
             )
             with self._session_lock:
                 self._active_start_ts.pop(ctx.tid, None)

@@ -40,7 +40,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 from ..core.errors import SnapshotTooOld, StoreError
 from ..core.events import Obj, Value
@@ -220,15 +220,16 @@ class MVStore:
             return self._initial_version(obj)
         return _version_at(chain, obj, snapshot_ts)
 
-    def value_at(self, obj: Obj, snapshot_ts: int) -> Value:
-        """The value of :meth:`read_at` — the engines' snapshot read.
-        A never-written object's read builds no :class:`Version`."""
+    def value_at(self, obj: Obj, snapshot_ts: int) -> Tuple[Value, int]:
+        """The value and ``commit_ts`` of :meth:`read_at`, building no
+        :class:`Version` for a never-written object."""
         if FAULTS.armed:
             FAULTS.fire("store.read", obj=obj, snapshot_ts=snapshot_ts)
         chain = self._chains.get(obj)
         if chain is None:
-            return self._initial_value(obj)
-        return _version_at(chain, obj, snapshot_ts).value
+            return self._initial_value(obj), 0
+        version = _version_at(chain, obj, snapshot_ts)
+        return version.value, version.commit_ts
 
     def latest(self, obj: Obj) -> Version:
         """The newest committed version of ``obj``."""

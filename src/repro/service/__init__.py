@@ -21,7 +21,6 @@ from .loadgen import (
     SMALLBANK_WRITE_HEAVY,
     LoadGenerator,
     LoadResult,
-    ValueTagger,
     WorkloadMix,
     smallbank_mix,
     tpcc_mix,
@@ -51,7 +50,6 @@ __all__ = [
     "ServiceSession",
     "TransactionService",
     "TxOutcome",
-    "ValueTagger",
     "WorkloadMix",
     "smallbank_mix",
     "tpcc_mix",

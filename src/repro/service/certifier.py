@@ -402,9 +402,7 @@ def _certify(monitor: ConsistencyMonitor, feed: int, report: int) -> None:
                 try:
                     record = decode(payload)
                     ts = record.commit_ts
-                    violation = observe(
-                        record.tid, record.session, record.events
-                    )
+                    violation = observe(record)
                 except Exception as exc:
                     error = error or exc
                 else:

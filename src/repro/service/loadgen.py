@@ -2,20 +2,16 @@
 
 Drives SmallBank- and TPC-C-style transaction mixes over N worker
 threads, each with its own :class:`~repro.service.service.ServiceSession`
-following the retry discipline.  The interesting wrinkle is *value
-tagging*: the online monitor attributes reads to writers by value, and
+following the retry discipline.  The mixes write plain values, and
 bank-balance arithmetic happily produces the same integer twice (two
-deposits of 10 into accounts holding 100).  Every write therefore goes
-through a :class:`ValueTagger` that pairs the logical value with a
-globally unique sequence number — the same trick the deterministic
-:func:`~repro.mvcc.workloads.random_workload` uses — so strict
-attribution never becomes ambiguous and any violation the monitor
-flags under the generator is a real one.
+deposits of 10 into accounts holding 100; Amalgamate zeroes an account
+again and again).  The online monitor does not mind: each read carries
+the ``commit_ts`` of the version it returned, so write-read never has
+to be guessed from values.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import threading
 import time
@@ -35,33 +31,6 @@ from ..core.events import Obj, Value
 from ..mvcc.runtime import ReadOp, TxProgram, WriteOp
 from ..mvcc.store import shared_initial
 from .service import TransactionService
-
-
-class ValueTagger:
-    """Makes every written value globally unique.
-
-    :meth:`tag` wraps a logical value as ``(logical, seq)`` with a
-    process-unique ``seq``; :meth:`logical` unwraps either form.  The
-    monitor sees distinct values per write, the workload still computes
-    with the logical part.
-    """
-
-    def __init__(self) -> None:
-        self._counter = itertools.count(1)
-        self._lock = threading.Lock()
-
-    def tag(self, logical: Value) -> Tuple[Value, int]:
-        """Wrap ``logical`` with a fresh unique sequence number."""
-        with self._lock:
-            return (logical, next(self._counter))
-
-    @staticmethod
-    def logical(value: Value) -> Value:
-        """The logical part of a possibly tagged value (initial values
-        are plain, written values are ``(logical, seq)`` pairs)."""
-        if isinstance(value, tuple) and len(value) == 2:
-            return value[0]
-        return value
 
 
 ProgramFactory = Callable[[random.Random], TxProgram]
@@ -100,7 +69,7 @@ class WorkloadMix:
 
 
 # ----------------------------------------------------------------------
-# SmallBank mix (operational, value-tagged)
+# SmallBank mix (operational)
 # ----------------------------------------------------------------------
 
 
@@ -133,9 +102,8 @@ def smallbank_mix(
 ) -> WorkloadMix:
     """The SmallBank transaction mix over ``customers`` customers.
 
-    Logical semantics follow :mod:`repro.apps.smallbank`'s operational
-    programs; every write is value-tagged for unambiguous monitor
-    attribution.
+    Semantics follow :mod:`repro.apps.smallbank`'s operational
+    programs.
 
     Args:
         customers: number of (savings, checking) account pairs.
@@ -154,9 +122,6 @@ def smallbank_mix(
                 f"unknown SmallBank transaction types: {sorted(unknown)}"
             )
         chosen.update(weights)
-    tagger = ValueTagger()
-    logical = ValueTagger.logical
-
     def balance_f(rng: random.Random) -> TxProgram:
         n = rng.randrange(customers)
 
@@ -172,9 +137,7 @@ def smallbank_mix(
 
         def tx():
             value = yield ReadOp(smallbank.checking(n))
-            yield WriteOp(
-                smallbank.checking(n), tagger.tag(logical(value) + amount)
-            )
+            yield WriteOp(smallbank.checking(n), value + amount)
 
         return tx
 
@@ -184,11 +147,8 @@ def smallbank_mix(
 
         def tx():
             value = yield ReadOp(smallbank.savings(n))
-            if logical(value) + amount >= 0:
-                yield WriteOp(
-                    smallbank.savings(n),
-                    tagger.tag(logical(value) + amount),
-                )
+            if value + amount >= 0:
+                yield WriteOp(smallbank.savings(n), value + amount)
 
         return tx
 
@@ -199,12 +159,8 @@ def smallbank_mix(
         def tx():
             s = yield ReadOp(smallbank.savings(n))
             c = yield ReadOp(smallbank.checking(n))
-            total = logical(s) + logical(c)
-            penalty = 0 if total >= amount else 1
-            yield WriteOp(
-                smallbank.checking(n),
-                tagger.tag(logical(c) - amount - penalty),
-            )
+            penalty = 0 if s + c >= amount else 1
+            yield WriteOp(smallbank.checking(n), c - amount - penalty)
 
         return tx
 
@@ -216,12 +172,9 @@ def smallbank_mix(
             s = yield ReadOp(smallbank.savings(src))
             c = yield ReadOp(smallbank.checking(src))
             d = yield ReadOp(smallbank.checking(dst))
-            yield WriteOp(smallbank.savings(src), tagger.tag(0))
-            yield WriteOp(smallbank.checking(src), tagger.tag(0))
-            yield WriteOp(
-                smallbank.checking(dst),
-                tagger.tag(logical(d) + logical(s) + logical(c)),
-            )
+            yield WriteOp(smallbank.savings(src), 0)
+            yield WriteOp(smallbank.checking(src), 0)
+            yield WriteOp(smallbank.checking(dst), d + s + c)
 
         return tx
 
@@ -243,7 +196,7 @@ def smallbank_mix(
 
 
 # ----------------------------------------------------------------------
-# TPC-C mix (table granularity, operational, value-tagged)
+# TPC-C mix (table granularity, operational)
 # ----------------------------------------------------------------------
 
 
@@ -251,11 +204,9 @@ def tpcc_mix() -> WorkloadMix:
     """The TPC-C mix at table granularity (one warehouse/district).
 
     Read/write sets follow :mod:`repro.apps.tpcc`; a table that is both
-    read and written becomes a read-modify-write (logical increment), a
-    written-only table a value-tagged blind write.
+    read and written becomes a read-modify-write (an increment), a
+    written-only table a blind write of 0.
     """
-    tagger = ValueTagger()
-    logical = ValueTagger.logical
 
     def factory_for(program) -> ProgramFactory:
         piece = program.pieces[0]
@@ -269,11 +220,8 @@ def tpcc_mix() -> WorkloadMix:
                 for table in reads:
                     seen[table] = yield ReadOp(table)
                 for table in writes:
-                    if table in read_set:
-                        new = logical(seen[table]) + 1
-                    else:
-                        new = 0
-                    yield WriteOp(table, tagger.tag(new))
+                    new = seen[table] + 1 if table in read_set else 0
+                    yield WriteOp(table, new)
 
             return tx
 

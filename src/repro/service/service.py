@@ -144,8 +144,6 @@ class TransactionService:
             by a deterministic per-session jitter in [0.5, 1.0).  Zero
             disables sleeping (useful in tests).
         backoff_seed: seed for the jitter streams.
-        metrics: share an existing :class:`ServiceMetrics` (one is
-            created otherwise).
         wal: optional :class:`~repro.wal.log.WriteAheadLog` written to
             on every commit, under the engine lock, and synced outside
             it.  Its ``start_seq``
@@ -178,7 +176,6 @@ class TransactionService:
         backoff_base: float = 0.0002,
         backoff_cap: float = 0.02,
         backoff_seed: int = 0,
-        metrics: Optional[ServiceMetrics] = None,
         wal=None,
         default_deadline: Optional[float] = None,
         health_policy: Optional[HealthPolicy] = None,
@@ -200,7 +197,7 @@ class TransactionService:
                 f"default_deadline must be positive, got {default_deadline}"
             )
         self.engine = engine
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self._lock = threading.Lock()
         self.violations: List[Violation] = []
         """Every violation the certifier has reported (complete after
@@ -247,8 +244,8 @@ class TransactionService:
         engine's own initial state.
 
         Args:
-            engine: the engine to front (its ``initial`` seeds the
-                monitor's version attribution).
+            engine: the engine to front (its ``initial`` holds the
+                monitor's initial versions).
             model: the consistency model to certify against.
             window: retain only this many commits as graph nodes;
                 ``None`` keeps the full graph.

@@ -11,7 +11,8 @@ monitor's own state, never by the log size, so a multi-gigabyte log is
 auditable on a laptop.
 
 Because commits are fed in commit-sequence order with the producer's
-initial values and init tid, a clean audit reproduces the live
+initial values and init tid, and each frame carries its reads' sources
+as the live monitor received them, a clean audit reproduces the live
 monitor's verdict exactly: same violations, flagged at the same
 commits (``tests/wal/test_service_wal.py`` and the parity suite hold
 this equation across engines and monitor modes).
@@ -50,9 +51,9 @@ class AuditResult:
         checker: certification back-end used.
         violations: every violation flagged, in detection order.
         commits_observed: commit records fed to the monitor.
-        monitor_error: a value-attribution failure that aborted the
-            audit, if any (strict mode; the verdict covers the prefix
-            before it).
+        monitor_error: a monitor error that aborted the audit, if any
+            (a read whose source did not write the value read; the
+            verdict covers the prefix before it).
         damage: where log scanning stopped, if anywhere.
         segments_scanned / segments_dropped / bytes_scanned: scan stats.
         first_ts / last_ts: audited commit-sequence range.
@@ -99,7 +100,6 @@ def audit_log(
     model: Optional[str] = None,
     window: Optional[int] = None,
     checker: str = "incremental",
-    strict_values: bool = True,
 ) -> AuditResult:
     """Stream a log directory through a consistency monitor.
 
@@ -112,10 +112,9 @@ def audit_log(
             instead of the full graph (bounded memory, may miss cycles
             spanning more than a window — matches a live service run
             in windowed mode).
-        checker: ``"incremental"`` (default) or ``"rebuild"``.
-        strict_values: as for :class:`ConsistencyMonitor`; a strict
-            attribution failure aborts the audit and is reported in
-            ``monitor_error`` rather than raised.
+        checker: ``"incremental"`` (default) or ``"rebuild"``.  A
+            :class:`~repro.monitor.online.MonitorError` aborts the audit
+            and is reported in ``monitor_error`` rather than raised.
 
     Raises:
         StoreError: when the log has no readable segment meta (there is
@@ -132,23 +131,18 @@ def audit_log(
     monitor = ConsistencyMonitor(
         model=chosen,
         initial_values=meta.init,
-        strict_values=strict_values,
         init_tid=meta.init_tid,
         checker=checker,
         window=window,
     )
-    result = AuditResult(model=chosen, checker=checker, meta=meta)
-    for record in log_scan:
-        try:
-            violation = monitor.observe_commit(
-                record.tid, record.session, record.events
-            )
-        except MonitorError as exc:
-            result.monitor_error = str(exc)
-            break
-        result.commits_observed += 1
-        if violation is not None:
-            result.violations.append(violation)
+    result = AuditResult(model=chosen, checker=checker, meta=meta,
+                         violations=monitor.violations)
+    try:
+        for record in log_scan:
+            monitor.observe_commit(record)
+    except MonitorError as exc:
+        result.monitor_error = str(exc)
+    result.commits_observed = monitor.commit_count
     result.damage = list(log_scan.damage)
     result.segments_scanned = log_scan.segments_scanned
     result.segments_dropped = log_scan.segments_dropped

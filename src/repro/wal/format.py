@@ -3,7 +3,7 @@
 A log is a directory of *segments* (``wal-00000001.seg``,
 ``wal-00000002.seg``, ...).  Each segment is::
 
-    SIWAL005                                  8-byte magic
+    SIWAL006                                  8-byte magic
     frame*                                    zero or more frames
 
 and each frame is::
@@ -13,17 +13,16 @@ and each frame is::
 with little-endian header fields.  The first frame of every segment
 carries a JSON **meta** payload describing the log (engine key, init
 tid, model, segment index, first expected commit sequence number).
-The first segment a writer opens then carries one binary **state**
+The first segment then carries the log's one binary **state**
 payload: the initial value of every object, the paper's
-initialisation transaction, written once per log rather than once per
-segment.  Every later frame is one **commit** payload: a
-:class:`~repro.mvcc.engine.CommitRecord` in a ``struct``-packed binary
-layout.  It carries exactly the record's fields: ``tid``,
+initialisation transaction.  Every later frame is one **commit**
+payload: a :class:`~repro.mvcc.engine.CommitRecord` in a
+``struct``-packed binary layout.  It carries exactly the record's fields: ``tid``,
 ``session``, ``commit_ts``, the op list ``events`` (the record's
-writes are derived from it, so no second copy can disagree), and the
+writes are derived from it, so no second copy can disagree), the
 constant-size snapshot descriptor ``snapshot`` (the frontier) and
 ``extra`` (the tids visible above it), so frames stay the same size
-however long the log grows.
+however long the log grows, and the ``sources`` of its reads.
 
 A commit payload is a header and four tables (``docs/WAL.md`` has the
 byte layout)::
@@ -34,9 +33,10 @@ byte layout)::
     <text: every string, concatenated, UTF-8>
 
 The int table starts with ``commit_ts``, ``snapshot`` and the number of
-``extra`` tids, then holds every int value and container length; the
-string table starts with the tid, the session and the sorted ``extra``
-tids, then holds every object name and string value.  Values are
+``extra`` tids, then holds every int value and container length, and
+ends with the sources; the string table starts with the tid, the
+session and the sorted ``extra`` tids, then holds every object name
+and string value.  Values are
 tagged, so a decoded value has its original type: int (``i``), int
 beyond int64 (``I``), bool (``T``/``F``), float (``f``, bit-exact),
 str (``s``), bytes (``b``), None (``N``), tuple (``t``), list (``l``)
@@ -63,15 +63,16 @@ switches the names to a length table.
 The magic names the format version.  Segments of an earlier version —
 ``SIWAL001`` (which listed every visible tid in each frame),
 ``SIWAL002`` (which also stored a ``writes`` map and a ``start_ts``),
-``SIWAL003`` (whose commit frames were JSON) and ``SIWAL004`` (whose
-meta frame repeated every initial value as JSON in every segment) —
-are not read: the scanner reports such a segment as damage naming both
-versions rather than misdecode it.  Frames are input from outside the
-program, so :func:`commit_record_from_payload` and
-:func:`state_from_payload` raise nothing but :class:`FormatError`:
-they check truncation, unknown tags, bad UTF-8, unused table entries,
-nesting deeper than :data:`MAX_VALUE_DEPTH`, the descriptor, and (for
-a state) duplicate names.  The encoders refuse what the decoders would
+``SIWAL003`` (whose commit frames were JSON), ``SIWAL004`` (whose
+meta frame repeated every initial value as JSON in every segment) and
+``SIWAL005`` (whose reads had no sources) — are not read: the scanner
+reports such a segment as damage naming both versions rather than
+misdecode it.  Frames are input from outside the program, so
+:func:`commit_record_from_payload` and :func:`state_from_payload`
+raise nothing but :class:`FormatError`: they check truncation, unknown
+tags, bad UTF-8, unused table entries, nesting deeper than
+:data:`MAX_VALUE_DEPTH`, the descriptor, the sources, and (for a
+state) duplicate names.  The encoders refuse what the decoders would
 reject, so every frame the log writes reads back.
 
 The framing is what makes recovery torn-tail tolerant: a crash mid
@@ -85,7 +86,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -93,7 +94,7 @@ from ..core.events import Obj, Op, OpKind, Value
 from ..io.json_format import FormatError
 from ..mvcc.engine import CommitRecord
 
-SEGMENT_MAGIC = b"SIWAL005"
+SEGMENT_MAGIC = b"SIWAL006"
 """Leading bytes of every segment file (8 bytes, version included)."""
 
 FRAME_HEADER = struct.Struct("<II")
@@ -219,15 +220,9 @@ class LogMeta:
     model: Optional[str]
     segment: int
     first_ts: int
-    extra: Mapping[str, Any] = field(default_factory=dict, compare=False)
 
 
 _NO_STATE: Mapping[Obj, Value] = MappingProxyType({})
-
-_META_FIELDS = ("kind", "engine", "init_tid", "model", "segment",
-                "first_ts")
-"""The meta frame fields :class:`LogMeta` names; any other key of the
-document lands in ``extra``."""
 
 
 def meta_to_payload(
@@ -236,21 +231,19 @@ def meta_to_payload(
     """Serialise a segment meta frame: one JSON object with sorted keys.
 
     ``meta`` carries the log-level description (``engine``,
-    ``init_tid``, ``model``, plus free-form keys); the per-segment
-    fields are supplied by the writer.  Its ``init`` is not part of the
-    meta frame: :func:`state_to_payload` writes it once per log.
+    ``init_tid``, ``model``); the per-segment fields are supplied by
+    the writer.  Its ``init`` is not part of the meta frame:
+    :func:`state_to_payload` writes it once per log.  Any other key is
+    not written.
     """
-    doc: Dict[str, Any] = {
-        key: value for key, value in meta.items() if key != "init"
+    doc = {
+        "kind": "meta",
+        "engine": meta.get("engine"),
+        "init_tid": meta.get("init_tid", "t_init"),
+        "model": meta.get("model"),
+        "segment": segment,
+        "first_ts": first_ts,
     }
-    doc.update(
-        kind="meta",
-        engine=meta.get("engine"),
-        init_tid=meta.get("init_tid", "t_init"),
-        model=meta.get("model"),
-        segment=segment,
-        first_ts=first_ts,
-    )
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
 
 
@@ -283,9 +276,6 @@ def meta_from_doc(doc: Mapping[str, Any]) -> LogMeta:
             model=doc.get("model"),
             segment=int(doc["segment"]),
             first_ts=int(doc["first_ts"]),
-            extra={
-                k: v for k, v in doc.items() if k not in _META_FIELDS
-            },
         )
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"malformed meta frame: {exc!r}")
@@ -319,7 +309,8 @@ _BYTES = ord("b")
 _TUPLE = ord("t")
 _LIST = ord("l")
 _DICT = ord("d")
-_OP_KINDS = {_READ: OpKind.READ, _WRITE: OpKind.WRITE}
+_READ_KIND = OpKind.READ
+_OP_KINDS = {_READ: _READ_KIND, _WRITE: OpKind.WRITE}
 
 _INT_MIN, _INT_MAX = -(1 << 63), (1 << 63) - 1
 
@@ -380,10 +371,11 @@ def commit_record_to_payload(record: CommitRecord) -> bytes:
         ValueError / TypeError: when the record is one
             :func:`commit_record_from_payload` would refuse (a snapshot
             frontier outside ``[0, commit_ts)``, an ``extra`` that is
-            not a frozenset of other tids), or a value nests deeper
-            than :data:`MAX_VALUE_DEPTH` or is of a type the codec does
-            not carry.  The log poisons itself on any of them, so every
-            frame it writes reads back.
+            not a frozenset of other tids, sources that are not one int
+            in ``[0, commit_ts)`` per read served from the store), or a
+            value nests deeper than :data:`MAX_VALUE_DEPTH` or is of a
+            type the codec does not carry.  The log poisons itself on
+            any of them, so every frame it writes reads back.
     """
     snapshot = record.snapshot
     if type(snapshot) is not int or not 0 <= snapshot < record.commit_ts:
@@ -400,10 +392,28 @@ def commit_record_to_payload(record: CommitRecord) -> bytes:
     strs = [record.tid, record.session, *extra]
     floats: List[float] = []
     shape = bytearray()
+    written = set()  # a read of another object has a source
+    served = 0
     for op in record.events:
-        shape.append(_READ if op.kind is OpKind.READ else _WRITE)
-        strs.append(op.obj)
+        obj = op.obj
+        if op.kind is _READ_KIND:
+            shape.append(_READ)
+            served += obj not in written
+        else:
+            shape.append(_WRITE)
+            written.add(obj)
+        strs.append(obj)
         _put_value(op.value, shape, ints, strs, floats, 0)
+    sources = record.sources
+    commit_ts = record.commit_ts
+    if len(sources) != served or not all(
+        0 <= source < commit_ts for source in sources
+    ):
+        raise ValueError(
+            f"sources {sources!r} are not one int in [0, {commit_ts}) "
+            f"for each of the {served} read(s) served from the store"
+        )
+    ints.extend(sources)
     lengths = [len(s) for s in strs]
     counts = (len(ints), len(strs), len(floats), len(shape))
     wide = max(counts) > 0xFFFF
@@ -492,8 +502,9 @@ def commit_record_from_payload(payload: bytes) -> CommitRecord:
             kind byte, unknown layout or tag, truncated or unused table
             entries, bad UTF-8, a value nested deeper than
             :data:`MAX_VALUE_DEPTH`, a snapshot frontier outside
-            ``[0, commit_ts)``, or an ``extra`` naming the record's own
-            tid.  Nothing else is raised.
+            ``[0, commit_ts)``, an ``extra`` naming the record's own
+            tid, or sources that are not one int in ``[0, commit_ts)``
+            per read served from the store.  Nothing else is raised.
     """
     try:
         return _decode_commit(payload)
@@ -533,6 +544,8 @@ def _decode_commit(payload: bytes) -> CommitRecord:
     i, s = 3, 2 + n_extra
     cursor = [i, s, n_ints + n_strs]
     events = []
+    written = set()  # a read of another object has a source
+    served = 0
     pos = 0
     end = len(shape)
     while pos < end:
@@ -543,30 +556,33 @@ def _decode_commit(payload: bytes) -> CommitRecord:
             )
         obj = strs[s]
         s += 1
-        tag = shape[pos + 1]
-        if tag == _INT:
+        if kind is _READ_KIND:
+            served += obj not in written
+        else:
+            written.add(obj)
+        if shape[pos + 1] == _INT:
             events.append(Op(kind, obj, table[i]))
             i += 1
             pos += 2
             continue
-        if tag == _TUPLE:
-            # The service's tagged values: a tuple of ints is one slice.
-            size = table[i]
-            if 0 < size <= end - pos - 2 and (
-                shape.count(_INT, pos + 2, pos + 2 + size) == size
-            ):
-                events.append(Op(kind, obj, table[i + 1:i + 1 + size]))
-                i += 1 + size
-                pos += 2 + size
-                continue
         cursor[0], cursor[1] = i, s
         value, pos = _read_value(shape, pos + 1, table, strs, cursor, 0)
         i, s = cursor[0], cursor[1]
         events.append(Op(kind, obj, value))
-    if (i, s, cursor[2]) != (n_ints, n_strs, len(table)):
-        raise FormatError("malformed commit frame: unused table entries")
+    # The sources are the rest of the int table.
+    if (s, cursor[2], i + served) != (n_strs, len(table), n_ints):
+        raise FormatError(
+            "malformed commit frame: unused or missing table entries"
+        )
+    sources = table[i:n_ints]
+    for source in sources:
+        if not 0 <= source < commit_ts:
+            raise FormatError(
+                f"malformed commit frame: source {source} outside "
+                f"[0, {commit_ts})"
+            )
     return CommitRecord(tid, session, commit_ts, tuple(events), snapshot,
-                        extra)
+                        extra, sources)
 
 
 def _read_value(

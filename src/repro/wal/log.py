@@ -167,16 +167,17 @@ class WriteAheadLog:
         segment_max_bytes: rotate to a new segment once the commit
             frames in the current one would exceed this (every segment
             keeps at least one record).  Only commit frames count: the
-            segment's magic, meta frame and (in the first segment this
-            log opens) state frame are a fixed header, however large
-            the initial state makes it.
+            segment's magic, meta frame and (in segment 1) state frame
+            are a fixed header, however large the initial state makes
+            it.
         start_seq: first commit sequence number expected (one past the
             engine's last commit at attach time; 1 for a fresh engine).
         meta: log description — ``engine`` key, ``init`` values,
             ``init_tid``, ``model`` (see
             :class:`~repro.wal.format.LogMeta`).  Every segment's meta
-            frame carries all of it but ``init``, which is written once,
-            as the state frame of the first segment this log opens.
+            frame carries all of it but ``init``, which is written once
+            per log, as the state frame of segment 1: only a log that
+            opens a directory holding no segment writes it.
 
     Raises:
         TypeError / ValueError: ``init`` holds a value the state frame
@@ -204,10 +205,6 @@ class WriteAheadLog:
         self.fsync_policy = fsync_policy
         self.segment_max_bytes = segment_max_bytes
         self.meta: Dict[str, Any] = dict(meta or {})
-        # Written after the first segment's meta frame, then dropped.
-        self._state_frame: Optional[bytes] = encode_frame(
-            state_to_payload(self.meta.get("init") or {})
-        )
         self.stats = WalStats()
 
         # `_lock` guards the write side (the caller's commit mutex
@@ -221,13 +218,19 @@ class WriteAheadLog:
         self._error: Optional[BaseException] = None
         self._closed = False
 
-        os.makedirs(directory, exist_ok=True)
         existing = [
             i for i in (
                 segment_index(name) for name in os.listdir(directory)
             ) if i is not None
-        ]
+        ] if os.path.isdir(directory) else []
         self._segment = max(existing, default=0)
+        # Segment 1's state frame, dropped once written; a reopened
+        # log's directory has it already.  Encoded before the directory
+        # is made, so an init it cannot carry leaves nothing behind.
+        self._state_frame: Optional[bytes] = None if existing else (
+            encode_frame(state_to_payload(self.meta.get("init") or {}))
+        )
+        os.makedirs(directory, exist_ok=True)
         self._file = None  # type: Optional[Any]
         self._segment_commit_bytes = 0  # commit frames in this segment
         self._segment_records = 0

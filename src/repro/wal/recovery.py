@@ -78,9 +78,9 @@ class LogScan:
     so callers can configure themselves (seed an engine or a monitor)
     before streaming; iteration reuses what they decoded to when the
     first segment still holds the same frames, so a meta frame is
-    decoded once per segment and the state frame once per scan.  Only
-    the first segment's state frame is decoded: a later one (written
-    by a log reopened over the directory) is CRC-checked and skipped.
+    decoded once per segment and the state frame once per scan.  A log
+    holds one state frame, the second frame of its first segment; a
+    state frame anywhere else is damage.
 
     Attributes:
         meta: the log description (from the first segment's meta and
@@ -180,7 +180,9 @@ class LogScan:
                        frame_damage or "segment has no meta frame")
             return None
         stated = len(payloads) > 1 and payloads[1][:1] == STATE_KIND
-        header = 2 if stated else 1
+        # A state frame after the first segment's is damage: it is not
+        # a commit frame.
+        header = 2 if stated and position == 0 else 1
         if (
             self._head is not None
             and self._head[0] == name
@@ -203,7 +205,7 @@ class LogScan:
                        f"bad meta frame: {exc}")
             return None
         if position == 0:
-            # Only the log's first state is its initial state.
+            # The log's one state frame: its initial state.
             try:
                 meta = replace(meta, init=state_from_payload(payloads[1]))
             except FormatError as exc:

@@ -18,6 +18,7 @@ from repro.monitor.incremental import (
     SiIncrementalChecker,
     make_checker,
 )
+from tests.monitor.streams import observe
 
 
 class TestDynamicTopoOrder:
@@ -320,11 +321,11 @@ class TestMonitorKnob:
             monitor = ConsistencyMonitor(
                 model, {"acct": 0}, checker=checker
             )
-            assert monitor.observe_commit(
-                "t1", "s1", [read("acct", 0), write("acct", 50)]
+            assert observe(
+                monitor, "t1", "s1", [read("acct", 0), write("acct", 50)]
             ) is None
-            violation = monitor.observe_commit(
-                "t2", "s2", [read("acct", 0), write("acct", 25)]
+            violation = observe(
+                monitor, "t2", "s2", [read("acct", 0), write("acct", 25)]
             )
             assert violation is not None, (model, checker)
             assert violation.tid == "t2"
@@ -340,11 +341,11 @@ class TestMonitorKnob:
             monitor = ConsistencyMonitor(
                 "PSI", {"acct": 0}, checker=checker
             )
-            monitor.observe_commit(
-                "t1", "s1", [read("acct", 0), write("acct", 50)]
+            observe(
+                monitor, "t1", "s1", [read("acct", 0), write("acct", 50)]
             )
-            violation = monitor.observe_commit(
-                "t2", "s2", [read("acct", 0), write("acct", 25)]
+            violation = observe(
+                monitor, "t2", "s2", [read("acct", 0), write("acct", 25)]
             )
             assert violation is not None
             cycle = violation.cycle
@@ -354,19 +355,19 @@ class TestMonitorKnob:
 
     def test_incremental_keeps_certifying_after_violation(self):
         monitor = ConsistencyMonitor("SI", {"acct": 0, "x": 0})
-        monitor.observe_commit(
-            "t1", "s1", [read("acct", 0), write("acct", 50)]
+        observe(
+            monitor, "t1", "s1", [read("acct", 0), write("acct", 50)]
         )
-        assert monitor.observe_commit(
-            "t2", "s2", [read("acct", 0), write("acct", 25)]
+        assert observe(
+            monitor, "t2", "s2", [read("acct", 0), write("acct", 25)]
         ) is not None
         # A clean commit after the violation is clean...
-        assert monitor.observe_commit(
-            "t3", "s3", [read("x", 0), write("x", 1)]
+        assert observe(
+            monitor, "t3", "s3", [read("x", 0), write("x", 1)]
         ) is None
         # ... and a *new* violation is still caught.
-        assert monitor.observe_commit(
-            "t4", "s4", [read("x", 0), write("x", 2)]
+        assert observe(
+            monitor, "t4", "s4", [read("x", 0), write("x", 2)]
         ) is not None
         assert len(monitor.violations) == 2
 
@@ -375,16 +376,16 @@ class TestMonitorKnob:
         values.update({f"p{i}": 0 for i in range(5)})
         monitor = ConsistencyMonitor("SER", values, window=8)
         for i in range(50):
-            assert monitor.observe_commit(
-                f"pad{i}", f"s{i % 7}", [write(f"p{i % 5}", i + 1)]
+            assert observe(
+                monitor, f"pad{i}", f"s{i % 7}", [write(f"p{i % 5}", i + 1)]
             ) is None
         assert monitor.retained_count == 8
-        assert monitor.observe_commit(
-            "ws1", "alice",
+        assert observe(
+            monitor, "ws1", "alice",
             [read("acct1", 70), read("acct2", 80), write("acct1", -30)],
         ) is None
-        violation = monitor.observe_commit(
-            "ws2", "bob",
+        violation = observe(
+            monitor, "ws2", "bob",
             [read("acct1", 70), read("acct2", 80), write("acct2", -20)],
         )
         assert violation is not None and violation.tid == "ws2"

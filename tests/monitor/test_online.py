@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.events import read, write
-from repro.monitor import ConsistencyMonitor, MonitorError, watch_engine
+from repro.monitor import (
+    ConsistencyMonitor,
+    MonitorError,
+    SourcedCommit,
+    sourced_commits,
+    watch_engine,
+)
 from repro.mvcc import (
     PSIEngine,
     Scheduler,
@@ -16,6 +22,7 @@ from repro.mvcc.workloads import (
     random_workload,
     write_skew_sessions,
 )
+from tests.monitor.streams import observe
 
 
 def run_write_skew_engine():
@@ -44,63 +51,116 @@ class TestBasicObservation:
     def test_serial_run_clean_under_all_models(self):
         for model in ConsistencyMonitor.MODELS:
             monitor = ConsistencyMonitor(model, {"x": 0})
-            assert monitor.observe_commit(
-                "t1", "s1", [read("x", 0), write("x", 1)]
+            assert observe(
+                monitor, "t1", "s1", [read("x", 0), write("x", 1)]
             ) is None
-            assert monitor.observe_commit(
-                "t2", "s2", [read("x", 1), write("x", 2)]
+            assert observe(
+                monitor, "t2", "s2", [read("x", 1), write("x", 2)]
             ) is None
             assert monitor.consistent
             assert monitor.commit_count == 2
 
     def test_duplicate_tid_rejected(self):
         monitor = ConsistencyMonitor("SI", {"x": 0})
-        monitor.observe_commit("t1", "s1", [write("x", 1)])
+        observe(monitor, "t1", "s1", [write("x", 1)])
         with pytest.raises(MonitorError):
-            monitor.observe_commit("t1", "s1", [write("x", 2)])
+            observe(monitor, "t1", "s1", [write("x", 2)])
 
     def test_unknown_model_rejected(self):
         with pytest.raises(MonitorError):
             ConsistencyMonitor("RC")
 
     def test_unattributable_read_rejected_in_strict_mode(self):
+        # A black-box read of a value nobody wrote has no source.
         monitor = ConsistencyMonitor("SI", {"x": 0})
-        with pytest.raises(MonitorError):
-            monitor.observe_commit("t1", "s1", [read("x", 42)])
+        with pytest.raises(MonitorError, match="matches no committed"):
+            observe(monitor, "t1", "s1", [read("x", 42)])
 
     def test_rejected_commit_leaves_no_state(self):
-        """Reads are attributed before anything is recorded, so a
+        """Sources are checked before anything is recorded, so a
         rejected commit can be fed again once corrected."""
         monitor = ConsistencyMonitor("SI", {"x": 0, "y": 0})
-        monitor.observe_commit("t1", "s1", [write("x", 1)])
-        with pytest.raises(MonitorError):
-            monitor.observe_commit(
-                "t2", "s1", [read("x", 1), read("y", 42), write("y", 2)]
-            )
+        monitor.observe_commit(SourcedCommit("t1", "s1", 1,
+                                             (write("x", 1),), ()))
+        events = (read("x", 1), read("y", 42), write("y", 2))
+        with pytest.raises(MonitorError, match="wrote 0"):
+            # y's initial version (#0) holds 0, not 42.
+            monitor.observe_commit(SourcedCommit("t2", "s1", 2, events,
+                                                 (1, 0)))
         assert monitor.commit_count == 1
         assert monitor.state_size()["fresh_readers"] == 0
+        events = (read("x", 1), read("y", 0), write("y", 2))
         assert monitor.observe_commit(
-            "t2", "s1", [read("x", 1), read("y", 0), write("y", 2)]
+            SourcedCommit("t2", "s1", 2, events, (1, 0))
         ) is None
         assert monitor.dependency_edges()["SO"] == {("t1", "t2")}
 
+    @pytest.mark.parametrize("sources, reason", [
+        ((), "0 source"),                 # too few
+        ((0, 0), "2 source"),             # too many
+        ((2,), "has not observed"),       # its own commit_ts
+        ((-1,), "has not observed"),
+        ((1,), "did not write y"),        # t1 wrote x only
+    ])
+    def test_bad_sources_rejected(self, sources, reason):
+        monitor = ConsistencyMonitor("SI", {"x": 0, "y": 0})
+        monitor.observe_commit(SourcedCommit("t1", "s1", 1,
+                                             (write("x", 1),), ()))
+        with pytest.raises(MonitorError, match=reason):
+            monitor.observe_commit(
+                SourcedCommit("t2", "s2", 2, (read("y", 0),), sources)
+            )
+        assert monitor.commit_count == 1
+
+    def test_commit_ts_must_rise(self):
+        # Sources name writers by commit_ts, so a commit_ts may not be
+        # observed twice, even under a fresh tid.
+        monitor = ConsistencyMonitor("SI", {"x": 0})
+        monitor.observe_commit(SourcedCommit("t1", "s1", 5,
+                                             (write("x", 1),), ()))
+        for ts in (5, 4):
+            with pytest.raises(MonitorError, match="does not rise"):
+                monitor.observe_commit(
+                    SourcedCommit("t2", "s1", ts, (write("x", 2),), ())
+                )
+
+    def test_repeated_values_read_by_source(self):
+        # Two commits write x=7; each read names its version, so no
+        # value is ambiguous and the stale read's anti-dependency lands
+        # on the right overwriter.
+        monitor = ConsistencyMonitor("SI", {"x": 7})
+        stream = [
+            SourcedCommit("t1", "s1", 1, (read("x", 7), write("x", 7)),
+                          (0,)),
+            SourcedCommit("t2", "s2", 2, (read("x", 7), write("x", 7)),
+                          (1,)),
+            SourcedCommit("t3", "s3", 3, (read("x", 7),), (1,)),
+        ]
+        assert all(monitor.observe_commit(c) is None for c in stream)
+        edges = monitor.dependency_edges()
+        assert ("t1", "t3") in edges["WR"] and ("t3", "t2") in edges["RW"]
+
     def test_ambiguous_value_rejected_in_strict_mode(self):
         monitor = ConsistencyMonitor("SI", {"x": 0})
-        monitor.observe_commit("t1", "s1", [write("x", 7)])
-        monitor.observe_commit("t2", "s2", [read("x", 7), write("x", 7)])
-        with pytest.raises(MonitorError):
-            monitor.observe_commit("t3", "s3", [read("x", 7)])
+        observe(monitor, "t1", "s1", [write("x", 7)])
+        observe(monitor, "t2", "s2", [read("x", 7), write("x", 7)])
+        with pytest.raises(MonitorError, match="ambiguous"):
+            observe(monitor, "t3", "s3", [read("x", 7)])
 
     def test_non_strict_mode_attributes_latest(self):
-        monitor = ConsistencyMonitor("SI", {"x": 0}, strict_values=False)
-        monitor.observe_commit("t1", "s1", [write("x", 7)])
-        monitor.observe_commit("t2", "s2", [read("x", 7), write("x", 7)])
-        assert monitor.observe_commit("t3", "s3", [read("x", 7)]) is None
+        commits = list(sourced_commits([
+            ("t1", "s1", [write("x", 7)]),
+            ("t2", "s2", [read("x", 7), write("x", 7)]),
+            ("t3", "s3", [read("x", 7)]),
+        ], {"x": 0}, lenient=True))
+        assert commits[2].sources == (2,)
+        monitor = ConsistencyMonitor("SI", {"x": 0})
+        assert all(monitor.observe_commit(c) is None for c in commits)
 
     def test_dependency_edges_exposed(self):
         monitor = ConsistencyMonitor("SI", {"x": 0})
-        monitor.observe_commit("t1", "s1", [write("x", 1)])
-        monitor.observe_commit("t2", "s1", [read("x", 1)])
+        observe(monitor, "t1", "s1", [write("x", 1)])
+        observe(monitor, "t2", "s1", [read("x", 1)])
         edges = monitor.dependency_edges()
         assert ("t1", "t2") in edges["SO"]
         assert ("t1", "t2") in edges["WR"]
@@ -114,8 +174,8 @@ class TestReducedGraph:
         commits = 2000
         monitor = ConsistencyMonitor("SI", {"x": 0})
         for i in range(commits):
-            assert monitor.observe_commit(
-                f"t{i}", "s", [read("x", i), write("x", i + 1)]
+            assert observe(
+                monitor, f"t{i}", "s", [read("x", i), write("x", i + 1)]
             ) is None
         assert monitor.state_size()["edges"] <= 4 * commits
 
@@ -146,27 +206,27 @@ class TestAnomalyDetection:
         # manually: both increments read the initial value.
         for model in ConsistencyMonitor.MODELS:
             monitor = ConsistencyMonitor(model, {"acct": 0})
-            assert monitor.observe_commit(
-                "t1", "s1", [read("acct", 0), write("acct", 50)]
+            assert observe(
+                monitor, "t1", "s1", [read("acct", 0), write("acct", 50)]
             ) is None
-            violation = monitor.observe_commit(
-                "t2", "s2", [read("acct", 0), write("acct", 25)]
+            violation = observe(
+                monitor, "t2", "s2", [read("acct", 0), write("acct", 25)]
             )
             assert violation is not None, model
             assert violation.tid == "t2"
 
     def test_monitoring_continues_after_violation(self):
         monitor = ConsistencyMonitor("SI", {"acct": 0, "other": 0})
-        monitor.observe_commit(
-            "t1", "s1", [read("acct", 0), write("acct", 50)]
+        observe(
+            monitor, "t1", "s1", [read("acct", 0), write("acct", 50)]
         )
-        monitor.observe_commit(
-            "t2", "s2", [read("acct", 0), write("acct", 25)]
+        observe(
+            monitor, "t2", "s2", [read("acct", 0), write("acct", 25)]
         )
         assert not monitor.consistent
         # A later unrelated commit is still processed.
-        assert monitor.observe_commit(
-            "t3", "s3", [read("other", 0), write("other", 1)]
+        assert observe(
+            monitor, "t3", "s3", [read("other", 0), write("other", 1)]
         ) is not None or monitor.commit_count == 3
 
 
@@ -209,41 +269,45 @@ class TestEngineCleanliness:
 
 
 class TestLazyTables:
-    """Per-object writer and value tables are built on an object's
-    first write, from the shared initial values."""
+    """An object's writer sequence is built on its first write, from
+    the shared initial values."""
 
     KEYSPACE = 100_000
 
     def _tables(self, monitor):
-        return (len(monitor._writers) + len(monitor._value_writer)
-                + len(monitor._latest_value))
+        return len(monitor._writers)
 
     def test_large_monitor_starts_with_no_tables(self):
         initial = {f"o{i}": 0 for i in range(self.KEYSPACE)}
         monitor = ConsistencyMonitor("SI", initial)
         assert self._tables(monitor) == 0
         assert monitor._initial is initial
-        assert monitor.state_size()["value_attributions"] == self.KEYSPACE
+        assert monitor.state_size()["written_objects"] == 0
 
     def test_reads_build_nothing_and_writes_build_one_object(self):
         monitor = ConsistencyMonitor("SI", {"x": 0, "y": 5})
-        monitor.observe_commit("t1", "s1", [read("x", 0), read("y", 5)])
+        observe(monitor, "t1", "s1", [read("x", 0), read("y", 5)])
         assert self._tables(monitor) == 0
-        monitor.observe_commit("t2", "s2", [read("y", 5), write("y", 6)])
+        observe(monitor, "t2", "s2", [read("y", 5), write("y", 6)])
         assert set(monitor._writers) == {"y"}
         assert monitor._writers["y"] == ["t_init", "t2"]
-        assert monitor._value_writer["y"] == {5: "t_init", 6: "t2"}
-        assert monitor.state_size()["value_attributions"] == 3
+        assert monitor.state_size()["written_objects"] == 1
         edges = monitor.dependency_edges()
         assert ("t1", "t2") in edges["RW"]
         assert not edges["WR"]
 
     def test_unwritten_object_reads_still_checked(self):
+        # A read of the initial version (#0) must return its value, even
+        # for an object that has no writer sequence.
         monitor = ConsistencyMonitor("SI", {"x": 0})
-        with pytest.raises(MonitorError):
-            monitor.observe_commit("t1", "s1", [read("x", 1)])
-        lenient = ConsistencyMonitor("SI", {"x": 0}, strict_values=False)
-        assert lenient.observe_commit("t1", "s1", [read("x", 1)]) is None
+        with pytest.raises(MonitorError, match="wrote 0"):
+            monitor.observe_commit(
+                SourcedCommit("t1", "s1", 1, (read("x", 1),), (0,))
+            )
+        assert monitor.observe_commit(
+            SourcedCommit("t1", "s1", 1, (read("x", 0),), (0,))
+        ) is None
+        assert self._tables(monitor) == 0
 
     def test_certified_service_shares_the_engine_initial(self):
         from repro.service import TransactionService

@@ -19,7 +19,9 @@ graph.
 Streams covered: randomised engine workloads, service-driven SmallBank
 and TPC-C commit streams, the anomaly catalog, seeded synthetic streams
 of stale reads that violate at varied commits, and windowed monitors on
-all of the above shapes.
+all of the above shapes.  Engine streams carry their reads' sources;
+the catalog and synthetic streams are black-box histories, given
+sources by value (:func:`~repro.monitor.sourced_commits`).
 
 A further axis rides on the same harness: histories that made a round
 trip through the write-ahead log must be indistinguishable from live
@@ -34,7 +36,7 @@ import pytest
 
 from repro.anomalies import ALL_CASES, load as load_case
 from repro.core.events import read, write
-from repro.monitor import ConsistencyMonitor
+from repro.monitor import ConsistencyMonitor, MonitorError, sourced_commits
 from repro.mvcc import (
     PSIEngine,
     Scheduler,
@@ -43,16 +45,15 @@ from repro.mvcc import (
 )
 from repro.mvcc.workloads import random_workload
 from repro.service import MIXES, LoadGenerator, TransactionService
+from tests.monitor.streams import observe
 
 MODELS = ConsistencyMonitor.MODELS
 
 
 def committed_stream(engine):
-    """The engine's commit stream as (tid, session, events) triples."""
-    return [
-        (r.tid, r.session, list(r.events))
-        for r in sorted(engine.committed, key=lambda r: r.commit_ts)
-    ]
+    """The engine's commit records, sources included, in commit
+    order."""
+    return sorted(engine.committed, key=lambda r: r.commit_ts)
 
 
 def stale_read_stream(seed, horizon, commits=80, objects=6, sessions=16,
@@ -61,10 +62,10 @@ def stale_read_stream(seed, horizon, commits=80, objects=6, sessions=16,
 
     Each transaction reads one or two objects and writes up to two.  A
     read returns, with probability ``stale``, a randomly chosen version
-    overwritten within the last ``horizon`` commits (a monitor windowed
-    to at least ``horizon`` commits can still attribute it), else the
-    current one.  Every write stores a fresh value, so strict value
-    attribution holds.  Returns ``(initial_values, stream)``.
+    overwritten within the last ``horizon`` commits, else the current
+    one.  Every write stores a fresh value, so strict value
+    attribution holds.  Returns ``(initial_values, stream)``, the stream
+    sourced by value.
     """
     rng = random.Random(seed)
     names = [f"x{i}" for i in range(objects)]
@@ -88,7 +89,8 @@ def stale_read_stream(seed, horizon, commits=80, objects=6, sessions=16,
             versions[obj][-1][1] = i
             versions[obj].append([i + 1, None])
         stream.append((f"t{i}", f"s{rng.randrange(sessions)}", events))
-    return {obj: 0 for obj in names}, stream
+    initial = {obj: 0 for obj in names}
+    return initial, list(sourced_commits(stream, initial))
 
 
 def run_to_first_violation(monitor, stream):
@@ -99,8 +101,8 @@ def run_to_first_violation(monitor, stream):
     including the first violation.
     """
     verdicts = []
-    for tid, session, events in stream:
-        violation = monitor.observe_commit(tid, session, events)
+    for commit in stream:
+        violation = monitor.observe_commit(commit)
         verdicts.append(None if violation is None else violation.tid)
         if violation is not None:
             return verdicts, violation
@@ -213,10 +215,8 @@ class TestStaleReadStreams:
         monitor = ConsistencyMonitor(model, {"x": 0, "y": 0})
         for i in range(50):
             obj = "xy"[i % 2]
-            monitor.observe_commit(
-                f"t{i}", "s", [read(obj, i - 1 if i > 1 else 0),
-                               write(obj, i + 1)]
-            )
+            observe(monitor, f"t{i}", "s", [read(obj, i - 1 if i > 1 else 0),
+                                            write(obj, i + 1)])
         assert monitor.consistent
         full = monitor.dependency_edges()
         assert len(full["SO"]) == 50 * 49 // 2
@@ -278,26 +278,20 @@ class TestAnomalyCatalogStreams:
             for txn in session
             if txn.tid != case.init_tid
         ]
+        sourced = []
+        unexplained = False
         try:
-            violation = assert_parity(
-                stream, model, initial, init_tid=case.init_tid
-            )
-        except Exception as exc:
-            from repro.monitor import MonitorError
-
-            if isinstance(exc, MonitorError):
-                # Attribution problems (reads of values this commit
-                # order cannot explain) are checker-independent: the
-                # rebuild monitor must reject identically.
-                monitor = ConsistencyMonitor(
-                    model, dict(initial), init_tid=case.init_tid,
-                    checker="rebuild",
-                )
-                with pytest.raises(MonitorError):
-                    for tid, session, events in stream:
-                        monitor.observe_commit(tid, session, events)
-                return
-            raise
+            for commit in sourced_commits(stream, initial):
+                sourced.append(commit)
+        except MonitorError:
+            unexplained = True
+        violation = assert_parity(
+            sourced, model, initial, init_tid=case.init_tid
+        )
+        if unexplained and violation is None:
+            # A read of a value this commit order cannot explain has no
+            # source, so neither back-end gets past it.
+            return
         if case.expected[model]:
             # A history the model allows never trips the monitor.
             assert violation is None, (name, model)

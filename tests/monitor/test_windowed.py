@@ -15,18 +15,22 @@ from repro.core.events import read, write
 from repro.monitor import (
     ConsistencyMonitor,
     MonitorError,
+    SourcedCommit,
+    sourced_commits,
     watch_engine,
 )
 from repro.mvcc import PSIEngine, Scheduler, SIEngine
 from repro.mvcc.workloads import random_workload, write_skew_sessions
+from tests.monitor.streams import observe
 
 
 def pad_commits(monitor, count, start=0):
     """Feed ``count`` unrelated single-object commits (disjoint keys
     must be pre-registered via initial_values)."""
     for i in range(start, start + count):
-        violation = monitor.observe_commit(
-            f"pad{i}", f"pad-session-{i % 7}", [write(f"p{i % 5}", i + 1)]
+        violation = observe(
+            monitor, f"pad{i}", f"pad-session-{i % 7}",
+            [write(f"p{i % 5}", i + 1)],
         )
         assert violation is None
 
@@ -56,8 +60,8 @@ class TestWindowSoundness:
         pad_commits(windowed, 100)
         assert windowed.retained_count == 8
         for tid, session, events in write_skew_events():
-            v_full = full.observe_commit(tid, session, events)
-            v_win = windowed.observe_commit(tid, session, events)
+            v_full = observe(full, tid, session, events)
+            v_win = observe(windowed, tid, session, events)
             assert (v_full is None) == (v_win is None)
         assert not full.consistent
         assert not windowed.consistent
@@ -75,8 +79,8 @@ class TestWindowSoundness:
         pad_commits(full, 60)
         pad_commits(windowed, 60)
         for tid, session, events in stream:
-            full.observe_commit(tid, session, events)
-            windowed.observe_commit(tid, session, events)
+            observe(full, tid, session, events)
+            observe(windowed, tid, session, events)
         assert not full.consistent
         assert not windowed.consistent
         assert full.violations[0].tid == windowed.violations[0].tid
@@ -103,9 +107,7 @@ class TestWindowSoundness:
         )
         violations = []
         for rec in sorted(engine.committed, key=lambda r: r.commit_ts):
-            v = monitor.observe_commit(
-                rec.tid, rec.session, list(rec.events)
-            )
+            v = monitor.observe_commit(rec)
             if v is not None:
                 violations.append(v)
         assert violations
@@ -126,9 +128,7 @@ class TestWindowSoundness:
         )
         v_win = []
         for rec in sorted(engine.committed, key=lambda r: r.commit_ts):
-            v = windowed.observe_commit(
-                rec.tid, rec.session, list(rec.events)
-            )
+            v = windowed.observe_commit(rec)
             if v is not None:
                 v_win.append(v)
         assert full.consistent == windowed.consistent
@@ -148,8 +148,7 @@ class TestGarbageCollection:
         assert sizes["records"] == 10
         assert sizes["edges"] <= 10 * 10 * 4
         assert sizes["read_versions"] <= 10 * 5
-        assert sizes["value_attributions"] <= 10 * 5 + 5
-        assert sizes["evicted_tombstones"] <= 10 + 5 + 5
+        assert sizes["written_objects"] == 5
         assert monitor.consistent
 
     def test_reads_of_never_written_objects_stay_bounded(self):
@@ -161,8 +160,8 @@ class TestGarbageCollection:
             "SI", {f"k{i}": 0 for i in range(keys)}, window=window
         )
         for i in range(commits):
-            monitor.observe_commit(
-                f"t{i}", f"s{i % 16}",
+            observe(
+                monitor, f"t{i}", f"s{i % 16}",
                 [read(f"k{i % keys}", 0), read(f"k{(7 * i + 3) % keys}", 0)],
             )
         sizes = monitor.state_size()
@@ -178,30 +177,16 @@ class TestGarbageCollection:
         monitor = ConsistencyMonitor(
             "SI", {"x": 0, "p0": 0, "p1": 0}, window=3
         )
-        monitor.observe_commit("w", "s-w", [write("x", 42)])
+        observe(monitor, "w", "s-w", [write("x", 42)])
         for i in range(10):
-            monitor.observe_commit(
-                f"pad{i}", "s-pad", [write(f"p{i % 2}", i + 1)]
+            observe(
+                monitor, f"pad{i}", "s-pad", [write(f"p{i % 2}", i + 1)]
             )
         assert "w" not in monitor._records
         # Strict attribution still succeeds and stays violation-free.
-        v = monitor.observe_commit("r", "s-r", [read("x", 42)])
+        v = observe(monitor, "r", "s-r", [read("x", 42)])
         assert v is None
         assert monitor.consistent
-
-    def test_read_of_superseded_old_version_is_unattributable(self):
-        """A read whose version was overwritten more than a window ago
-        is reported, not misclassified."""
-        monitor = ConsistencyMonitor("SI", {"x": 0, "p0": 0}, window=3)
-        monitor.observe_commit("w1", "s1", [write("x", 1)])
-        monitor.observe_commit("w2", "s2", [write("x", 2)])
-        for i in range(6):
-            monitor.observe_commit("pad%d" % i, "s-pad",
-                                   [write("p0", i + 1)])
-        # Both the writer AND the overwriter of x=1 have been evicted.
-        assert "w2" not in monitor._records
-        with pytest.raises(MonitorError):
-            monitor.observe_commit("r", "s-r", [read("x", 1)])
 
     def test_superseded_version_attributable_while_overwriter_retained(
         self,
@@ -213,96 +198,109 @@ class TestGarbageCollection:
         monitor = ConsistencyMonitor(
             "SI", {"x": 0, "p0": 0, "p1": 0}, window=4
         )
-        monitor.observe_commit("w1", "s1", [write("x", 1)])
+        observe(monitor, "w1", "s1", [write("x", 1)])
         for i in range(8):  # w1 leaves the window, x=1 still current
-            monitor.observe_commit(
-                f"pad{i}", "s-pad", [write(f"p{i % 2}", i + 1)]
+            observe(
+                monitor, f"pad{i}", "s-pad", [write(f"p{i % 2}", i + 1)]
             )
         assert "w1" not in monitor._records
-        monitor.observe_commit("w2", "s2", [write("x", 2)])
+        observe(monitor, "w2", "s2", [write("x", 2)])
         # The overwriter w2 is retained, so the stale snapshot read of
         # x=1 attributes — and lands an anti-dependency to w2 rather
         # than a WR edge to the dead node.
-        v = monitor.observe_commit("r", "s-r", [read("x", 1)])
+        v = observe(monitor, "r", "s-r", [read("x", 1)])
         assert v is None
         edges = monitor.dependency_edges()
         assert ("r", "w2") in edges["RW"]
         assert all(edge[0] != "w1" for edge in edges["WR"])
         assert monitor.consistent
-        # Once w2 ages out, the attribution goes with it.
+        # Once w2 ages out too, the read still names w1's commit_ts,
+        # below the window: an evicted writer, with no retained writer
+        # of x to anti-depend on.
         for i in range(8):
-            monitor.observe_commit(
-                f"pad2-{i}", "s-pad", [write(f"p{i % 2}", 100 + i)]
+            observe(
+                monitor, f"pad2-{i}", "s-pad", [write(f"p{i % 2}", 100 + i)]
             )
         assert "w2" not in monitor._records
-        with pytest.raises(MonitorError):
-            monitor.observe_commit("r2", "s-r2", [read("x", 1)])
+        assert observe(monitor, "r2", "s-r2", [read("x", 1)]) is None
+        assert monitor._records["r2"].reads == (("x", None),)
+        edges = monitor.dependency_edges()
+        assert all("r2" not in edge for edge in edges["RW"] | edges["WR"])
 
     def test_duplicate_tid_rejected_even_after_eviction(self):
+        # No tombstones: an evicted commit fed again is refused because
+        # its commit_ts does not rise.
         monitor = ConsistencyMonitor("SI", {"p0": 0}, window=2)
-        for i in range(5):
-            monitor.observe_commit(f"t{i}", "s", [write("p0", i + 1)])
-        with pytest.raises(MonitorError):
-            monitor.observe_commit("t0", "s", [write("p0", 99)])
+        commits = [
+            SourcedCommit(f"t{i}", "s", i + 1, (write("p0", i + 1),), ())
+            for i in range(5)
+        ]
+        for commit in commits:
+            monitor.observe_commit(commit)
+        assert "t0" not in monitor._records
+        with pytest.raises(MonitorError, match="does not rise"):
+            monitor.observe_commit(commits[0])
 
     def test_expired_attribution_spares_later_writer_of_same_value(self):
-        """Expiring w1's superseded x=1 must not drop w3's live x=1."""
-        monitor = ConsistencyMonitor(
-            "SI", {"x": 0, "p0": 0}, strict_values=False, window=3
-        )
-        monitor.observe_commit("w1", "s1", [write("x", 1)])
-        monitor.observe_commit("w2", "s2", [write("x", 2)])
-        monitor.observe_commit("pad", "s-pad", [write("p0", 1)])
-        monitor.observe_commit("w3", "s3", [write("x", 1)])
-        monitor.observe_commit("w4", "s4", [write("x", 5)])
+        """A read of x=1, which w1 and then w3 wrote, goes to w3 under
+        lenient attribution, with w1 and w2 out of the window."""
+        monitor = ConsistencyMonitor("SI", {"x": 0, "p0": 0}, window=3)
+        commits = sourced_commits([
+            ("w1", "s1", [write("x", 1)]),
+            ("w2", "s2", [write("x", 2)]),
+            ("pad", "s-pad", [write("p0", 1)]),
+            ("w3", "s3", [write("x", 1)]),
+            ("w4", "s4", [write("x", 5)]),
+            ("r", "s3", [read("x", 1)]),
+        ], monitor._initial, lenient=True)
+        *writes, reader = commits
+        for commit in writes:
+            monitor.observe_commit(commit)
         assert "w2" not in monitor._records
         # w3's version of x=1 is stale but its overwriter w4 is retained.
-        v = monitor.observe_commit("r", "s3", [read("x", 1)])
+        v = monitor.observe_commit(reader)
         assert v is None
         edges = monitor.dependency_edges()
         assert ("w3", "r") in edges["WR"]
         assert ("r", "w4") in edges["RW"]
         assert monitor.consistent
 
-    def test_value_collision_expires_with_its_attribution(self):
-        """Once every older x=1 has expired, a fresh x=1 is unambiguous."""
-        initial = padded_initial()
-        initial["x"] = 0
-        monitor = ConsistencyMonitor("SI", initial, window=2)
-        monitor.observe_commit("w1", "s1", [write("x", 1)])
-        monitor.observe_commit("w2", "s2", [write("x", 2)])
-        monitor.observe_commit("w3", "s3", [write("x", 1)])
-        monitor.observe_commit("w4", "s4", [write("x", 5)])
-        pad_commits(monitor, 6)
-        monitor.observe_commit("w10", "s10", [write("x", 1)])
-        v = monitor.observe_commit("r", "s-r", [read("x", 1)])
-        assert v is None
-        assert ("w10", "r") in monitor.dependency_edges()["WR"]
-
     @pytest.mark.parametrize("window", [2, 5])
     @pytest.mark.parametrize("seed", range(3))
     def test_attribution_count_matches_value_tables(self, seed, window):
-        """The running attribution count that gates tombstone pruning
-        equals the value tables' actual size after every commit."""
+        """Lenient attribution of a history of repeated values names,
+        for each read, the latest writer of its value (per a reference
+        value table), and a windowed monitor accepts every such source,
+        retained or evicted."""
         rng = random.Random(seed)
         objects = ["x", "y", "z"]
-        monitor = ConsistencyMonitor(
-            "SI", {"x": 0, "y": 0}, strict_values=False, window=window
-        )
+        initial = {"x": 0, "y": 0}
+        history = []
         for i in range(300):
+            # Only values some commit (or the initial state) wrote.
             events = [
-                read(obj, rng.randrange(4))
-                for obj in rng.sample(objects, rng.randrange(3))
+                read(obj, rng.choice([initial.get(obj, 0)] + [
+                    op.value for _, _, ops in history[-20:] for op in ops
+                    if op.obj == obj and not op.is_read
+                ]))
+                for obj in rng.sample(sorted(initial), rng.randrange(3))
             ]
             events += [
                 write(obj, rng.randrange(4))
                 for obj in rng.sample(objects, rng.randrange(1, 3))
             ]
-            monitor.observe_commit(f"t{i}", f"s{rng.randrange(4)}", events)
-            assert (
-                monitor._attribution_count
-                == monitor.state_size()["value_attributions"]
+            history.append((f"t{i}", f"s{rng.randrange(4)}", events))
+        table = {obj: {value: 0} for obj, value in initial.items()}
+        monitor = ConsistencyMonitor("SI", initial, window=window)
+        for commit in sourced_commits(history, initial, lenient=True):
+            assert commit.sources == tuple(
+                table[op.obj][op.value] for op in commit.events
+                if op.is_read
             )
+            for op in commit.events[len(commit.sources):]:
+                table.setdefault(op.obj, {})[op.value] = commit.commit_ts
+            monitor.observe_commit(commit)
+        assert monitor.commit_count == 300
 
     def test_window_must_be_at_least_two(self):
         with pytest.raises(MonitorError):

@@ -153,7 +153,7 @@ class TestLazyChains:
 
     def test_reads_of_unwritten_objects_build_no_chain(self, store):
         assert store.read_at("x", 5) == Version(0, 0, "t_init")
-        assert store.value_at("y", 0) == 10
+        assert store.value_at("y", 0) == (10, 0)
         assert store.latest("y") == Version(10, 0, "t_init")
         assert store.latest_commit_ts("x") == 0
         assert not store.modified_since("x", 0)
@@ -167,7 +167,7 @@ class TestLazyChains:
             Version(0, 0, "t_init"), Version(5, 3, "t1"),
         ]
         assert store.read_at("x", 2).value == 0
-        assert store.value_at("x", 3) == 5
+        assert store.value_at("x", 3) == (5, 3)
 
     @pytest.mark.parametrize("written", [False, True])
     def test_unknown_objects_rejected(self, store, written):
@@ -210,7 +210,7 @@ class TestLazyChains:
             store.read_at("x", 1)
         # An unwritten object keeps its initial version at every horizon.
         assert store.read_at("y", 0).value == 10
-        assert store.value_at("y", 2) == 10
+        assert store.value_at("y", 2) == (10, 0)
 
     def test_chain_accessor_builds_one_chain(self, store):
         chain = store._chain("x")
@@ -233,7 +233,7 @@ class TestSharedInitial:
         engine = SIEngine(initial)
         initial["x"] = 99
         assert engine.initial == {"x": 0}
-        assert engine.store.value_at("x", 0) == 0
+        assert engine.store.value_at("x", 0) == (0, 0)
 
     def test_psi_replicas_share_the_engine_initial(self):
         engine = PSIEngine({"x": 0, "y": 0})

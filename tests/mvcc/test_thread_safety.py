@@ -223,7 +223,7 @@ def test_first_writes_racing_lock_free_readers():
         for i in (snapshot_ts, snapshot_ts + 1, snapshot_ts + 2):
             if 1 <= i <= FIRST_WRITES:
                 expected = i if i <= snapshot_ts else 0
-                got = store.value_at(f"o{i}", snapshot_ts)
+                got, _ = store.value_at(f"o{i}", snapshot_ts)
                 assert got == expected, (i, snapshot_ts, got)
                 assert store.read_at(f"o{i}", snapshot_ts).value == expected
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.monitor import ConsistencyMonitor, MonitorError
+from repro.monitor import ConsistencyMonitor, MonitorError, watch_engine
 from repro.mvcc import SIEngine
 from repro.mvcc.runtime import ReadOp, WriteOp
 from repro.service import LoadGenerator, TransactionService, smallbank_mix
@@ -25,13 +25,26 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 class StaleReadSIEngine(SIEngine):
     """An SI engine with a planted bug: a read ignores every commit and
-    returns the object's initial value."""
+    returns the object's initial version (a wrong version, reported as
+    what it is: commit_ts 0)."""
 
     def read(self, ctx, obj):
         ctx.ensure_active()
         if obj in ctx.write_buffer:
             return self._record_read(ctx, obj, ctx.write_buffer[obj])
-        return self._record_read(ctx, obj, self.initial[obj])
+        return self._record_read(ctx, obj, self.initial[obj], 0)
+
+
+class WrongValueSIEngine(SIEngine):
+    """An SI engine with a planted bug: a read returns the right
+    version's commit_ts but a value 1,000 off what it holds."""
+
+    def read(self, ctx, obj):
+        ctx.ensure_active()
+        if obj in ctx.write_buffer:
+            return self._record_read(ctx, obj, ctx.write_buffer[obj])
+        value, source = self.store.value_at(obj, ctx.start_ts)
+        return self._record_read(ctx, obj, value + 1000, source)
 
 
 def read_then_write(value, obj="x"):
@@ -86,6 +99,27 @@ class TestStaleValueIsFlagged:
             assert [v.tid for v in audit.violations] == [
                 v.tid for v in service.violations
             ]
+
+    def test_wrong_value_engine_caught_by_certifier_audit_and_watch(
+        self, tmp_path
+    ):
+        engine = WrongValueSIEngine({"x": 0})
+        wal = WriteAheadLog(
+            str(tmp_path / "wal"), fsync_policy="none",
+            meta={"engine": "SI", "init": {"x": 0},
+                  "init_tid": engine.init_tid, "model": "SI"},
+        )
+        service = TransactionService.certified(engine, window=16, wal=wal)
+        session = service.session()
+        session.run(read_then_write(1))  # reads x=1000 from t_init (#0)
+        with pytest.raises(MonitorError, match="but its source t_init"):
+            service.drain()
+        service.close()
+        audit = audit_log(wal.directory, model="SI")
+        assert not audit.consistent
+        assert "but its source t_init (#0) wrote 0" in audit.monitor_error
+        with pytest.raises(MonitorError, match="but its source"):
+            watch_engine(engine)
 
     def test_correct_engine_stays_clean(self):
         service = TransactionService.certified(SIEngine({"x": 0}), window=16)

@@ -156,7 +156,7 @@ class TestMonitorIntegration:
 
     def test_monitor_error_does_not_leak_the_admission_slot(self):
         # The monitor has no initial value for 'x', so a read of the
-        # engine's initial 0 is unattributable in strict mode.
+        # engine's initial 0 names a writer that did not write 'x'.
         monitor = ConsistencyMonitor("SI", {}, window=16)
         service = TransactionService(
             SIEngine({"x": 0}), monitor, max_concurrent=1
@@ -165,7 +165,7 @@ class TestMonitorIntegration:
         session.begin()
         session.read("x")
         session.commit()  # the commit stands; the certifier objects
-        with pytest.raises(MonitorError, match="matches no committed write"):
+        with pytest.raises(MonitorError, match="did not write x"):
             service.drain()
         # Slot free and session reusable despite the monitor blow-up.
         fresh = service.session()

@@ -20,7 +20,8 @@ def forge_commit_payload(ints, strs, shape, floats=()):
     """A commit payload holding exactly these tables.
 
     ``ints`` starts with ``commit_ts``, ``snapshot`` and the number of
-    extra tids; ``strs`` with the tid, the session and the extra tids;
+    extra tids and ends with the sources; ``strs`` starts with the tid,
+    the session and the extra tids;
     ``shape`` is the tag bytes of the ops and their values.
     """
     lengths = [len(s) for s in strs]

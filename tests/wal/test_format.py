@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.events import read as read_op, write as write_op
 from repro.io.json_format import FormatError
 from repro.mvcc import PSIEngine, SIEngine
-from repro.mvcc.engine import CommitRecord
+from repro.mvcc.engine import CommitRecord, store_reads
 from repro.wal.format import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -41,7 +41,7 @@ def make_record(ts=1, tid=None, values=(0, 1)):
         session="client-1",
         commit_ts=ts,
         events=(read_op("x", values[0]), write_op("x", values[1])),
-        snapshot=ts - 1,
+        snapshot=ts - 1, sources=(0,),
     )
 
 
@@ -138,12 +138,12 @@ class TestCommitPayloads:
         assert (back.snapshot, back.extra) == (record.snapshot, record.extra)
 
     def test_tuple_values_survive(self):
-        # The service's value tagger writes (logical, seq) tuples; a
-        # codec that flattened them to lists would break them.
+        # Values tagged as (logical, seq) tuples; a codec that flattened
+        # them to lists would break them.
         record = CommitRecord(
             tid="t1", session="s", commit_ts=1,
             events=(read_op("x", (5, 2)), write_op("x", (6, 3))),
-            snapshot=0,
+            snapshot=0, sources=(0,),
         )
         back = round_trip(record)
         assert back == record
@@ -209,10 +209,10 @@ class TestCommitPayloads:
             tid="t9", session="s\u00e9", commit_ts=9,
             events=(read_op("x", (1, -2)), write_op("y", [1.5, "z", None]),
                     write_op("x", {True: b"\x01"})),
-            snapshot=4, extra=frozenset({"t6", "t5"}),
+            snapshot=4, extra=frozenset({"t6", "t5"}), sources=(3,),
         )
         payload = forge_commit_payload(
-            [9, 4, 2, 2, 1, -2, 3, 1],
+            [9, 4, 2, 2, 1, -2, 3, 1, 3],
             ["t9", "s\u00e9", "t5", "t6", "x", "y", "z", "x", "\x01"],
             b"rtii" b"wlfsN" b"wdTb",
             floats=[1.5],
@@ -310,6 +310,7 @@ class TestValueCodec:
                 write_op("z", ["\ud800", 1 << 70, False, -0.0]),
             ),
             snapshot=69990, extra=frozenset({"t1", "t2"}),
+            sources=(69989,),
         ),
     ]
 
@@ -391,9 +392,65 @@ class TestValueCodec:
             commit_record_to_payload(record)
 
 
-PINNED_COMMIT_SIZE = 67
+class TestSources:
+    """A read served from the store carries its version's commit_ts
+    (0 for the initial version) at the end of the int table; a read of
+    the transaction's own write carries none."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           ops=st.lists(st.tuples(st.booleans(), st.sampled_from("xyz"),
+                                  st.integers(-5, 5)), max_size=8),
+           commit_ts=st.integers(min_value=1, max_value=1 << 40))
+    def test_sources_round_trip(self, data, ops, commit_ts):
+        events = tuple(
+            (read_op if is_read else write_op)(obj, value)
+            for is_read, obj, value in ops
+        )
+        served = len(store_reads(events))
+        sources = tuple(data.draw(st.lists(
+            st.integers(0, commit_ts - 1), min_size=served,
+            max_size=served,
+        )))
+        record = CommitRecord("t1", "s", commit_ts, events, commit_ts - 1,
+                              sources=sources)
+        back = round_trip(record)
+        assert back == record
+        assert back.sources == sources
+
+    def test_reads_of_own_writes_have_no_source(self):
+        record = CommitRecord(
+            "t3", "s", 3,
+            (read_op("x", 1), write_op("x", 2), read_op("x", 2),
+             read_op("y", 0), read_op("y", 0)),
+            2, sources=(1, 0, 0),
+        )
+        assert round_trip(record).sources == (1, 0, 0)
+
+    @pytest.mark.parametrize("ints, shape, reason", [
+        ([2, 1, 0, 5], b"ri", "missing"),           # a source missing
+        ([2, 1, 0, 5, 1, 1], b"ri", "unused"),      # one too many
+        ([2, 1, 0, 5, 5, 0], b"wiri", "unused"),    # own write: none
+        ([2, 1, 0, 5, 2], b"ri", "outside"),        # >= its commit_ts
+        ([2, 1, 0, 5, -1], b"ri", "outside"),       # negative
+    ])
+    def test_forged_sources_are_format_errors(self, ints, shape, reason):
+        objs = ["x"] * (len(shape) // 2)
+        payload = forge_commit_payload(ints, ["t2", "s", *objs], shape)
+        with pytest.raises(FormatError, match=reason):
+            commit_record_from_payload(payload)
+
+    @pytest.mark.parametrize("sources", [(), (0, 0), (2,), (-1,)])
+    def test_encoder_refuses_what_the_decoder_would(self, sources):
+        record = CommitRecord("t2", "s", 2, (read_op("x", 5),), 1,
+                              sources=sources)
+        with pytest.raises(ValueError, match="sources"):
+            commit_record_to_payload(record)
+
+
+PINNED_COMMIT_SIZE = 84
 PINNED_COMMIT_DIGEST = (
-    "d8d8eda5fdcc5b4a9783e4c24741587a4f498be442ab9017de4742dda97ead8a"
+    "46021708d072afe0f54bd41826786c23ac53fb31bfeffe181df2ddc83ce09061"
 )
 """The frame of ``TestMetaPayloads.test_commit_frame_bytes_are_pinned``'s
 record: a changed commit encoding needs a new segment magic."""
@@ -410,7 +467,7 @@ class TestMetaPayloads:
             engine="PSI", init={}, init_tid="t_zero", model="PSI",
             segment=3, first_ts=17,
         )
-        assert meta.extra == {"note": "hi"}
+        assert "note" not in doc  # free-form keys are not written
         state = state_from_payload(state_to_payload(log["init"]))
         assert state == {"x": (0, 0), "y": 1}
         assert isinstance(state["x"], tuple)
@@ -426,8 +483,9 @@ class TestMetaPayloads:
 
     # sha256 of the meta and state frame payloads of a log's first
     # segment.  The meta frame is ``json.dumps(doc, sort_keys=True)``
-    # of the document without ``init``; a changed encoding of either
-    # needs a new segment magic.
+    # of the engine, init tid, model, segment and first commit (no
+    # ``init``, no other key); a changed encoding of either needs a new
+    # segment magic.
     PINNED = [
         pytest.param(
             {"engine": "SI", "init_tid": "t_init", "model": "SI",
@@ -447,8 +505,8 @@ class TestMetaPayloads:
              "note": "hi", "zeta": [1, 2], "aardvark": {"q": 1},
              "segment": 99},
             7, 123,
-            130,
-            "4e63e3bb213b7fb2dbada91321b251f7baf74089d0d1a7eaff678a03ae60b0e9",
+            86,
+            "215b36383b13452e8dd3227b1b202c1be7379930a2b03cbca85899bdaab07dbc",
             81,
             "d5a02c42463abd3c2e66ec86b19c7ae6c8fb76056c1e423edd36f5dba31ca149",
             id="mixed",
@@ -471,13 +529,15 @@ class TestMetaPayloads:
             assert hashlib.sha256(payload).hexdigest() == digest
 
     def test_commit_frame_bytes_are_pinned(self):
-        # A commit frame holds exactly the record's six fields; a field
-        # added back (or a changed encoding) needs a new segment magic.
+        # A commit frame holds exactly the record's seven fields; a
+        # field added back (or a changed encoding) needs a new segment
+        # magic.
         record = CommitRecord(
             tid="t7", session="client-2", commit_ts=7,
             events=(read_op("x", (5, 2)), write_op("x", (6, 3)),
-                    write_op("y", 1), write_op("x", 9)),
-            snapshot=4, extra=frozenset({"t6", "t5"}),
+                    write_op("y", 1), write_op("x", 9), read_op("x", 9),
+                    read_op("y", 1), read_op("z", 0)),
+            snapshot=4, extra=frozenset({"t6", "t5"}), sources=(3, 0),
         )
         frame = encode_frame(commit_record_to_payload(record))
         assert len(frame) == PINNED_COMMIT_SIZE

@@ -326,7 +326,7 @@ class TestRotationAndRetention:
                     op(f"obj{ts * 131 % 40_000 + k}", (ts, k))
                     for k in range(3) for op in (read_op, write_op)
                 ),
-                snapshot=ts - 1,
+                snapshot=ts - 1, sources=(0, 0, 0),
             )
 
         logs = {}
@@ -509,6 +509,21 @@ class TestValidation:
     def test_bad_sizes_rejected(self, tmp_path):
         with pytest.raises(WalError):
             make_log(tmp_path, segment_max_bytes=0)
+
+    def test_unencodable_init_leaves_no_directory(self, tmp_path):
+        directory = tmp_path / "wal"
+        with pytest.raises(TypeError):
+            WriteAheadLog(str(directory), meta={"init": {"x": object()}})
+        assert not directory.exists()
+
+    def test_reopened_log_does_not_encode_the_initial_state(self, tmp_path):
+        # Segment 1 holds the state frame; a log reopened over the
+        # directory has no use for the init it is given.
+        make_log(tmp_path, fsync_policy="none").close()
+        log = WriteAheadLog(str(tmp_path / "wal"), fsync_policy="none",
+                            meta={"init": {"x": object()}})
+        log.close()
+        assert len(log.segments()) == 2
 
     def test_unencodable_record_poisons_log(self, tmp_path):
         log = make_log(tmp_path, fsync_policy="none")

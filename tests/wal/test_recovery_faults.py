@@ -22,9 +22,11 @@ from repro.service import TransactionService
 from repro.wal import WriteAheadLog, audit_log, recover, scan
 from repro.wal.format import (
     SEGMENT_MAGIC,
+    STATE_KIND,
     commit_record_to_payload,
     encode_frame,
     meta_to_payload,
+    scan_frames,
     segment_name,
     state_to_payload,
 )
@@ -182,14 +184,14 @@ class TestCorruption:
         )
         reader = CommitRecord(
             tid="t2", session="s2", commit_ts=2,
-            events=(read_op("x", 1),), snapshot=1,
+            events=(read_op("x", 1),), snapshot=1, sources=(1,),
         )
         write_segment(directory, meta, [
             commit_record_to_payload(r) for r in (writer, reader)
         ])
         result = recover(str(directory))
         assert result.records_recovered == 2 and not result.truncated
-        assert result.engine.store.value_at("x", 2) == 1
+        assert result.engine.store.value_at("x", 2) == (1, 1)
         assert result.engine.committed[0].writes == {"x": 1}
         audit = audit_log(str(directory))
         assert audit.commits_observed == 2 and audit.consistent
@@ -309,26 +311,21 @@ class TestStateFrame:
         )))
         self.assert_unrecoverable(tmp_path, "bad state frame")
 
-    def test_a_later_state_frame_is_checked_not_decoded(self, tmp_path):
-        # A log reopened over the directory writes a state frame into
-        # its first segment; only its CRC is read.
+    def test_a_later_state_frame_is_damage(self, tmp_path):
+        # A log holds one state frame, in its first segment; a state
+        # frame anywhere else is not read as a header.
         write_segment(tmp_path, self.META, [self.record(1)])
-        later = (
+        (tmp_path / segment_name(2)).write_bytes(
             SEGMENT_MAGIC
             + encode_frame(meta_to_payload(self.META, 2, first_ts=2))
-            + encode_frame(b"S not a state payload")
+            + encode_frame(state_to_payload(self.META["init"]))
             + encode_frame(self.record(2))
         )
-        (tmp_path / segment_name(2)).write_bytes(later)
         result = recover(str(tmp_path))
-        assert result.records_recovered == 2 and not result.truncated
+        assert result.records_recovered == 1 and result.truncated
+        assert result.damage[0].segment == segment_name(2)
+        assert "expected a commit frame" in result.damage[0].reason
         assert result.meta.init == self.META["init"]
-        (tmp_path / segment_name(2)).write_bytes(
-            later.replace(b"S not a", b"S NOT A")
-        )
-        result = recover(str(tmp_path))
-        assert result.records_recovered == 1
-        assert "CRC" in result.damage[0].reason
 
     def test_reopened_log_recovers_whole(self, tmp_path):
         engine = SIEngine(dict(self.META["init"]))
@@ -340,6 +337,15 @@ class TestStateFrame:
                 engine.write(txn, "y", engine.read(txn, "y") + 1)
                 wal.append(engine.commit(txn))
             wal.close()
+        # The reopened log wrote no second state frame.
+        states = [
+            payload
+            for path in sorted(tmp_path.iterdir())
+            for payload in scan_frames(path.read_bytes(),
+                                       len(SEGMENT_MAGIC))[0]
+            if payload[:1] == STATE_KIND
+        ]
+        assert states == [state_to_payload(self.META["init"])]
         result = recover(str(tmp_path))
         assert result.segments_scanned == 2 and not result.truncated
         assert result.engine.committed == engine.committed

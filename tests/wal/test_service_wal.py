@@ -1,8 +1,8 @@
 """End-to-end durability: service runs with a WAL attached recover to
 bit-identical state, and the offline audit matches the live monitor.
 
-These are the acceptance-criteria tests: seeded concurrent runs (tagged
-tuple values included), recovery equality on the full ``CommitRecord``
+These are the acceptance-criteria tests: seeded concurrent runs (and
+tagged tuple values), recovery equality on the full ``CommitRecord``
 level (not just tid equality), recovered engines that keep serving, and
 live-vs-offline verdict parity.
 """
@@ -12,10 +12,16 @@ import threading
 
 import pytest
 
+from repro.monitor import MonitorError, sourced_commits
 from repro.mvcc import PSIEngine, SerializableEngine, SIEngine
 from repro.mvcc.locking import TwoPhaseLockingEngine
 from repro.mvcc.runtime import ReadOp, WriteOp
-from repro.service import MIXES, LoadGenerator, TransactionService
+from repro.service import (
+    MIXES,
+    LoadGenerator,
+    TransactionService,
+    smallbank_mix,
+)
 from repro.wal import FSYNC_POLICIES, WriteAheadLog, audit_log, recover
 from tests.wal.test_format import canonical
 
@@ -60,21 +66,33 @@ class TestRoundTrip:
         assert not result.truncated
         assert result.records_recovered == len(engine.committed)
         # Full structural equality of the commit records — tids,
-        # sessions, timestamps, events (with tagged tuple values),
-        # writes, and snapshot visibility sets.
+        # sessions, timestamps, events, the reads' sources, writes, and
+        # snapshot visibility sets.
         assert result.engine.committed == engine.committed
         assert result.engine.history() == engine.history()
 
     def test_tagged_tuple_values_round_trip(self, tmp_path):
-        # SmallBank writes ValueTagger tuples; a JSON round trip that
-        # flattened them to lists would break this equality.
-        engine, wal, _, _ = run_with_wal(tmp_path, "SI")
-        tupled = [
-            record for record in engine.committed
-            if any(isinstance(v, tuple) for v in record.writes.values())
-        ]
-        assert tupled, "SmallBank must produce tagged tuple values"
+        # Values tagged with a sequence number, (value, seq) tuples; a
+        # JSON round trip that flattened them to lists would break this
+        # equality.
+        engine = SIEngine({"x": (0, 0)})
+        wal = WriteAheadLog(
+            str(tmp_path / "wal"), fsync_policy="none",
+            meta={"engine": "SI", "init": engine.initial,
+                  "init_tid": engine.init_tid, "model": "SI"},
+        )
+        service = TransactionService.certified(engine, wal=wal)
+
+        def bump():
+            value, seq = yield ReadOp("x")
+            yield WriteOp("x", (value + 1, seq + 1))
+
+        for _ in range(3):
+            service.session().run(bump)
+        service.close()
+        assert service.violations == []
         recovered = recover(wal.directory).engine
+        assert recovered.committed == engine.committed
         for mine, theirs in zip(engine.committed, recovered.committed):
             assert mine.writes == theirs.writes
             for a, b in zip(mine.events, theirs.events):
@@ -161,8 +179,8 @@ class TestRoundTrip:
                                   result.engine.initial,
                                   audit_log(wal.directory).meta.init):
             assert canonical(dict(recovered_initial)) == canonical(initial)
-        assert result.engine.store.value_at("x", 1) == {1: "a"}
-        assert list(result.engine.store.value_at("x", 1)) == [1]
+        assert result.engine.store.value_at("x", 1) == ({1: "a"}, 0)
+        assert list(result.engine.store.value_at("x", 1)[0]) == [1]
 
     def test_abstract_execution_reconstructs(self, tmp_path):
         engine, wal, _, _ = run_with_wal(tmp_path, "SI", workers=2, txns=5)
@@ -193,6 +211,78 @@ class TestAuditParity:
         audit = audit_log(wal.directory)  # no window: full graph
         assert audit.commits_observed == len(engine.committed)
         assert audit.consistent
+
+
+class TestRepeatedValues:
+    """Plain, repeating values are certified: each read carries its
+    version's commit_ts, so no value has to name one writer."""
+
+    @staticmethod
+    def certified(tmp_path, engine):
+        """A certified service over ``engine``, logging to a fresh
+        directory; returns it and its log."""
+        wal = WriteAheadLog(
+            str(tmp_path / "wal"), fsync_policy="none",
+            meta={"engine": "SI", "init": engine.initial,
+                  "init_tid": engine.init_tid, "model": "SI"},
+        )
+        service = TransactionService.certified(
+            engine, window=16, max_retries=200, wal=wal,
+        )
+        return service, wal
+
+    @staticmethod
+    def black_box(engine):
+        """The run as a black-box history: values only."""
+        return [
+            (r.tid, r.session, r.events)
+            for r in sorted(engine.committed, key=lambda r: r.commit_ts)
+        ]
+
+    def test_counters_reset_to_zero_certify(self, tmp_path):
+        def bump_or_reset(i):
+            def tx():
+                value = yield ReadOp(f"c{i % 2}")
+                yield WriteOp(f"c{i % 2}", 0 if i % 3 == 2 else value + 1)
+
+            return tx
+
+        engine = SIEngine({"c0": 0, "c1": 0})
+        service, wal = self.certified(tmp_path, engine)
+        for i in range(30):
+            service.session(f"s{i % 3}").run(bump_or_reset(i))
+        service.close()
+        assert service.violations == [] and service.monitor.consistent
+        audit = audit_log(wal.directory, model="SI")
+        assert audit.consistent and audit.commits_observed == 30
+        # By value, the same run is ambiguous: several commits wrote 0
+        # (and 1) to each counter.
+        with pytest.raises(MonitorError, match="ambiguous"):
+            list(sourced_commits(self.black_box(engine), engine.initial))
+
+    def test_untagged_smallbank_certifies(self, tmp_path):
+        mix = smallbank_mix(customers=2, weights={
+            "Amalgamate": 40, "Balance": 30, "DepositChecking": 10,
+            "TransactSavings": 10, "WriteCheck": 10,
+        })
+        engine = SIEngine(mix.initial)
+        service, wal = self.certified(tmp_path, engine)
+        result = LoadGenerator(
+            service, mix, workers=3, transactions_per_worker=20, seed=4,
+        ).run()
+        assert result.violations == 0 and service.monitor.consistent
+        service.close()
+        # Amalgamate zeroed some account more than once.
+        zeroes = [
+            obj for record in engine.committed
+            for obj, value in record.writes.items() if value == 0
+        ]
+        assert len(zeroes) > len(set(zeroes))
+        audit = audit_log(wal.directory, model="SI")
+        assert audit.consistent
+        assert audit.commits_observed == len(engine.committed)
+        with pytest.raises(MonitorError, match="ambiguous"):
+            list(sourced_commits(self.black_box(engine), engine.initial))
 
 
 class TestDurabilityMetrics:
