@@ -36,9 +36,14 @@ class OpKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class Op:
     """An operation label ``read(x, n)`` or ``write(x, n)``.
+
+    Immutable by contract, not enforced: an op is hashed, shared between
+    records and logged, so nothing assigns to its fields after
+    construction.  It is a plain slotted class rather than a frozen
+    dataclass because one is built for every read, write and decoded
+    log entry; equality, hashing and ``repr`` are the dataclass ones.
 
     Attributes:
         kind: whether the operation is a read or a write.
@@ -46,9 +51,32 @@ class Op:
         value: the value read or written.
     """
 
+    __slots__ = ("kind", "obj", "value")
+
     kind: OpKind
     obj: Obj
     value: Value
+
+    def __init__(self, kind: OpKind, obj: Obj, value: Value):
+        self.kind = kind
+        self.obj = obj
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind, self.obj, self.value) == (
+                other.kind, other.obj, other.value
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.obj, self.value))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(kind={self.kind!r}, "
+            f"obj={self.obj!r}, value={self.value!r})"
+        )
 
     @property
     def is_read(self) -> bool:

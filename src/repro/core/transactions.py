@@ -33,6 +33,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .errors import InternalConsistencyError
 from .events import Event, Obj, Op, OpKind, Value, read, write
 
+_WRITE = OpKind.WRITE
+
 Footprint = Tuple[Dict[Obj, Value], Dict[Obj, Value]]
 """``(external_reads, final_writes)``: object → value maps of the
 ``T ⊢ read(x, n)`` and ``T ⊢ write(x, n)`` judgements."""
@@ -50,7 +52,7 @@ def footprint(ops: Iterable[Op]) -> Footprint:
     writes: Dict[Obj, Value] = {}
     for op in ops:
         obj = op.obj
-        if op.kind is OpKind.WRITE:
+        if op.kind is _WRITE:
             writes[obj] = op.value
         elif obj not in writes and obj not in reads:
             reads[obj] = op.value
@@ -59,7 +61,11 @@ def footprint(ops: Iterable[Op]) -> Footprint:
 
 def final_writes(ops: Iterable[Op]) -> Dict[Obj, Value]:
     """The write half of :func:`footprint`, without the reads."""
-    return {op.obj: op.value for op in ops if op.kind is OpKind.WRITE}
+    writes: Dict[Obj, Value] = {}
+    for op in ops:
+        if op.kind is _WRITE:
+            writes[op.obj] = op.value
+    return writes
 
 
 @dataclass(frozen=True)

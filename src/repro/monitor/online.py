@@ -136,6 +136,7 @@ class _TxnRecord:
 
 
 _UNWRITTEN = object()
+_WRITE = OpKind.WRITE
 
 
 class ConsistencyMonitor:
@@ -518,7 +519,7 @@ def _sourced_footprint(
     served = 0
     for op in record.events:
         obj = op.obj
-        if op.kind is OpKind.WRITE:
+        if op.kind is _WRITE:
             writes[obj] = op.value
         elif obj not in writes:
             if served < len(sources) and obj not in reads:

@@ -50,7 +50,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..core.errors import StoreError, TransactionAborted
-from ..core.events import Obj, Op, Value, read as read_op, write as write_op
+from ..core.events import (
+    Obj, Op, OpKind, Value, read as read_op, write as write_op,
+)
 from ..core.executions import AbstractExecution
 from ..core.histories import History
 from ..core.relations import Relation
@@ -96,21 +98,6 @@ class TxContext:
             )
 
 
-class _DerivedWrites:
-    """:attr:`CommitRecord.writes`: computed from ``events`` on the first
-    read and stored in the record's ``__dict__``, which shadows this
-    non-data descriptor, so every later read is a plain attribute
-    lookup.  (``functools.cached_property`` does the same, but before
-    Python 3.12 under one lock shared by every instance.)"""
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self
-        writes = record.__dict__["writes"] = final_writes(record.events)
-        return writes
-
-
-@dataclass(frozen=True)
 class CommitRecord:
     """What the engine remembers about a committed transaction.
 
@@ -125,23 +112,86 @@ class CommitRecord:
 
     ``events`` is the one record of what the transaction did: its
     writes are derived from it, not stored beside it.
+
+    Immutable by contract, not enforced: records are hashed, logged and
+    shared between an engine, its log and its monitor, so nothing
+    assigns to a field after construction.  It is a plain slotted class
+    rather than a frozen dataclass because one is built for every
+    commit and every decoded log frame; equality, hashing and ``repr``
+    are the dataclass ones over the seven fields below.
+
+    Attributes:
+        tid, session, commit_ts, events: who committed what, when.
+        snapshot: the snapshot frontier: every commit at or below it is
+            visible.
+        extra: tids of the commits above the frontier that are also
+            visible.
+        sources: for each of :func:`store_reads`, the ``commit_ts`` of
+            the version it returned (0 for an initial version).
     """
+
+    __slots__ = ("tid", "session", "commit_ts", "events", "snapshot",
+                 "extra", "sources", "_writes")
 
     tid: str
     session: str
     commit_ts: int
     events: Tuple[Op, ...]
     snapshot: int
-    """The snapshot frontier: every commit at or below it is visible."""
-    extra: frozenset = frozenset()
-    """Tids of the commits above the frontier that are also visible."""
-    sources: Tuple[int, ...] = ()
-    """For each of :func:`store_reads`, the ``commit_ts`` of the
-    version it returned (0 for an initial version)."""
+    extra: frozenset
+    sources: Tuple[int, ...]
 
-    writes = _DerivedWrites()
-    """The final value written to each object (``T ⊢ write(x, n)``),
-    derived from ``events`` on first use."""
+    def __init__(
+        self,
+        tid: str,
+        session: str,
+        commit_ts: int,
+        events: Tuple[Op, ...],
+        snapshot: int,
+        extra: frozenset = frozenset(),
+        sources: Tuple[int, ...] = (),
+    ):
+        self.tid = tid
+        self.session = session
+        self.commit_ts = commit_ts
+        self.events = events
+        self.snapshot = snapshot
+        self.extra = extra
+        self.sources = sources
+        self._writes = None
+
+    @property
+    def writes(self) -> Dict[Obj, Value]:
+        """The final value written to each object (``T ⊢ write(x, n)``),
+        derived from ``events`` on the first read and kept in a slot.
+        Not a field: it is outside equality, hashing and ``repr``."""
+        writes = self._writes
+        if writes is None:
+            writes = self._writes = final_writes(self.events)
+        return writes
+
+    def _fields(self) -> tuple:
+        return (self.tid, self.session, self.commit_ts, self.events,
+                self.snapshot, self.extra, self.sources)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(tid={self.tid!r}, "
+            f"session={self.session!r}, commit_ts={self.commit_ts!r}, "
+            f"events={self.events!r}, snapshot={self.snapshot!r}, "
+            f"extra={self.extra!r}, sources={self.sources!r})"
+        )
+
+
+_WRITE = OpKind.WRITE
 
 
 def store_reads(events: Iterable[Op]) -> List[Op]:
@@ -150,7 +200,7 @@ def store_reads(events: Iterable[Op]) -> List[Op]:
     written: Set[Obj] = set()
     served = []
     for op in events:
-        if op.is_write:
+        if op.kind is _WRITE:
             written.add(op.obj)
         elif op.obj not in written:
             served.append(op)

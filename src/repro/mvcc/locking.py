@@ -175,8 +175,9 @@ class TwoPhaseLockingEngine(BaseEngine):
     def _replay_install(self, record: CommitRecord) -> None:
         """Install a replayed commit at its original timestamp (no locks
         to acquire — the original run already serialised it)."""
-        if record.writes:
-            self.store.install(record.writes, record.commit_ts, record.tid)
+        writes = record.writes
+        if writes:
+            self.store.install(writes, record.commit_ts, record.tid)
         self._clock = record.commit_ts
 
     def _lock_failure(

@@ -159,6 +159,7 @@ class SIEngine(BaseEngine):
         """Install a replayed commit's writes at its original timestamp
         and move the snapshot frontier there (covers the serializable
         subclass too — replay skips validation either way)."""
-        if record.writes:
-            self.store.install(record.writes, record.commit_ts, record.tid)
+        writes = record.writes
+        if writes:
+            self.store.install(writes, record.commit_ts, record.tid)
         self._clock = record.commit_ts

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
@@ -67,9 +66,12 @@ def shared_initial(initial: Mapping[Obj, Value]) -> Mapping[Obj, Value]:
     return MappingProxyType(dict(initial))
 
 
-@dataclass(frozen=True)
 class Version:
     """One committed version of an object.
+
+    Immutable by contract, not enforced (a plain slotted class, built
+    for every installed write); equality, hashing and ``repr`` are the
+    dataclass ones.
 
     Attributes:
         value: the stored value.
@@ -77,9 +79,32 @@ class Version:
         writer: the tid of the writing transaction.
     """
 
+    __slots__ = ("value", "commit_ts", "writer")
+
     value: Value
     commit_ts: int
     writer: str
+
+    def __init__(self, value: Value, commit_ts: int, writer: str):
+        self.value = value
+        self.commit_ts = commit_ts
+        self.writer = writer
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.value, self.commit_ts, self.writer) == (
+                other.value, other.commit_ts, other.writer
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.commit_ts, self.writer))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(value={self.value!r}, "
+            f"commit_ts={self.commit_ts!r}, writer={self.writer!r})"
+        )
 
 
 class _VersionChain:

@@ -392,7 +392,7 @@ def commit_record_to_payload(record: CommitRecord) -> bytes:
     strs = [record.tid, record.session, *extra]
     floats: List[float] = []
     shape = bytearray()
-    written = set()  # a read of another object has a source
+    written = set()  # store_reads' rule, inlined for speed
     served = 0
     for op in record.events:
         obj = op.obj
@@ -544,7 +544,7 @@ def _decode_commit(payload: bytes) -> CommitRecord:
     i, s = 3, 2 + n_extra
     cursor = [i, s, n_ints + n_strs]
     events = []
-    written = set()  # a read of another object has a source
+    written = set()  # store_reads' rule, inlined for speed
     served = 0
     pos = 0
     end = len(shape)

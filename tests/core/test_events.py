@@ -1,5 +1,7 @@
 """Unit tests for events and operations (Definition 1)."""
 
+import pickle
+
 import pytest
 
 from repro.core.events import Event, Op, OpKind, read, write
@@ -40,6 +42,46 @@ class TestOp:
     def test_values_may_be_arbitrary_hashables(self):
         op = write("x", ("tuple", 1))
         assert op.value == ("tuple", 1)
+
+
+class TestOpContract:
+    """``Op`` is a plain slotted class that keeps the frozen
+    dataclass's equality, hashing and ``repr``."""
+
+    def test_keyword_construction(self):
+        assert Op(kind=OpKind.READ, obj="x", value=1) == read("x", 1)
+
+    def test_never_equals_its_field_tuple_or_an_event(self):
+        op = read("x", 1)
+        assert op != (OpKind.READ, "x", 1)
+        assert (OpKind.READ, "x", 1) != op
+        assert op != Event(0, op)
+        assert op.__eq__((OpKind.READ, "x", 1)) is NotImplemented
+
+    def test_hash_is_the_field_tuple_hash(self):
+        op = write("x", ("a", 2))
+        assert hash(op) == hash((OpKind.WRITE, "x", ("a", 2)))
+        assert hash(op) == hash(write("x", ("a", 2)))
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(read("x", 1)) == (
+            "Op(kind=<OpKind.READ: 'read'>, obj='x', value=1)"
+        )
+        assert repr(write("y", ("a", None))) == (
+            "Op(kind=<OpKind.WRITE: 'write'>, obj='y', value=('a', None))"
+        )
+
+    def test_no_instance_dict(self):
+        op = read("x", 1)
+        assert not hasattr(op, "__dict__")
+        with pytest.raises(AttributeError):
+            op.note = "extra"
+
+    def test_pickles_at_highest_protocol(self):
+        op = write("x", {"k": (1, 2)})
+        copy = pickle.loads(pickle.dumps(op, pickle.HIGHEST_PROTOCOL))
+        assert type(copy) is Op and copy == op
+        assert copy.kind is OpKind.WRITE
 
 
 class TestEvent:

@@ -1,6 +1,5 @@
 """Frame codec tests: framing, CRC, and bit-identical payload round trips."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -343,9 +342,7 @@ class TestValueCodec:
         assert round_trip(record) == record
         # One level deeper is refused when written, and is damage when
         # forged.
-        deeper = dataclasses.replace(
-            record, events=(write_op("x", (value,)),)
-        )
+        deeper = CommitRecord("t1", "s", 1, (write_op("x", (value,)),), 0)
         with pytest.raises(ValueError, match="nests deeper"):
             commit_record_to_payload(deeper)
         depth = MAX_VALUE_DEPTH + 1
@@ -739,9 +736,13 @@ class TestSnapshotDescriptor:
     def test_malformed_descriptor_rejected(self, field, value):
         # The writer refuses every malformed descriptor, so no frame it
         # writes is one recovery cannot read back.
-        record = dataclasses.replace(make_record(ts=1), **{
-            field: frozenset(value) if isinstance(value, list) else value
-        })
+        base = make_record(ts=1)
+        descriptor = {"snapshot": base.snapshot, "extra": base.extra}
+        descriptor[field] = (
+            frozenset(value) if isinstance(value, list) else value
+        )
+        record = CommitRecord(base.tid, base.session, base.commit_ts,
+                              base.events, sources=base.sources, **descriptor)
         with pytest.raises((TypeError, ValueError)):
             commit_record_to_payload(record)
         # The layout holds the frontier in the int table and extra tids
