@@ -117,11 +117,12 @@ def test_service_report():
 # E25 — engine scaling: lock-free reads, certification off the commit path
 # ----------------------------------------------------------------------
 #
-# The fine-grained concurrency work (per-object lock stripes, lock-free
-# O(log n) snapshot reads) should let throughput grow with worker
-# threads for closed-loop clients (per-transaction think time models
-# the client round trip), with every commit handed off to the service's
-# certifier process inside the commit critical section.  The sweep crosses workers x engine on
+# Lock-free O(log n) snapshot reads, with every other engine step
+# (begin, commit, abort, vacuum) under the engine's one lock, should let
+# throughput grow with worker threads for closed-loop clients
+# (per-transaction think time models the client round trip), with every
+# commit handed off to the service's certifier process inside the commit
+# critical section.  The sweep crosses workers x engine on
 # read-heavy and write-heavy SmallBank mixes and records
 # ``BENCH_engine_scaling.json``.  ``E25_MAX_SECONDS`` caps the sweep
 # (CI smoke); the scaling gate — 4-worker read-heavy SI strictly

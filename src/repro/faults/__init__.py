@@ -5,8 +5,8 @@ repo checks that the promise survives a failing environment.  It has
 three layers:
 
 * :mod:`~repro.faults.plan` — :class:`FaultPlan`: seed-reproducible
-  schedules of fault events (I/O errors, fsync stalls, lock-stripe
-  pauses, slow certification, injected aborts, admission spikes) plus the
+  schedules of fault events (I/O errors, fsync stalls, writers
+  paused in the commit critical section, slow certification, injected aborts, admission spikes) plus the
   named storm profiles the bench sweeps;
 * :mod:`~repro.faults.failpoints` — the process-wide registry of named
   failpoints threaded through ``wal``, ``mvcc``, and ``service``

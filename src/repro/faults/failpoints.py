@@ -16,8 +16,9 @@ points of :data:`~repro.faults.plan.FAILPOINTS`:
                      sync runs inside ``write``, so in the commit
                      critical section).
 ``store.install``    :meth:`~repro.mvcc.store.MVStore.install`, per
-                     object, **while holding the stripe lock** (a delay
-                     models a descheduled writer pinning a stripe).
+                     object, **inside the commit critical section** (the
+                     engine's one lock; a delay models a descheduled
+                     writer stalling every commit, begin and vacuum).
 ``store.read``       :meth:`~repro.mvcc.store.MVStore.read_at` (slow
                      snapshot reads).
 ``monitor.observe``  :meth:`ServiceSession.commit`, before each hand-off

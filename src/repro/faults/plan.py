@@ -7,8 +7,8 @@ failpoints threaded through the stack (see
 (a hit-count window plus a per-hit probability drawn from a seeded
 stream) and *what* it does:
 
-* ``"delay"`` — sleep at the site (fsync stalls, lock-stripe pauses,
-  slow monitor consumers, admission spikes);
+* ``"delay"`` — sleep at the site (fsync stalls, commit-mutex holder
+  pauses, slow monitor consumers, admission spikes);
 * ``"io_error"`` — raise :class:`OSError` (the WAL's writer treats it
   exactly like a real disk failure and poisons the log);
 * ``"abort"`` — raise :class:`~repro.core.errors.FaultInjected`, which
@@ -332,7 +332,9 @@ def preset(
       without data loss) and slow segment writes, which stall the
       commit critical section;
     * ``contention`` — injected commit-time aborts plus thread pauses
-      inside the store's lock stripes (write-conflict storms);
+      inside a store install, where the writer holds its engine's one
+      lock, the commit mutex, so every commit, begin and vacuum waits
+      (write-conflict storms);
     * ``overload`` — admission spikes plus a slow certifier hand-off
       stalling the commit critical section;
     * ``mixed`` — all of the above at once;
@@ -375,7 +377,7 @@ def preset(
             ),
             FaultRule(
                 "store.install", "delay", probability=min(1.0, 0.25 * p),
-                delay=0.0005 + 0.002 * p, detail="stripe-holder pause",
+                delay=0.0005 + 0.002 * p, detail="commit-mutex holder pause",
             ),
         ]
 

@@ -13,25 +13,25 @@ The engines are single-process and deterministic under caller-decided
 interleaving (directly or through :mod:`repro.mvcc.runtime`'s
 scheduler), so anomaly runs are replayable.
 
-Thread-safety.  Snapshot reads take **no engine-wide lock**: a
-snapshot timestamp plus the store's immutable version chains are enough
-(SI never blocks readers, and neither do we).  Commit takes the short
-:attr:`BaseEngine.lock` **commit mutex** covering exactly validate +
-install + timestamp allocation; per-session bookkeeping (open sessions,
-tid allocation, abort counters, vacuum pins) lives under its own small
-:attr:`_session_lock`; per-object chain mutations use the store's
-striped locks.  The lock hierarchy is
-``commit mutex > session lock > store stripes`` — a thread holding a
-lock may only acquire locks strictly to the right, so the engine is
-deadlock-free by construction.  The deterministic replayable scheduler
-is single-threaded, so the locks never contend there.
+Thread-safety.  One lock guards an engine's mutable state: the
+reentrant **commit mutex** :attr:`BaseEngine.lock`.  ``begin`` (tid
+allocation, the session registry, the snapshot and whatever a subclass
+registers for it), commit (validate + install + timestamp allocation),
+``abort`` (releasing what ``begin`` registered), replay and vacuum each
+run as one step under it, as the paper's idealised algorithm (§1) has
+begin and commit as two atomic steps.  Snapshot reads take **no lock**:
+a snapshot timestamp plus the store's append-only version chains are
+enough (SI never blocks readers, and neither do we).  Only the history
+reconstruction cache has a lock of its own, so converting a long
+history never stalls commits.  The deterministic replayable scheduler
+is single-threaded, so the mutex never contends there.
 
 Holding :attr:`BaseEngine.lock` across several calls makes the whole
-group atomic with respect to *commits* (the service layer uses this to
-feed an online monitor in true commit order).  The single remaining
-caller obligation is per-session: a session's transactions must be
-issued sequentially (the engines check this), so give each thread its
-own session.
+group atomic with respect to commits and begins (the service layer
+uses this to feed an online monitor in true commit order).  The single
+remaining caller obligation is per-session: a session's transactions
+must be issued sequentially (the engines check this), so give each
+thread its own session.
 
 Transactions follow the client discipline of Section 5: an aborted
 transaction raises :class:`TransactionAborted` and is expected to be
@@ -248,15 +248,12 @@ class BaseEngine(abc.ABC):
         self.stats = EngineStats()
         self.committed: List[CommitRecord] = []
         self.lock = threading.RLock()
-        """The commit mutex: validate + install + timestamp allocation
-        happen under it, so commits are totally ordered.  Callers may
-        hold it across several calls to group them into one atomic
-        action with respect to commits (e.g. commit + monitor
-        notification)."""
-        self._session_lock = threading.RLock()
-        """Small leaf lock for per-session state: open sessions, tid
-        allocation, abort counters, subclass vacuum pins.  Never held
-        while acquiring another lock."""
+        """The commit mutex, the one lock over the engine's state:
+        begin, commit, abort, replay and vacuum run under it, so
+        commits are totally ordered and a snapshot is taken atomically
+        with its registration.  Callers may hold it across several
+        calls to group them into one atomic action (e.g. commit +
+        monitor notification)."""
         self._next_tid = 1
         self._open_sessions: Set[str] = set()
         # Reconstruction cache: committed[i] converted to a Transaction,
@@ -270,29 +267,28 @@ class BaseEngine(abc.ABC):
     # ------------------------------------------------------------------
 
     def begin(self, session: str) -> TxContext:
-        """Start a transaction in ``session`` (one at a time per session)."""
-        with self._session_lock:
+        """Start a transaction in ``session`` (one at a time per
+        session): allocate its tid and take its snapshot, as one step
+        under the commit mutex."""
+        with self.lock:
             if session in self._open_sessions:
                 raise StoreError(
                     f"session {session!r} already has an active transaction"
                 )
+            tid = f"t{self._next_tid}"
+            self._next_tid += 1
+            ctx = self._make_context(session, tid)
             self._open_sessions.add(session)
-            tid = self._allocate_tid()
-        try:
-            return self._make_context(session, tid)
-        except BaseException:
-            with self._session_lock:
-                self._open_sessions.discard(session)
-            raise
-
-    def _allocate_tid(self) -> str:
-        tid = f"t{self._next_tid}"
-        self._next_tid += 1
-        return tid
+            return ctx
 
     @abc.abstractmethod
     def _make_context(self, session: str, tid: str) -> TxContext:
-        """Create the context (take the snapshot)."""
+        """Create the context: take the snapshot and register whatever
+        :meth:`_release` drops (caller holds the commit mutex)."""
+
+    def _release(self, ctx: TxContext) -> None:
+        """Drop what :meth:`_make_context` registered for ``ctx``, on
+        commit or abort (caller holds the commit mutex)."""
 
     @abc.abstractmethod
     def read(self, ctx: TxContext, obj: Obj) -> Value:
@@ -315,10 +311,11 @@ class BaseEngine(abc.ABC):
     def abort(self, ctx: TxContext, reason: str = "client abort") -> None:
         """Abort an active transaction (also used internally on
         validation failure)."""
-        with self._session_lock:
+        with self.lock:
             ctx.ensure_active()
             ctx.status = TxStatus.ABORTED
             self._open_sessions.discard(ctx.session)
+            self._release(ctx)
             self.stats.record_abort(reason)
 
     def _finish_commit(self, ctx: TxContext, record: CommitRecord) -> None:
@@ -326,8 +323,8 @@ class BaseEngine(abc.ABC):
         ctx.status = TxStatus.COMMITTED
         self.committed.append(record)
         self.stats.commits += 1
-        with self._session_lock:
-            self._open_sessions.discard(ctx.session)
+        self._open_sessions.discard(ctx.session)
+        self._release(ctx)
 
     def _validation_failure(
         self, ctx: TxContext, reason: str
@@ -368,12 +365,11 @@ class BaseEngine(abc.ABC):
                 does not extend the commit order.
         """
         with self.lock:
-            with self._session_lock:
-                if self._open_sessions:
-                    raise StoreError(
-                        f"cannot replay into an engine with active "
-                        f"transactions: {sorted(self._open_sessions)}"
-                    )
+            if self._open_sessions:
+                raise StoreError(
+                    f"cannot replay into an engine with active "
+                    f"transactions: {sorted(self._open_sessions)}"
+                )
             if self.committed and record.commit_ts <= self.committed[-1].commit_ts:
                 raise StoreError(
                     f"replayed commit #{record.commit_ts} ({record.tid}) "
@@ -385,10 +381,7 @@ class BaseEngine(abc.ABC):
             self.stats.commits += 1
             match = self._TID_PATTERN.match(record.tid)
             if match:
-                with self._session_lock:
-                    self._next_tid = max(
-                        self._next_tid, int(match.group(1)) + 1
-                    )
+                self._next_tid = max(self._next_tid, int(match.group(1)) + 1)
 
     @abc.abstractmethod
     def _replay_install(self, record: CommitRecord) -> None:
@@ -417,7 +410,7 @@ class BaseEngine(abc.ABC):
 
         Only records beyond the cached prefix are converted; repeated
         reconstruction calls during a run never re-convert old records.
-        Runs outside the engine locks (conversion can be expensive), so
+        Runs outside the commit mutex (conversion can be expensive), so
         it never blocks the transaction hot path.
         """
         with self._reconstruction_lock:

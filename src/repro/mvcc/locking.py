@@ -19,22 +19,19 @@ histories/executions are reconstructed identically); reads return the
 latest committed version, which under S2PL is also the version at the
 reader's serialisation point.
 
-Concurrency: the lock table is one shared structure, so it carries its
-own internal mutex (a leaf in the lock hierarchy — taken after the
-commit mutex, never while holding it does the table acquire anything
-else).  Read operations touch only the table mutex and
-the store's lock-free ``latest`` — reading the newest version without
-the engine lock is safe precisely because the held S-lock excludes any
-concurrent writer of that object from committing.
+Concurrency: the lock table holds no lock of its own — the engine
+calls it only under its commit mutex, so acquiring a lock, releasing a
+transaction's locks and committing are each one atomic step.  A read
+then takes the store's lock-free ``latest`` outside the mutex: the held
+S-lock excludes any concurrent writer of that object from committing,
+so the newest version cannot change under it.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, Mapping, Set
 
-from ..core.errors import TransactionAborted
 from ..core.events import Obj, Value
 from .engine import BaseEngine, CommitRecord, TxContext
 from .store import MVStore
@@ -50,63 +47,47 @@ class LockMode(enum.Enum):
 class LockTable:
     """A per-object S/X lock table with no-wait conflict resolution.
 
-    All methods are atomic under an internal mutex, so the table can be
-    shared by concurrently-running transactions without an engine-wide
-    lock.
+    Not thread-safe by itself: callers serialise every call (the 2PL
+    engine makes them under its commit mutex).
     """
 
     def __init__(self):
-        self._mutex = threading.RLock()
         self._shared: Dict[Obj, Set[str]] = {}
         self._exclusive: Dict[Obj, str] = {}
 
     def holders(self, obj: Obj) -> Set[str]:
         """All transactions holding any lock on ``obj``."""
-        with self._mutex:
-            out = set(self._shared.get(obj, set()))
-            if obj in self._exclusive:
-                out.add(self._exclusive[obj])
-            return out
-
-    def can_acquire(self, tid: str, obj: Obj, mode: LockMode) -> bool:
-        """Whether ``tid`` may take the lock right now."""
-        with self._mutex:
-            return self._can_acquire_locked(tid, obj, mode)
-
-    def _can_acquire_locked(
-        self, tid: str, obj: Obj, mode: LockMode
-    ) -> bool:
-        exclusive = self._exclusive.get(obj)
-        if exclusive is not None and exclusive != tid:
-            return False
-        if mode is LockMode.EXCLUSIVE:
-            others = self._shared.get(obj, set()) - {tid}
-            return not others
-        return True
+        out = set(self._shared.get(obj, set()))
+        if obj in self._exclusive:
+            out.add(self._exclusive[obj])
+        return out
 
     def acquire(self, tid: str, obj: Obj, mode: LockMode) -> bool:
         """Try to take (or upgrade to) the lock; False on conflict."""
-        with self._mutex:
-            if not self._can_acquire_locked(tid, obj, mode):
+        exclusive = self._exclusive.get(obj)
+        if exclusive is not None and exclusive != tid:
+            return False
+        if mode is LockMode.SHARED:
+            if exclusive == tid:
+                return True  # X subsumes S
+            self._shared.setdefault(obj, set()).add(tid)
+        else:
+            if self._shared.get(obj, set()) - {tid}:
                 return False
-            if mode is LockMode.SHARED:
-                if self._exclusive.get(obj) == tid:
-                    return True  # X subsumes S
-                self._shared.setdefault(obj, set()).add(tid)
-            else:
-                self._shared.get(obj, set()).discard(tid)
-                self._exclusive[obj] = tid
-            return True
+            self._shared.pop(obj, None)  # an upgrade drops tid's S lock
+            self._exclusive[obj] = tid
+        return True
 
     def release_all(self, tid: str) -> None:
-        """Drop every lock held by ``tid`` (commit/abort)."""
-        with self._mutex:
-            for holders in self._shared.values():
-                holders.discard(tid)
-            for obj in [
-                o for o, t in self._exclusive.items() if t == tid
-            ]:
-                del self._exclusive[obj]
+        """Drop every lock held by ``tid`` (commit/abort).  An object
+        nobody holds leaves the table, so it keeps only locked ones."""
+        for obj in [o for o, h in self._shared.items() if tid in h]:
+            holders = self._shared[obj]
+            holders.discard(tid)
+            if not holders:
+                del self._shared[obj]
+        for obj in [o for o, t in self._exclusive.items() if t == tid]:
+            del self._exclusive[obj]
 
 
 class TwoPhaseLockingEngine(BaseEngine):
@@ -133,16 +114,14 @@ class TwoPhaseLockingEngine(BaseEngine):
         ctx.ensure_active()
         if obj in ctx.write_buffer:
             return self._record_read(ctx, obj, ctx.write_buffer[obj])
-        if not self.locks.acquire(ctx.tid, obj, LockMode.SHARED):
-            raise self._lock_failure(ctx, obj, LockMode.SHARED)
+        self._lock(ctx, obj, LockMode.SHARED)
         version = self.store.latest(obj)
         return self._record_read(ctx, obj, version.value, version.commit_ts)
 
     def write(self, ctx: TxContext, obj: Obj, value: Value) -> None:
         """Acquire an exclusive lock, then buffer the write."""
         ctx.ensure_active()
-        if not self.locks.acquire(ctx.tid, obj, LockMode.EXCLUSIVE):
-            raise self._lock_failure(ctx, obj, LockMode.EXCLUSIVE)
+        self._lock(ctx, obj, LockMode.EXCLUSIVE)
         super().write(ctx, obj, value)
 
     def commit(self, ctx: TxContext) -> CommitRecord:
@@ -163,14 +142,12 @@ class TwoPhaseLockingEngine(BaseEngine):
                 snapshot=commit_ts - 1,
                 sources=tuple(ctx.sources),
             )
-            self.locks.release_all(ctx.tid)
             self._finish_commit(ctx, record)
             return record
 
-    def abort(self, ctx: TxContext, reason: str = "client abort") -> None:
-        """Abort and release every held lock (strictness)."""
+    def _release(self, ctx: TxContext) -> None:
+        """Release every held lock (strictness: at commit or abort)."""
         self.locks.release_all(ctx.tid)
-        super().abort(ctx, reason)
 
     def _replay_install(self, record: CommitRecord) -> None:
         """Install a replayed commit at its original timestamp (no locks
@@ -180,13 +157,14 @@ class TwoPhaseLockingEngine(BaseEngine):
             self.store.install(writes, record.commit_ts, record.tid)
         self._clock = record.commit_ts
 
-    def _lock_failure(
-        self, ctx: TxContext, obj: Obj, mode: LockMode
-    ) -> TransactionAborted:
-        holders = sorted(self.locks.holders(obj) - {ctx.tid})
-        self.locks.release_all(ctx.tid)
-        return self._validation_failure(
-            ctx,
-            f"no-wait 2PL: {mode.value} lock on {obj!r} "
-            f"blocked by {holders}",
-        )
+    def _lock(self, ctx: TxContext, obj: Obj, mode: LockMode) -> None:
+        """Take ``mode`` on ``obj`` for ``ctx``, or abort it (no-wait)."""
+        with self.lock:
+            if self.locks.acquire(ctx.tid, obj, mode):
+                return
+            holders = sorted(self.locks.holders(obj) - {ctx.tid})
+            raise self._validation_failure(
+                ctx,
+                f"no-wait 2PL: {mode.value} lock on {obj!r} "
+                f"blocked by {holders}",
+            )

@@ -106,9 +106,9 @@ class PSIEngine(BaseEngine):
                 replicas immediately (useful as an "SI-like" reference
                 configuration in benchmarks).
 
-        Replica state and the delivery queue serialise under the commit
-        mutex (snapshot capture must not observe a half-applied commit);
-        the *reads* are nevertheless lock-free — a snapshot is the
+        Replica state, the delivery queue and the snapshots serialise
+        under the commit mutex, as every engine's state does; the
+        *reads* are nevertheless lock-free — a snapshot is the
         replica's store and its apply counter at begin, and applies
         only ever add versions above that counter.
         """
@@ -156,19 +156,18 @@ class PSIEngine(BaseEngine):
     # ------------------------------------------------------------------
 
     def _make_context(self, session: str, tid: str) -> TxContext:
-        # Snapshot capture must be atomic with respect to commits
-        # applying writes at the replica, so it runs under the commit
-        # mutex (begin holds no other lock here).
-        with self.lock:
-            replica = self.replica_of(session)
-            ctx = TxContext(tid=tid, session=session, start_ts=-1)
-            self._snapshots[ctx.tid] = (
-                replica,
-                replica.clock,
-                replica.frontier,
-                frozenset(replica.ahead.values()),
-            )
-            return ctx
+        replica = self.replica_of(session)
+        self._snapshots[tid] = (
+            replica,
+            replica.clock,
+            replica.frontier,
+            frozenset(replica.ahead.values()),
+        )
+        return TxContext(tid=tid, session=session, start_ts=-1)
+
+    def _release(self, ctx: TxContext) -> None:
+        """Discard the replica snapshot."""
+        self._snapshots.pop(ctx.tid, None)
 
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Read from the write buffer, else from the replica snapshot
@@ -226,16 +225,9 @@ class PSIEngine(BaseEngine):
             if name != local.name:
                 self._pending.add((ctx.tid, name))
         self._finish_commit(ctx, record)
-        self._snapshots.pop(ctx.tid, None)
         if self.auto_deliver:
             self.deliver_all()
         return record
-
-    def abort(self, ctx: TxContext, reason: str = "client abort") -> None:
-        """Abort and discard the replica snapshot."""
-        with self.lock:
-            super().abort(ctx, reason)
-            self._snapshots.pop(ctx.tid, None)
 
     def vacuum(self) -> int:
         """Discard superseded versions at every replica; returns how
@@ -243,9 +235,8 @@ class PSIEngine(BaseEngine):
 
         A replica's horizon is the oldest clock an active transaction
         on it snapshotted, else its current clock, so no running
-        transaction loses a version it may still read.  The horizons
-        are taken under the commit mutex; the trimming runs outside it
-        (the store swaps trimmed chains in atomically).
+        transaction loses a version it may still read.  Horizons and
+        trimming run under the commit mutex together.
         """
         with self.lock:
             horizons = {
@@ -254,11 +245,10 @@ class PSIEngine(BaseEngine):
             }
             for replica, clock, _, _ in self._snapshots.values():
                 horizons[replica.name] = min(horizons[replica.name], clock)
-            replicas = list(self._replicas.values())
-        return sum(
-            replica.store.vacuum(horizons[replica.name])
-            for replica in replicas
-        )
+            return sum(
+                replica.store.vacuum(horizons[name])
+                for name, replica in self._replicas.items()
+            )
 
     # ------------------------------------------------------------------
     # Replay

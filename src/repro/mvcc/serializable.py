@@ -11,10 +11,11 @@ history level, checked in the tests via Theorem 8's GraphSER condition).
 This is the baseline the paper compares SI against (write skew is aborted
 here, admitted by :class:`~repro.mvcc.si.SIEngine`).
 
-Concurrency: reads stay lock-free — the per-transaction
-read set is only touched by the session's own thread, so tracking it
-needs no engine lock.  Read-set validation joins SI's write-set
-validation inside the commit mutex.
+Concurrency: reads stay lock-free — a transaction's read set is
+registered by ``begin`` and dropped at commit or abort under the commit
+mutex, and in between only the session's own thread adds to it.
+Read-set validation joins SI's write-set validation inside the commit
+mutex.
 """
 
 from __future__ import annotations
@@ -38,9 +39,15 @@ class SerializableEngine(SIEngine):
 
     def _make_context(self, session: str, tid: str) -> TxContext:
         ctx = super()._make_context(session, tid)
-        with self._session_lock:
-            self._read_sets[ctx.tid] = set()
+        self._read_sets[tid] = set()
         return ctx
+
+    def _release(self, ctx: TxContext) -> None:
+        """Release the vacuum pin and drop the tracked read set (it
+        would otherwise leak under a long-running service's
+        abort/retry churn)."""
+        super()._release(ctx)
+        self._read_sets.pop(ctx.tid, None)
 
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Snapshot read, additionally tracked for commit validation."""
@@ -52,7 +59,7 @@ class SerializableEngine(SIEngine):
         """Validate the read set, then fall back to SI's commit."""
         with self.lock:
             ctx.ensure_active()
-            read_set: Set[Obj] = self._read_sets.get(ctx.tid, set())
+            read_set: Set[Obj] = self._read_sets[ctx.tid]
             for obj in sorted(read_set - set(ctx.write_buffer)):
                 if self.store.modified_since(obj, ctx.start_ts):
                     raise self._validation_failure(
@@ -60,15 +67,4 @@ class SerializableEngine(SIEngine):
                         f"read-write conflict on {obj!r} "
                         f"(snapshot no longer current)",
                     )
-            try:
-                return super().commit(ctx)
-            finally:
-                with self._session_lock:
-                    self._read_sets.pop(ctx.tid, None)
-
-    def abort(self, ctx: TxContext, reason: str = "client abort") -> None:
-        """Abort and drop the tracked read set (it would otherwise leak
-        under a long-running service's abort/retry churn)."""
-        with self._session_lock:
-            self._read_sets.pop(ctx.tid, None)
-            super().abort(ctx, reason)
+            return super().commit(ctx)

@@ -24,14 +24,13 @@ satisfy the SI axioms — Theorem 10(ii) then guarantees the extracted
 dependency graphs land in GraphSI, which the test-suite checks on every
 recorded run.
 
-Concurrency.  Reads are entirely lock-free: the start
-timestamp plus the store's immutable chains pin the snapshot, so a read
-is one binary search.  The commit critical section (the commit mutex)
-covers only first-committer-wins validation, the install, and the
-clock bump.  The clock is *published last* — writes are installed at
-``clock + 1`` and only then does the counter advance — so a concurrent
-``begin`` can never observe a timestamp whose versions are still being
-installed (snapshots are always closed under the versions they admit).
+Concurrency.  Reads are entirely lock-free: the start timestamp plus
+the store's append-only chains pin the snapshot, so a read is one
+binary search.  Everything else runs under the commit mutex: ``begin``
+reads the clock and pins the snapshot against :meth:`SIEngine.vacuum`
+in one step, and commit covers first-committer-wins validation, the
+install and the clock bump.  The clock moves only after the install,
+so every timestamp a ``begin`` reads names fully installed versions.
 """
 
 from __future__ import annotations
@@ -61,13 +60,15 @@ class SIEngine(BaseEngine):
     # ------------------------------------------------------------------
 
     def _make_context(self, session: str, tid: str) -> TxContext:
-        # Reading the clock needs no lock: commits publish it only
-        # after their writes are installed, so any observed value
-        # denotes a fully-materialised snapshot.
+        # Under the commit mutex, so no vacuum runs between the clock
+        # read and the pin that keeps the snapshot's versions.
         ctx = TxContext(tid=tid, session=session, start_ts=self._clock)
-        with self._session_lock:
-            self._active_start_ts[ctx.tid] = ctx.start_ts
+        self._active_start_ts[tid] = ctx.start_ts
         return ctx
+
+    def _release(self, ctx: TxContext) -> None:
+        """Release the snapshot's vacuum pin."""
+        self._active_start_ts.pop(ctx.tid, None)
 
     def read(self, ctx: TxContext, obj: Obj) -> Value:
         """Read from the write buffer, else from the start snapshot.
@@ -99,31 +100,25 @@ class SIEngine(BaseEngine):
         transactions may subsequently abort with "snapshot too old",
         reproducing the classic MVCC trade-off.
 
-        Safe to run concurrently with readers: the horizon is computed
-        under the session lock, and the store swaps trimmed chains in
-        atomically, so a racing reader sees either the old or the new
-        chain — never a torn one.  A later ``begin`` always snapshots
-        at or above any horizon computed earlier.
+        Runs under the commit mutex, so the horizon cannot move and no
+        snapshot is taken or installed while the chains are trimmed.
+        Lock-free readers may race it: the store swaps trimmed chains
+        in whole, so a reader sees either the old or the new chain —
+        never a torn one.
         """
-        with self._session_lock:
+        with self.lock:
             if aggressive or not self._active_start_ts:
                 horizon = self._clock
             else:
                 horizon = min(self._active_start_ts.values())
-        return self.store.vacuum(horizon)
-
-    def abort(self, ctx: TxContext, reason: str = "client abort") -> None:
-        """Abort and release the snapshot's vacuum pin."""
-        with self._session_lock:
-            self._active_start_ts.pop(ctx.tid, None)
-            super().abort(ctx, reason)
+            return self.store.vacuum(horizon)
 
     def commit(self, ctx: TxContext) -> CommitRecord:
         """First-committer-wins validation, then atomic install.
 
         The commit mutex covers validation, timestamp allocation and
-        the install; the clock is published after the install so
-        concurrent snapshot reads never see a half-visible commit.
+        the install; the clock moves last, once the versions it admits
+        are in place.
         """
         with self.lock:
             ctx.ensure_active()
@@ -145,8 +140,6 @@ class SIEngine(BaseEngine):
                 snapshot=ctx.start_ts,
                 sources=tuple(ctx.sources),
             )
-            with self._session_lock:
-                self._active_start_ts.pop(ctx.tid, None)
             self._finish_commit(ctx, record)
             self._clock = commit_ts  # publish: the snapshot frontier moves
             return record

@@ -22,21 +22,17 @@ fresh chain object rather than mutating one in place).  Snapshot reads
 :meth:`MVStore.latest`, :meth:`MVStore.modified_since`) therefore take
 **no lock at all**: they grab the chain reference once and
 binary-search an immutable prefix.  Mutations (:meth:`install`,
-:meth:`vacuum`) synchronise per object through a small array of
-striped locks (``hash(obj) → stripe``), so writers of disjoint objects
-never contend.  A commit inserts an object's chain (holding the initial
-version) under the stripe lock, before it appends its version and
+:meth:`vacuum`) take no lock either: **the caller serialises them**
+(the engines call them under their commit mutex), and installs come in
+strictly increasing timestamp order.  A commit inserts an object's
+chain (holding the initial version) before it appends its version and
 before the engine publishes its timestamp, so any snapshot that can
 see the new version also finds its chain; a snapshot older than the
 commit reads the initial value whether or not it finds the chain.
-Callers must still serialise *timestamp allocation* (the engines do,
-inside their commit critical section): versions of one object are
-installed in strictly increasing timestamp order.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
@@ -47,9 +43,6 @@ from ..faults import FAULTS
 
 INIT_WRITER = "t_init"
 """Default tid of the initialisation writer."""
-
-DEFAULT_STRIPES = 16
-"""Default number of lock stripes guarding chain mutations."""
 
 
 def shared_initial(initial: Mapping[Obj, Value]) -> Mapping[Obj, Value]:
@@ -142,34 +135,25 @@ class MVStore:
             is shared, not copied, when it is a read-only view (see
             :func:`shared_initial`).
         init_writer: tid of the initialisation writer.
-        stripes: number of lock stripes guarding chain mutations.
     """
 
     def __init__(
         self,
         initial: Mapping[Obj, Value],
         init_writer: str = INIT_WRITER,
-        stripes: int = DEFAULT_STRIPES,
     ):
         if not initial:
             raise StoreError("store needs at least one initial object")
-        if stripes < 1:
-            raise StoreError(f"need at least one lock stripe, got {stripes}")
         self.initial: Mapping[Obj, Value] = shared_initial(initial)
         self.init_writer = init_writer
         # Chains of the objects written so far.  A commit inserts one
-        # under the object's stripe lock before it publishes its
-        # timestamp; lock-free readers look chains up without
-        # synchronisation (one dict lookup is atomic).
+        # before it publishes its timestamp; lock-free readers look
+        # chains up without synchronisation (one dict lookup is atomic).
         self._chains: Dict[Obj, _VersionChain] = {}
-        self._stripes = [threading.Lock() for _ in range(stripes)]
 
     # ------------------------------------------------------------------
     # Internal accessors
     # ------------------------------------------------------------------
-
-    def _stripe(self, obj: Obj) -> threading.Lock:
-        return self._stripes[hash(obj) % len(self._stripes)]
 
     def _initial_value(self, obj: Obj) -> Value:
         try:
@@ -183,21 +167,13 @@ class MVStore:
     def _chain(self, obj: Obj) -> _VersionChain:
         """The live chain of ``obj``, not a copy.
 
-        Builds the chain (holding the initial version) if ``obj`` has
-        none yet, so repeated calls return the same chain.  The
+        Inserts the chain (holding the initial version) if ``obj`` has
+        none yet, so repeated calls return the same chain; like any
+        mutation, that insertion must be serialised by the caller.  The
         returned chain is append-only and safe to read without a lock
         (indices below ``len(chain.ts)`` are immutable); it must never
         be mutated by callers.
         """
-        chain = self._chains.get(obj)
-        if chain is None:
-            with self._stripe(obj):
-                chain = self._chain_locked(obj)
-        return chain
-
-    def _chain_locked(self, obj: Obj) -> _VersionChain:
-        """The chain of ``obj``, inserted if missing (caller holds the
-        object's stripe lock)."""
         chain = self._chains.get(obj)
         if chain is None:
             chain = _VersionChain([self._initial_version(obj)])
@@ -289,19 +265,17 @@ class MVStore:
         return state
 
     # ------------------------------------------------------------------
-    # Mutations (striped locking)
+    # Mutations (serialised by the caller)
     # ------------------------------------------------------------------
 
     def install(
         self, writes: Mapping[Obj, Value], commit_ts: int, writer: str
     ) -> None:
-        """Atomically install a transaction's writes at ``commit_ts``.
+        """Install a transaction's writes at ``commit_ts``, all or none.
 
-        Installs at distinct timestamps must be externally serialised
-        (the engines call this inside their commit critical section);
-        the striped locks order each append, and the insertion of an
-        object's first chain, against a concurrent :meth:`vacuum` of
-        the same object.
+        The caller serialises this against every other :meth:`install`
+        and :meth:`vacuum` (the engines call it inside their commit
+        critical section); lock-free readers may race it.
         """
         chains = self._chains
         for obj in writes:
@@ -314,16 +288,12 @@ class MVStore:
                     f"version of {obj!r}"
                 )
         for obj, value in writes.items():
-            with self._stripe(obj):
-                if FAULTS.armed:
-                    # Deliberately inside the stripe lock: a delay here
-                    # models a descheduled writer pinning the stripe
-                    # against concurrent vacuums and installs.
-                    FAULTS.fire("store.install", obj=obj, writer=writer)
-                chain = chains.get(obj)
-                if chain is None:
-                    chain = self._chain_locked(obj)
-                chain.append(Version(value, commit_ts, writer))
+            if FAULTS.armed:
+                # Inside the caller's critical section: a delay here
+                # models a descheduled writer holding up every commit,
+                # begin and vacuum of its engine.
+                FAULTS.fire("store.install", obj=obj, writer=writer)
+            self._chain(obj).append(Version(value, commit_ts, writer))
 
     def vacuum(self, horizon_ts: int) -> int:
         """Discard versions superseded at or before ``horizon_ts``.
@@ -334,25 +304,20 @@ class MVStore:
         newer; older versions are discarded.  Returns the number of
         versions dropped.  Objects never written have nothing to drop.
 
-        Safe to run concurrently with lock-free readers: the trimmed
-        chain is built aside and swapped in as a whole, so a reader
-        holds either the complete old chain or the complete new one —
-        a racing read of a dropped version yields at worst
-        :class:`SnapshotTooOld`, never a wrong value.  Chains that
-        concurrent commits insert meanwhile are left for the next
-        vacuum.
+        The caller serialises this against :meth:`install` (the engines
+        hold their commit mutex).  Lock-free readers may race it: the
+        trimmed chain is built aside and swapped in with one reference
+        assignment, so a reader holds either the complete old chain or
+        the complete new one — a racing read of a dropped version
+        yields at worst :class:`SnapshotTooOld`, never a wrong value.
         """
         dropped = 0
-        for obj in list(self._chains):
-            with self._stripe(obj):
-                chain = self._chains[obj]
-                published = len(chain.ts)
-                cut = bisect_right(chain.ts, horizon_ts, 0, published) - 1
-                if cut > 0:
-                    self._chains[obj] = _VersionChain(
-                        chain.versions[cut:published]
-                    )
-                    dropped += cut
+        chains = self._chains
+        for obj, chain in list(chains.items()):
+            cut = bisect_right(chain.ts, horizon_ts) - 1
+            if cut > 0:
+                chains[obj] = _VersionChain(chain.versions[cut:])
+                dropped += cut
         return dropped
 
 

@@ -102,8 +102,8 @@ def smallbank_mix(
 ) -> WorkloadMix:
     """The SmallBank transaction mix over ``customers`` customers.
 
-    Semantics follow :mod:`repro.apps.smallbank`'s operational
-    programs.
+    Each transaction runs one of :mod:`repro.apps.smallbank`'s
+    operational programs.
 
     Args:
         customers: number of (savings, checking) account pairs.
@@ -123,60 +123,23 @@ def smallbank_mix(
             )
         chosen.update(weights)
     def balance_f(rng: random.Random) -> TxProgram:
-        n = rng.randrange(customers)
-
-        def tx():
-            yield ReadOp(smallbank.savings(n))
-            yield ReadOp(smallbank.checking(n))
-
-        return tx
+        return smallbank.balance_tx(rng.randrange(customers))
 
     def deposit_checking_f(rng: random.Random) -> TxProgram:
         n = rng.randrange(customers)
-        amount = rng.randint(1, 50)
-
-        def tx():
-            value = yield ReadOp(smallbank.checking(n))
-            yield WriteOp(smallbank.checking(n), value + amount)
-
-        return tx
+        return smallbank.deposit_checking_tx(n, rng.randint(1, 50))
 
     def transact_savings_f(rng: random.Random) -> TxProgram:
         n = rng.randrange(customers)
-        amount = rng.randint(-60, 60) or 10
-
-        def tx():
-            value = yield ReadOp(smallbank.savings(n))
-            if value + amount >= 0:
-                yield WriteOp(smallbank.savings(n), value + amount)
-
-        return tx
+        return smallbank.transact_savings_tx(n, rng.randint(-60, 60) or 10)
 
     def write_check_f(rng: random.Random) -> TxProgram:
         n = rng.randrange(customers)
-        amount = rng.randint(1, 120)
-
-        def tx():
-            s = yield ReadOp(smallbank.savings(n))
-            c = yield ReadOp(smallbank.checking(n))
-            penalty = 0 if s + c >= amount else 1
-            yield WriteOp(smallbank.checking(n), c - amount - penalty)
-
-        return tx
+        return smallbank.write_check_tx(n, rng.randint(1, 120))
 
     def amalgamate_f(rng: random.Random) -> TxProgram:
         src = rng.randrange(customers)
-        dst = (src + 1) % customers if customers > 1 else src
-
-        def tx():
-            s = yield ReadOp(smallbank.savings(src))
-            c = yield ReadOp(smallbank.checking(src))
-            d = yield ReadOp(smallbank.checking(dst))
-            yield WriteOp(smallbank.savings(src), 0)
-            yield WriteOp(smallbank.checking(src), 0)
-            yield WriteOp(smallbank.checking(dst), d + s + c)
-
-        return tx
+        return smallbank.amalgamate_tx(src, (src + 1) % customers)
 
     factories = {
         "Balance": balance_f,

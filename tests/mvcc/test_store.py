@@ -122,22 +122,6 @@ class TestBisectReads:
         assert chain.ts == [v.commit_ts for v in chain.versions]
 
 
-class TestStripes:
-    def test_custom_stripe_count(self):
-        store = MVStore({f"o{i}": i for i in range(20)}, stripes=4)
-        assert len(store._stripes) == 4
-        store.install({"o3": 99}, commit_ts=1, writer="t1")
-        assert store.latest("o3").value == 99
-
-    def test_stripe_count_must_be_positive(self):
-        with pytest.raises(StoreError):
-            MVStore({"x": 0}, stripes=0)
-
-    def test_same_object_same_stripe(self):
-        store = MVStore({"x": 0, "y": 0})
-        assert store._stripe("x") is store._stripe("x")
-
-
 class TestLazyChains:
     """The initialisation transaction is implicit: only written objects
     get a version chain, and construction does no per-object work."""

@@ -21,7 +21,6 @@ import pytest
 from repro.core.errors import TransactionAborted
 from repro.monitor import watch_engine
 from repro.mvcc import ENGINE_MODELS, PSIEngine, SIEngine, build_engine
-from repro.mvcc.store import MVStore
 
 THREADS = 8
 TXNS_PER_THREAD = 25
@@ -174,20 +173,23 @@ def _latest_value(engine, obj):
 FIRST_WRITES = 2_000
 
 
-def _race_first_writes(store, racer):
-    """Install one first write per object (object ``o{ts}`` gets value
-    ``ts`` at timestamp ``ts``, publishing ``ts`` only afterwards, as
-    the engines publish their clock) while ``racer(published)`` runs in
-    three threads; returns the errors the racers collected."""
+def _race_first_writes(engine, racer):
+    """Commit one first write per object through ``engine`` (object
+    ``o{ts}`` gets value ``ts`` at timestamp ``ts``, published only
+    once the commit returns) while ``racer(published)`` runs in three
+    threads; returns the errors the racers collected."""
     published = [0]
     stop = threading.Event()
     errors = []
 
     def writer():
-        for ts in range(1, FIRST_WRITES + 1):
-            store.install({f"o{ts}": ts}, commit_ts=ts, writer=f"t{ts}")
-            published[0] = ts
-        stop.set()
+        try:
+            for ts in range(1, FIRST_WRITES + 1):
+                ctx = engine.begin("writer")
+                engine.write(ctx, f"o{ts}", ts)
+                published[0] = engine.commit(ctx).commit_ts
+        finally:
+            stop.set()
 
     def run_racer():
         try:
@@ -200,7 +202,7 @@ def _race_first_writes(store, racer):
         threading.Thread(target=run_racer) for _ in range(3)
     ]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads mid-install often
+    sys.setswitchinterval(1e-5)  # switch threads mid-commit often
     try:
         for t in threads:
             t.start()
@@ -210,6 +212,7 @@ def _race_first_writes(store, racer):
         stop.set()
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert published[0] == FIRST_WRITES
     return errors
 
 
@@ -217,7 +220,8 @@ def test_first_writes_racing_lock_free_readers():
     """Readers at a published timestamp see every object written at or
     below it and the initial value of every other object, whether or
     not its chain has been inserted yet."""
-    store = MVStore({f"o{i}": 0 for i in range(1, FIRST_WRITES + 1)})
+    engine = SIEngine({f"o{i}": 0 for i in range(1, FIRST_WRITES + 1)})
+    store = engine.store
 
     def reader(snapshot_ts):
         for i in (snapshot_ts, snapshot_ts + 1, snapshot_ts + 2):
@@ -227,16 +231,37 @@ def test_first_writes_racing_lock_free_readers():
                 assert got == expected, (i, snapshot_ts, got)
                 assert store.read_at(f"o{i}", snapshot_ts).value == expected
 
-    assert not _race_first_writes(store, reader)
+    assert not _race_first_writes(engine, reader)
     assert store.chain_count == FIRST_WRITES
 
 
 def test_vacuum_racing_chain_creation():
-    """A vacuum iterates a copy of the chain keys, so commits inserting
-    first chains meanwhile neither break it nor lose a version."""
-    store = MVStore({f"o{i}": 0 for i in range(1, FIRST_WRITES + 1)})
-    assert not _race_first_writes(store, store.vacuum)
-    store.vacuum(FIRST_WRITES)
+    """Vacuums run under the commit mutex, so commits inserting first
+    chains meanwhile neither break them nor lose a version, and
+    lock-free reads racing both still find every published write."""
+    engine = SIEngine({f"o{i}": 0 for i in range(1, FIRST_WRITES + 1)})
+    store = engine.store
+    dropped = []
+    vacuumed_at = [-1]
+
+    def vacuum_and_read(snapshot_ts):
+        # About one vacuum per commit: each holds the commit mutex for
+        # a pass over every chain, so back-to-back ones starve the
+        # writer.
+        if snapshot_ts != vacuumed_at[0]:
+            vacuumed_at[0] = snapshot_ts
+            dropped.append(engine.vacuum())
+        if snapshot_ts:
+            # The newest version of its object: no vacuum drops it.
+            obj = f"o{snapshot_ts}"
+            assert store.value_at(obj, snapshot_ts) == (
+                snapshot_ts, snapshot_ts
+            )
+
+    assert not _race_first_writes(engine, vacuum_and_read)
+    dropped.append(engine.vacuum())
+    # Each object's initial version is superseded and dropped once.
+    assert sum(dropped) == FIRST_WRITES
     assert store.snapshot_at(FIRST_WRITES) == {
         f"o{i}": i for i in range(1, FIRST_WRITES + 1)
     }

@@ -1,10 +1,14 @@
 """Tests for version garbage collection and "snapshot too old"."""
 
+import threading
+
 import pytest
 
 from repro.core.errors import SnapshotTooOld, TransactionAborted
+from repro.mvcc import si as si_module
+from repro.mvcc.engine import TxContext
 from repro.mvcc.si import SIEngine
-from repro.mvcc.store import MVStore
+from repro.mvcc.store import MVStore, Version
 
 
 class TestStoreVacuum:
@@ -102,31 +106,77 @@ class TestEngineVacuum:
         assert SI.satisfied_by(engine.abstract_execution())
 
 
+class TestAtomicBegin:
+    """``begin`` reads the clock and pins the snapshot in one step under
+    the commit mutex, so a safe vacuum never drops a version a snapshot
+    just taken still needs."""
+
+    def test_safe_vacuum_cannot_run_between_clock_read_and_pin(
+        self, monkeypatch
+    ):
+        engine = SIEngine({"x": 0})
+        first = engine.begin("w")
+        engine.write(first, "x", 1)
+        engine.commit(first)
+        racers = []
+
+        def commit_and_vacuum():
+            ctx = engine.begin("w")
+            engine.write(ctx, "x", 2)
+            engine.commit(ctx)
+            engine.vacuum()
+
+        class RacedContext(TxContext):
+            """Starts the racer after the clock read, before the pin."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if self.session == "old" and not racers:
+                    racer = threading.Thread(target=commit_and_vacuum)
+                    racers.append(racer)
+                    racer.start()
+                    # Without an atomic begin the racer finishes here;
+                    # with one, it waits for the commit mutex.
+                    racer.join(timeout=0.5)
+
+        monkeypatch.setattr(si_module, "TxContext", RacedContext)
+        reader = engine.begin("old")
+        assert reader.start_ts == 1
+        racers[0].join(timeout=10)
+        assert not racers[0].is_alive()
+        assert engine.store.latest("x").value == 2
+        assert engine.read(reader, "x") == 1
+        engine.commit(reader)
+        assert engine.stats.aborts == 0
+
+
 class TestConcurrentVacuum:
-    """Vacuum racing real reader threads: a read either sees the value
-    its snapshot pins or fails with SnapshotTooOld — never a wrong
-    value, never a torn chain."""
+    """Vacuum racing engine commits and real reader threads: a read
+    either sees the value its snapshot pins or fails with
+    SnapshotTooOld — never a wrong value, never a torn chain."""
 
     def test_vacuum_racing_readers_never_returns_wrong_value(self):
-        import threading
-
-        store = MVStore({"x": 0})
+        engine = SIEngine({"x": 0})
+        store = engine.store
         total = 400
         errors = []
         stop = threading.Event()
 
         def writer():
-            # Version installed at ts carries value == ts, so any read
-            # has a self-evident correctness check.
-            for ts in range(1, total + 1):
-                store.install({"x": ts}, commit_ts=ts, writer=f"t{ts}")
-            stop.set()
+            # The commit at ts writes value == ts, so any read has a
+            # self-evident correctness check.
+            try:
+                for _ in range(total):
+                    ctx = engine.begin("writer")
+                    engine.write(ctx, "x", ctx.start_ts + 1)
+                    engine.commit(ctx)
+            finally:
+                stop.set()
 
         def vacuumer():
             while not stop.is_set():
-                horizon = store.latest_commit_ts("x")
-                store.vacuum(horizon_ts=horizon)
-            store.vacuum(horizon_ts=store.latest_commit_ts("x"))
+                engine.vacuum()
+            engine.vacuum()
 
         def reader():
             while not stop.is_set():
@@ -158,6 +208,8 @@ class TestConcurrentVacuum:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert store.latest("x").value == total
+        assert store.versions("x") == [Version(total, total, f"t{total}")]
