@@ -67,7 +67,7 @@ class TxStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class TxContext:
     """The mutable state of one running transaction.
 

@@ -24,15 +24,13 @@ breaker.  Enforcement is opt-in (``HealthPolicy(enforce=True)``): a
 plain service tracks and reports its state but never sheds, so existing
 deployments keep their semantics.
 
-A write-ahead-log failure is a separate, sticky signal: the service
-notes it here so the state floor becomes ``degraded`` (a service that
-cannot make commits durable is not healthy, whatever its abort rate).
+A write-ahead-log failure is a separate, sticky signal: the state
+floor becomes ``degraded`` (a service that cannot make commits durable
+is not healthy, whatever its abort rate).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -84,21 +82,28 @@ class HealthPolicy:
 
 
 class HealthTracker:
-    """Tracks the health state of one service (thread-safe).
+    """Tracks the health state of one service.
+
+    It has no lock and no public feed of its own: the service's ledger,
+    :class:`~repro.service.metrics.ServiceMetrics`, builds it, lends it
+    its lock and feeds it (:meth:`_feed_locked`) in the same update
+    that counts each attempt.  The readers below take the shared lock.
 
     Args:
         policy: thresholds/timing (defaults observe-only).
-        clock: monotonic time source (injectable for tests).
+        lock: the ledger's lock, guarding every field below.
+        clock: monotonic time source.
     """
 
     def __init__(
         self,
-        policy: Optional[HealthPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
+        policy: Optional[HealthPolicy],
+        lock,
+        clock: Callable[[], float],
     ):
         self.policy = policy or HealthPolicy()
         self._clock = clock
-        self._lock = threading.Lock()
+        self._lock = lock
         self._level = 0
         self._attempts: Deque[bool] = deque(maxlen=self.policy.window)
         self._abort_count = 0  # aborts currently inside the window
@@ -110,56 +115,34 @@ class HealthTracker:
         self.transitions: List[Tuple[float, str, str]] = []
         """Every state change as ``(monotonic time, from, to)``."""
 
-    # ------------------------------------------------------------------
-    # Gauge feeds
-    # ------------------------------------------------------------------
-
-    def note_attempt(self, aborted: bool) -> None:
-        """One transaction attempt finished (commit or abort)."""
-        with self._lock:
-            self._note_attempt_locked(aborted)
-            self._evaluate_locked()
-
-    def note_wal_latency(self, seconds: float) -> None:
-        """One durable append completed in ``seconds``."""
-        with self._lock:
-            self._note_wal_latency_locked(seconds)
-            self._evaluate_locked()
-
-    def note_commit(self, wal_latency: Optional[float] = None) -> None:
-        """One attempt committed, its durable append (if any) having
-        taken ``wal_latency`` seconds: both gauge feeds in one locked
-        update and one evaluation."""
-        with self._lock:
-            self._note_attempt_locked(False)
-            if wal_latency is not None:
-                self._note_wal_latency_locked(wal_latency)
-            self._evaluate_locked()
-
-    def _note_attempt_locked(self, aborted: bool) -> None:
-        if len(self._attempts) == self._attempts.maxlen:
-            if self._attempts[0]:
+    def _feed_locked(
+        self,
+        aborted: Optional[bool] = None,
+        wal_latency: Optional[float] = None,
+        wal_failed: bool = False,
+    ) -> None:
+        """Fold one event into the gauges, then evaluate (the ledger's
+        lock held): a finished attempt, its durable append's latency in
+        seconds, or a WAL failure (a sticky ``degraded`` floor)."""
+        if aborted is not None:
+            window = self._attempts
+            if len(window) == window.maxlen and window[0]:
                 self._abort_count -= 1
-        self._attempts.append(aborted)
-        if aborted:
-            self._abort_count += 1
-
-    def _note_wal_latency_locked(self, seconds: float) -> None:
-        if not self._wal_latency_seen:
-            self._wal_latency_ewma = seconds
-            self._wal_latency_seen = True
-        else:
-            a = self.policy.wal_latency_alpha
-            self._wal_latency_ewma = (
-                a * seconds + (1 - a) * self._wal_latency_ewma
-            )
-
-    def note_wal_failure(self) -> None:
-        """The write-ahead log failed; the state floor is degraded
-        from here on (durability cannot silently look healthy)."""
-        with self._lock:
+            window.append(aborted)
+            if aborted:
+                self._abort_count += 1
+        if wal_latency is not None:
+            if not self._wal_latency_seen:
+                self._wal_latency_ewma = wal_latency
+                self._wal_latency_seen = True
+            else:
+                a = self.policy.wal_latency_alpha
+                self._wal_latency_ewma = (
+                    a * wal_latency + (1 - a) * self._wal_latency_ewma
+                )
+        if wal_failed:
             self._wal_failed = True
-            self._evaluate_locked()
+        self._evaluate_locked()
 
     # ------------------------------------------------------------------
     # State machine
@@ -195,36 +178,22 @@ class HealthTracker:
             return 0.0
         return self._abort_count / n
 
-    def _target_level_locked(self) -> int:
-        """The level the gauges currently call for (escalation
-        thresholds), with the WAL-failure floor applied."""
+    def _level_locked(self, scale: float) -> int:
+        """The level the gauges call for against the thresholds times
+        ``scale`` -- 1 to escalate, 1/2 to calm down (hysteresis, so the
+        state does not flap at a boundary) -- with the WAL-failure
+        floor applied."""
         rate = self._abort_rate_locked()
-        lat = self._wal_latency_ewma if self._wal_latency_seen else 0.0
-        p = self.policy
-        if rate >= p.shedding_abort_rate or lat >= p.shedding_wal_latency:
-            level = 2
-        elif rate >= p.degraded_abort_rate or lat >= p.degraded_wal_latency:
-            level = 1
-        else:
-            level = 0
-        if self._wal_failed:
-            level = max(level, 1)
-        return level
-
-    def _calm_level_locked(self) -> int:
-        """The level under the (halved) de-escalation thresholds —
-        hysteresis so the state does not flap at a boundary."""
-        rate = self._abort_rate_locked()
-        lat = self._wal_latency_ewma if self._wal_latency_seen else 0.0
+        lat = self._wal_latency_ewma
         p = self.policy
         if (
-            rate >= p.shedding_abort_rate / 2
-            or lat >= p.shedding_wal_latency / 2
+            rate >= p.shedding_abort_rate * scale
+            or lat >= p.shedding_wal_latency * scale
         ):
             level = 2
         elif (
-            rate >= p.degraded_abort_rate / 2
-            or lat >= p.degraded_wal_latency / 2
+            rate >= p.degraded_abort_rate * scale
+            or lat >= p.degraded_wal_latency * scale
         ):
             level = 1
         else:
@@ -235,13 +204,12 @@ class HealthTracker:
 
     def _evaluate_locked(self) -> None:
         now = self._clock()
-        target = self._target_level_locked()
+        target = self._level_locked(1.0)
         if target > self._level:
             self._transition_locked(now, target)
             self._below_since = None
             return
-        calm = self._calm_level_locked()
-        if calm < self._level:
+        if self._level_locked(0.5) < self._level:
             if self._below_since is None:
                 self._below_since = now
             elif now - self._below_since >= self.policy.cooldown:
@@ -267,7 +235,7 @@ class HealthTracker:
         ``shedding``; while shedding, one probe per ``probe_interval``
         is still allowed so the gauges keep moving and recovery is
         observable.  An observe-only policy answers without evaluating
-        (the gauge feeds and :attr:`state` evaluate).
+        (every feed and :attr:`state` evaluate).
         """
         if not self.policy.enforce:
             return True

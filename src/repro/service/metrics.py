@@ -14,15 +14,22 @@ attached, how far the certifier process trails the commits
 (``certified_ts`` and ``certifier_lag``).  Everything is thread-safe,
 snapshot-able as plain dicts, and JSON exportable so benches and CI
 can track the numbers across PRs.
+
+:class:`ServiceMetrics` is the service's one ledger: one lock guards
+the counters, both histograms and the health tracker, so each event is
+recorded by one call and every snapshot is self-consistent.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 import weakref
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
+
+from .health import HealthPolicy, HealthTracker
 
 
 def _default_buckets() -> List[float]:
@@ -37,46 +44,42 @@ class LatencyHistogram:
     Quantiles are answered from the bucket counts (the reported value is
     the upper bound of the bucket containing the quantile), which makes
     recording O(log buckets) and memory O(buckets) — no samples kept.
+    It has no lock: :class:`ServiceMetrics` uses it under its own.
     """
 
     def __init__(self, buckets: Optional[Sequence[float]] = None):
         self._bounds = sorted(buckets) if buckets else _default_buckets()
         self._counts = [0] * (len(self._bounds) + 1)
-        self._lock = threading.Lock()
         self.count = 0
         self.total = 0.0
         self.max = 0.0
 
     def record(self, seconds: float, times: int = 1) -> None:
         """Record one duration (``times`` times)."""
-        index = bisect_left(self._bounds, seconds)
-        with self._lock:
-            self._counts[index] += times
-            self.count += times
-            self.total += seconds * times
-            if seconds > self.max:
-                self.max = seconds
+        self._counts[bisect_left(self._bounds, seconds)] += times
+        self.count += times
+        self.total += seconds * times
+        if seconds > self.max:
+            self.max = seconds
 
     def quantile(self, q: float) -> float:
         """The ``q``-quantile (0 < q <= 1) as a bucket upper bound."""
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            target = q * self.count
-            cumulative = 0
-            for index, bucket_count in enumerate(self._counts):
-                cumulative += bucket_count
-                if cumulative >= target:
-                    if index < len(self._bounds):
-                        return self._bounds[index]
-                    return self.max
-            return self.max
+        if self.count == 0:
+            return 0.0
+        target = q * self.count
+        cumulative = 0
+        for index, bucket_count in enumerate(self._counts):
+            cumulative += bucket_count
+            if cumulative >= target:
+                if index < len(self._bounds):
+                    return self._bounds[index]
+                return self.max
+        return self.max
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of the recorded durations."""
-        with self._lock:
-            return self.total / self.count if self.count else 0.0
+        return self.total / self.count if self.count else 0.0
 
     def snapshot(self) -> Dict[str, float]:
         """Summary statistics as a plain dict (seconds)."""
@@ -91,9 +94,15 @@ class LatencyHistogram:
 
 
 class ServiceMetrics:
-    """Thread-safe counters and gauges for one transaction service."""
+    """The ledger of one transaction service: counters, gauges, the
+    latency histograms and the health tracker (built from
+    ``health_policy`` and ``clock``), under one lock."""
 
-    def __init__(self):
+    def __init__(
+        self,
+        health_policy: Optional[HealthPolicy] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         self._lock = threading.Lock()
         self.begins = 0
         self.commits = 0
@@ -111,6 +120,7 @@ class ServiceMetrics:
         self.txn_latency = LatencyHistogram()
         self.wal_failures = 0
         self.wal_append_latency = LatencyHistogram()
+        self.health = HealthTracker(health_policy, self._lock, clock)
         self._certifier: Optional[weakref.ref] = None
         self._wal: Optional[weakref.ref] = None
 
@@ -126,19 +136,35 @@ class ServiceMetrics:
             if self.in_flight > self.peak_in_flight:
                 self.peak_in_flight = self.in_flight
 
-    def record_commit(self, latency_seconds: float) -> None:
+    def record_commit(
+        self, latency_seconds: float, wal_latency: Optional[float] = None
+    ) -> None:
         """One transaction committed; latency is end-to-end including
-        every aborted attempt and backoff sleep."""
+        every aborted attempt and backoff sleep.  ``wal_latency`` is
+        its durable append's, as the committer saw it (frame write +
+        group-commit wait), when the commit was logged."""
         with self._lock:
             self.commits += 1
             self.in_flight -= 1
-        self.txn_latency.record(latency_seconds)
+            self.txn_latency.record(latency_seconds)
+            if wal_latency is not None:
+                self.wal_append_latency.record(wal_latency)
+            self.health._feed_locked(aborted=False, wal_latency=wal_latency)
 
-    def record_abort(self) -> None:
-        """One attempt aborted (engine validation failure or client)."""
+    def record_abort(self, refused: bool = False) -> None:
+        """One attempt aborted (engine validation failure or client).
+        ``refused`` marks an update refused in read-only degraded
+        mode: an administrative refusal, kept out of the abort-rate
+        window (the WAL-failure floor already holds the state at
+        degraded; refusals driving it to shedding would shut off the
+        reads that mode keeps serving)."""
         with self._lock:
             self.aborts += 1
             self.in_flight -= 1
+            if refused:
+                self.read_only_refused += 1
+            else:
+                self.health._feed_locked(aborted=True)
 
     def record_retry(self) -> None:
         """An aborted transaction is being resubmitted."""
@@ -163,29 +189,19 @@ class ServiceMetrics:
         with self._lock:
             self.shed += 1
 
-    def record_read_only_refusal(self) -> None:
-        """An update was refused because the service is in read-only
-        degraded mode after a write-ahead-log failure."""
-        with self._lock:
-            self.read_only_refused += 1
-
     def record_violation(self) -> None:
         """The attached monitor flagged a consistency violation."""
         with self._lock:
             self.violations += 1
 
-    def record_wal_append_latency(self, seconds: float) -> None:
-        """End-to-end latency of one durable append as seen by the
-        committer (frame write + group-commit wait); the health tracker's
-        WAL-latency gauge feeds from the same measurement."""
-        self.wal_append_latency.record(seconds)
-
     def record_wal_failure(self) -> None:
         """The write-ahead log raised from an append (poisoned or
-        closed); the service's degradation policy decides what happens
-        next, this just makes the failure visible."""
+        closed): counted, and the health state's sticky ``degraded``
+        floor set.  The service's degradation policy decides what
+        happens next."""
         with self._lock:
             self.wal_failures += 1
+            self.health._feed_locked(wal_failed=True)
 
     def attach_certifier(self, certifier) -> None:
         """Export ``certifier``'s progress (a
@@ -219,6 +235,10 @@ class ServiceMetrics:
     @property
     def abort_rate(self) -> float:
         """Aborted attempts over all finished attempts."""
+        with self._lock:
+            return self._abort_rate_locked()
+
+    def _abort_rate_locked(self) -> float:
         finished = self.commits + self.aborts
         return self.aborts / finished if finished else 0.0
 
@@ -242,6 +262,10 @@ class ServiceMetrics:
                 "peak_in_flight": self.peak_in_flight,
                 "peak_admission_waiting": self.peak_admission_waiting,
             }
+            abort_rate = self._abort_rate_locked()
+            latency = self.txn_latency.snapshot()
+            append_latency = self.wal_append_latency.snapshot()
+            wal_failures = self.wal_failures
         certifier = self._certifier() if self._certifier else None
         if certifier is not None:
             certifier.poll()
@@ -263,13 +287,12 @@ class ServiceMetrics:
             }
             for records, syncs in dict(stats.batches).items():
                 batch.record(float(records), syncs)
-        wal["failures"] = self.wal_failures
-        append_latency = self.wal_append_latency.snapshot()
+        wal["failures"] = wal_failures
         return {
             "counters": counters,
             "gauges": gauges,
-            "abort_rate": self.abort_rate,
-            "latency_seconds": self.txn_latency.snapshot(),
+            "abort_rate": abort_rate,
+            "latency_seconds": latency,
             "wal": {
                 **wal,
                 "batch_records": batch.snapshot(),

@@ -38,10 +38,11 @@ session handles with:
   :meth:`TransactionService.drain` makes everything so far durable and
   certified, and :meth:`TransactionService.close` ends the service's
   life (it closes the log and reaps the certifier);
-* :class:`~repro.service.metrics.ServiceMetrics` counting commits,
-  aborts, retries and latency histograms (plus WAL durability counters
-  when a log is attached and the certifier's lag when a monitor is),
-  JSON-exportable.
+* :class:`~repro.service.metrics.ServiceMetrics`, the one ledger,
+  counting commits, aborts, retries and latency histograms (plus WAL
+  durability counters when a log is attached and the certifier's lag
+  when a monitor is), JSON-exportable, and feeding the health tracker
+  (:attr:`TransactionService.health`) in the same locked update.
 
 Sessions map 1:1 onto engine sessions: a handle is meant to be driven
 by one thread at a time (the engines enforce one active transaction per
@@ -74,7 +75,7 @@ from ..mvcc.engine import BaseEngine, CommitRecord, TxContext
 from ..mvcc.runtime import ReadOp, TxProgram, WriteOp
 from ..wal.format import commit_record_to_payload
 from .certifier import Certifier
-from .health import HealthPolicy, HealthTracker
+from .health import HealthPolicy
 from .metrics import ServiceMetrics
 
 WAL_FAILURE_POLICIES = ("fail_stop", "read_only")
@@ -197,7 +198,8 @@ class TransactionService:
                 f"default_deadline must be positive, got {default_deadline}"
             )
         self.engine = engine
-        self.metrics = ServiceMetrics()
+        self.metrics = ServiceMetrics(health_policy)
+        self.health = self.metrics.health
         self._lock = threading.Lock()
         self.violations: List[Violation] = []
         """Every violation the certifier has reported (complete after
@@ -209,7 +211,6 @@ class TransactionService:
                 _violation_sink(self.violations, self.metrics, self._lock),
             )
             self.metrics.attach_certifier(self.monitor)
-        self.health = HealthTracker(health_policy)
         self.wal = wal
         self.on_wal_failure = on_wal_failure
         self.default_deadline = default_deadline
@@ -320,7 +321,6 @@ class TransactionService:
         mode) and False when the committer should surface it
         (fail-stop)."""
         self.metrics.record_wal_failure()
-        self.health.note_wal_failure()
         with self._lock:
             if self.wal_error is None:
                 self.wal_error = error
@@ -497,13 +497,8 @@ class ServiceSession:
         :class:`ServiceReadOnly` (chained to the WAL's root failure)."""
         ctx = self._open_ctx()
         self.service.engine.abort(ctx, "service is read-only")
-        # An administrative refusal, not a conflict: it must not feed
-        # the abort-rate gauge (the WAL-failure floor already keeps the
-        # state at degraded; refusals driving it to shedding would shut
-        # off the reads the policy exists to keep serving).
-        self._finish_aborted(note_health=False)
+        self._finish_aborted(refused=True)
         self._reset_logical()
-        self.service.metrics.record_read_only_refusal()
         raise ServiceReadOnly(self.name) from self.service.wal_error
 
     def commit(self) -> TxOutcome:
@@ -569,9 +564,6 @@ class ServiceSession:
                         wal_error = exc
                 if wal_error is None:
                     wal_latency = time.perf_counter() - append_started
-                    self.service.metrics.record_wal_append_latency(
-                        wal_latency
-                    )
                 elif not self.service._note_wal_failure(wal_error):
                     # The in-memory commit stands; durability failed.
                     # The policy decides whether the committer sees it
@@ -587,8 +579,7 @@ class ServiceSession:
         self._ctx = None
         self._reset_logical()
         self.service._release()
-        self.service.metrics.record_commit(latency)
-        self.service.health.note_commit(wal_latency)
+        self.service.metrics.record_commit(latency, wal_latency)
         if commit_error is not None:
             raise commit_error
         return outcome
@@ -754,11 +745,11 @@ class ServiceSession:
             )
         return self._ctx
 
-    def _finish_aborted(self, note_health: bool = True) -> None:
+    def _finish_aborted(self, refused: bool = False) -> None:
         """Release the slot after an abort; the logical transaction's
         attempt count and start time survive for the retry.
-        ``note_health=False`` keeps administrative refusals out of the
-        health tracker's abort-rate gauge."""
+        ``refused`` marks a read-only refusal, which the ledger keeps
+        out of the health tracker's abort-rate gauge."""
         if self._attempt_started is not None:
             self._attempt_latencies.append(
                 time.perf_counter() - self._attempt_started
@@ -766,9 +757,7 @@ class ServiceSession:
             self._attempt_started = None
         self._ctx = None
         self.service._release()
-        self.service.metrics.record_abort()
-        if note_health:
-            self.service.health.note_attempt(aborted=True)
+        self.service.metrics.record_abort(refused)
 
     def _reset_logical(self) -> None:
         """Forget the logical transaction (called when it ends for any

@@ -17,7 +17,7 @@ from repro.mvcc import SIEngine
 from repro.mvcc.runtime import ReadOp, WriteOp
 from repro.service import (
     HealthPolicy,
-    HealthTracker,
+    ServiceMetrics,
     TransactionService,
 )
 from repro.service.health import DEGRADED, HEALTHY, SHEDDING
@@ -54,40 +54,47 @@ class FakeClock:
 
 
 class TestHealthTracker:
+    """The state machine, fed through the service's ledger."""
+
     def make(self, **overrides):
         policy = HealthPolicy(
             enforce=True, window=8, min_samples=4, cooldown=1.0,
             **overrides,
         )
         clock = FakeClock()
-        return HealthTracker(policy, clock=clock), clock
+        metrics = ServiceMetrics(policy, clock=clock)
+        return metrics, metrics.health, clock
 
-    def feed(self, tracker, aborted, n):
+    def feed(self, metrics, aborted, n):
         for _ in range(n):
-            tracker.note_attempt(aborted=aborted)
+            metrics.record_begin()
+            if aborted:
+                metrics.record_abort()
+            else:
+                metrics.record_commit(0.001)
 
     def test_cold_service_is_healthy(self):
-        tracker, _ = self.make()
+        _, tracker, _ = self.make()
         assert tracker.state == HEALTHY
         assert tracker.allow_admission()
 
     def test_abort_storm_escalates_immediately(self):
-        tracker, _ = self.make()
-        self.feed(tracker, aborted=True, n=8)
+        metrics, tracker, _ = self.make()
+        self.feed(metrics, aborted=True, n=8)
         assert tracker.state == SHEDDING
         assert tracker.transitions[-1][2] == SHEDDING
 
     def test_under_sampled_window_never_escalates(self):
-        tracker, _ = self.make()
-        self.feed(tracker, aborted=True, n=3)  # below min_samples
+        metrics, tracker, _ = self.make()
+        self.feed(metrics, aborted=True, n=3)  # below min_samples
         assert tracker.state == HEALTHY
 
     def test_deescalation_is_hysteretic_and_stepped(self):
-        tracker, clock = self.make()
-        self.feed(tracker, aborted=True, n=8)
+        metrics, tracker, clock = self.make()
+        self.feed(metrics, aborted=True, n=8)
         assert tracker.state == SHEDDING
         # Clean attempts push the windowed rate to zero...
-        self.feed(tracker, aborted=False, n=8)
+        self.feed(metrics, aborted=False, n=8)
         # ...but the state steps down only after a full cooldown each.
         assert tracker.state == SHEDDING
         clock.advance(1.1)
@@ -97,23 +104,25 @@ class TestHealthTracker:
         assert tracker.state == HEALTHY
 
     def test_wal_latency_gauge_escalates(self):
-        tracker, _ = self.make()
+        metrics, tracker, _ = self.make()
         for _ in range(4):
-            tracker.note_wal_latency(10.0)  # way past every threshold
+            metrics.record_begin()
+            # Way past every threshold.
+            metrics.record_commit(0.001, wal_latency=10.0)
         assert tracker.state == SHEDDING
 
     def test_wal_failure_floor_is_sticky(self):
-        tracker, clock = self.make()
-        tracker.note_wal_failure()
+        metrics, tracker, clock = self.make()
+        metrics.record_wal_failure()
         assert tracker.state == DEGRADED
-        self.feed(tracker, aborted=False, n=8)
+        self.feed(metrics, aborted=False, n=8)
         clock.advance(10.0)
         assert tracker.state == DEGRADED  # can never be healthy again
         assert tracker.wal_failed
 
     def test_shedding_breaker_admits_probes(self):
-        tracker, clock = self.make(probe_interval=5.0)
-        self.feed(tracker, aborted=True, n=8)
+        metrics, tracker, clock = self.make(probe_interval=5.0)
+        self.feed(metrics, aborted=True, n=8)
         assert tracker.state == SHEDDING
         clock.advance(6.0)
         assert tracker.allow_admission()  # the probe
@@ -122,16 +131,16 @@ class TestHealthTracker:
         assert tracker.allow_admission()
 
     def test_observe_only_policy_never_sheds(self):
-        tracker = HealthTracker(
+        metrics = ServiceMetrics(
             HealthPolicy(enforce=False, window=8, min_samples=4)
         )
-        for _ in range(8):
-            tracker.note_attempt(aborted=True)
+        tracker = metrics.health
+        self.feed(metrics, aborted=True, n=8)
         assert tracker.state == SHEDDING
         assert tracker.allow_admission()  # tracked, not enforced
 
     def test_snapshot_shape(self):
-        tracker, _ = self.make()
+        _, tracker, _ = self.make()
         snap = tracker.snapshot()
         assert snap["state"] == HEALTHY
         assert snap["enforce"] is True
